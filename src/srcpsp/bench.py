@@ -474,6 +474,26 @@ def _audit_row(
         )
 
 
+def _method_row(cell: _Cell, method: str, sample: DurationSample) -> ResultRow:
+    """Run one method on the cell's realized sample, audit it, and record it."""
+    run = _RUNNERS[method](cell.stochastic, cell.configs[method], sample)
+    run = dataclasses.replace(run, instance=cell.instance, seed=cell.seed)
+    _audit_row(cell.stochastic, sample, run)
+    return ResultRow(
+        instance_set=cell.instance_set,
+        instance=cell.instance,
+        epsilon=cell.epsilon,
+        sample=cell.sample,
+        method=method,
+        feasible=run.feasible,
+        makespan=run.makespan,
+        time_offline_ms=run.time_offline * 1000.0,
+        time_online_ms=run.time_online * 1000.0,
+        failure_reason=run.failure_reason,
+        seed=cell.seed,
+    )
+
+
 def _run_cell(cell: _Cell) -> list[ResultRow] | None:
     """All methods on one realized sample; None when the cell is excluded."""
     sample = sample_durations(cell.stochastic, cell.seed)
@@ -482,27 +502,7 @@ def _run_cell(cell: _Cell) -> list[ResultRow] | None:
     )
     if not perfect_information_feasible(cell.stochastic, sample, filter_limit):
         return None
-    rows = []
-    for method in cell.methods:
-        run = _RUNNERS[method](cell.stochastic, cell.configs[method], sample)
-        run = dataclasses.replace(run, instance=cell.instance, seed=cell.seed)
-        _audit_row(cell.stochastic, sample, run)
-        rows.append(
-            ResultRow(
-                instance_set=cell.instance_set,
-                instance=cell.instance,
-                epsilon=cell.epsilon,
-                sample=cell.sample,
-                method=method,
-                feasible=run.feasible,
-                makespan=run.makespan,
-                time_offline_ms=run.time_offline * 1000.0,
-                time_online_ms=run.time_online * 1000.0,
-                failure_reason=run.failure_reason,
-                seed=cell.seed,
-            )
-        )
-    return rows
+    return [_method_row(cell, method, sample) for method in cell.methods]
 
 
 def _resolve_instances(config: BenchConfig) -> list[tuple[str, str, Path]]:
@@ -795,39 +795,26 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, **overrides)  # type: ignore[arg-type]
     rows = []
     for sample in range(args.samples):
-        seed = derive_seed(args.seed, instance_id, args.epsilon, sample)
-        realized = sample_durations(stochastic, seed)
-        run = _RUNNERS[args.method](stochastic, config, realized)
-        rows.append(
-            ResultRow(
-                instance_set=args.set,
-                instance=instance_id,
-                epsilon=args.epsilon,
-                sample=sample,
-                method=args.method,
-                feasible=run.feasible,
-                makespan=run.makespan,
-                time_offline_ms=run.time_offline * 1000.0,
-                time_online_ms=run.time_online * 1000.0,
-                failure_reason=run.failure_reason,
-                seed=seed,
-            )
+        cell = _Cell(
+            instance_set=args.set,
+            instance=instance_id,
+            stochastic=stochastic,
+            epsilon=args.epsilon,
+            sample=sample,
+            seed=derive_seed(args.seed, instance_id, args.epsilon, sample),
+            methods=(args.method,),
+            configs={args.method: config},
         )
-    writer_buffer = io.StringIO()
-    writer = csv.writer(writer_buffer, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row.csv_fields())
-    body = writer_buffer.getvalue()
+        realized = sample_durations(stochastic, cell.seed)
+        rows.append(_method_row(cell, args.method, realized))
+    text = ResultsTable(rows=tuple(rows)).to_csv()
     if args.out is None:
-        print(CSV_HEADER)
-        print(body, end="")
+        print(text, end="")
     else:
         path = Path(args.out)
         needs_header = not path.exists() or path.stat().st_size == 0
         with path.open("a", encoding="utf-8") as handle:
-            if needs_header:
-                handle.write(CSV_HEADER + "\n")
-            handle.write(body)
+            handle.write(text if needs_header else text.partition("\n")[2])
         feasible_count = sum(row.feasible for row in rows)
         print(f"appended {len(rows)} rows ({feasible_count} feasible) to {path}")
     return 0

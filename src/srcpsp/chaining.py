@@ -77,14 +77,3 @@ def chain(
         chains=tuple(tuple(tuple(c) for c in per_res) for per_res in all_chains),
     )
 
-
-def pos_respects_schedule(
-    pos: PartialOrderSchedule,
-    sched: Schedule,
-    durations: Sequence[int],
-) -> bool:
-    """True iff the schedule satisfies every chain edge end-to-start."""
-    return all(
-        sched.starts[b] >= sched.starts[a] + durations[a]
-        for a, b in pos.chain_edges
-    )

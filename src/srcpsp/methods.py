@@ -47,6 +47,8 @@ class MethodConfig:
     time_limit_reschedule: float = 2.0
 
     def __post_init__(self) -> None:
+        if not self.saa_gammas:
+            raise ValueError("saa_gammas must be nonempty")
         for g in (self.gamma, *self.saa_gammas):
             if not 0 <= g <= 1:
                 raise ValueError(f"quantile level {g} outside [0, 1]")
@@ -153,8 +155,6 @@ def run_proactive_saa(
     stoch: StochasticInstance, cfg: MethodConfig, sample: DurationSample
 ) -> MethodRun:
     """One start vector feasible for every quantile scenario, minimizing the mean makespan."""
-    if not cfg.saa_gammas:
-        raise ValueError("saa_gammas must be nonempty")
     t0 = time.perf_counter()
     scenarios = [quantile_durations(stoch, g).durations for g in cfg.saa_gammas]
     out = solve_saa(stoch.base, scenarios, time_limit=cfg.time_limit_offline)

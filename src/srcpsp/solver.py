@@ -7,9 +7,10 @@ members of a minimal conflict set.  Any pairwise-overlapping set of intervals
 shares a common time point, so every resource-feasible schedule separates at
 least one ordered pair of each conflict set; the branching is complete.
 
-A variant with shared starts across several duration scenarios backs the
-sample-average method: the same branching scheme, with conflicts detected
-scenario by scenario and the mean scenario makespan as objective.
+One search serves both entry points: it fixes one start vector for a list
+of duration scenarios and minimizes their mean makespan.  ``solve`` runs it
+on a single scenario, ``solve_saa`` on the sample-average method's quantile
+scenarios.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ class SolveStatus(Enum):
     FEASIBLE = "Feasible"
     INFEASIBLE = "Infeasible"
     UNKNOWN = "Unknown"
-
-
-class InfeasibleGraphError(ValueError):
-    """The temporal constraints alone are contradictory (positive cycle)."""
 
 
 @dataclass(frozen=True)
@@ -178,30 +175,12 @@ def _branch_edges(
     ]
 
 
-def _base_graph(inst: ProjectInstance) -> DistanceGraph:
-    return DistanceGraph(node_count=inst.n_activities, edges=inst.temporal_constraints)
-
-
-def critical_path_bound(inst: ProjectInstance, durations: Sequence[int]) -> int:
-    """Longest source-to-sink path with duration edges added; <= optimal makespan."""
-    total = inst.n_activities
-    if len(durations) != total:
-        raise ValueError(f"expected {total} durations, got {len(durations)}")
-    sink = total - 1
-    edges = list(inst.temporal_constraints)
-    edges.extend((j, sink, durations[j]) for j in range(total) if j != sink)
-    sched = earliest_schedule(DistanceGraph(node_count=total, edges=tuple(edges)))
-    if sched is None:
-        raise InfeasibleGraphError("temporal constraints contain a positive cycle")
-    return sched[sink]
-
-
 def _validated_warm_start(
     inst: ProjectInstance,
     durations: Sequence[int],
     warm_start: Schedule | None,
     fixed: Mapping[int, int],
-) -> Schedule | None:
+) -> tuple[int, ...] | None:
     if warm_start is None or len(warm_start.starts) != inst.n_activities:
         return None
     if any(s < 0 for s in warm_start.starts):
@@ -210,7 +189,82 @@ def _validated_warm_start(
         return None
     if not check_schedule(inst, durations, warm_start).feasible:
         return None
-    return Schedule.from_starts(warm_start.starts, durations)
+    return warm_start.starts
+
+
+def _search(
+    inst: ProjectInstance,
+    scenarios: Sequence[Sequence[int]],
+    fixed: Mapping[int, int],
+    incumbent: Sequence[int] | None,
+    time_limit: float,
+    node_limit: int,
+) -> SaaOutcome:
+    """Depth-first branch-and-bound for one start vector over every scenario.
+
+    Precedence constraints are duration-independent, so scenarios differ only
+    in their resource profiles and makespans.  Nodes are pruned on the sum of
+    the scenario makespans, which orders nodes exactly as their mean does.
+    Conflicts are hunted scenario by scenario; branching uses the conflicting
+    scenario's durations, which separates that scenario's overlap and keeps
+    the search complete.  ``incumbent`` must be feasible for every scenario.
+    """
+    if not scenarios:
+        raise ValueError("at least one scenario required")
+    total = inst.n_activities
+    for durations in scenarios:
+        if len(durations) != total:
+            raise ValueError(f"expected {total} durations, got {len(durations)}")
+        if any(d < 0 for d in durations):
+            raise ValueError("durations must be nonnegative")
+    t0 = time.monotonic()
+
+    def makespan_sum(starts: Sequence[int]) -> int:
+        return sum(max(s + d for s, d in zip(starts, scen)) for scen in scenarios)
+
+    best_starts = None if incumbent is None else tuple(incumbent)
+    best = None if incumbent is None else makespan_sum(incumbent)
+
+    stack: list[tuple[tuple[int, int, int], ...]] = [()]
+    nodes = 0
+    exhausted = True
+    while stack:
+        if nodes >= node_limit or time.monotonic() - t0 > time_limit:
+            exhausted = False
+            break
+        added = stack.pop()
+        nodes += 1
+        starts = earliest_schedule(
+            DistanceGraph(node_count=total, edges=inst.temporal_constraints + added),
+            fixed,
+        )
+        if starts is None:
+            continue
+        bound = makespan_sum(starts)
+        if best is not None and bound >= best:
+            continue
+        for durations in scenarios:
+            conflict = _first_conflict(inst, durations, starts)
+            if conflict is not None:
+                break
+        if conflict is None:
+            best_starts = tuple(starts)
+            best = bound
+            continue
+        t, r, active = conflict
+        subset = _minimal_conflict_set(inst, r, active)
+        for edge in reversed(_branch_edges(subset, durations)):
+            stack.append(added + (edge,))
+
+    wall = time.monotonic() - t0
+    if best_starts is None:
+        status = SolveStatus.INFEASIBLE if exhausted else SolveStatus.UNKNOWN
+        return SaaOutcome(status, None, None, nodes, wall)
+    for durations in scenarios:
+        sched = Schedule.from_starts(best_starts, durations)
+        assert check_schedule(inst, durations, sched).feasible
+    status = SolveStatus.OPTIMAL if exhausted else SolveStatus.FEASIBLE
+    return SaaOutcome(status, best_starts, best / len(scenarios), nodes, wall)
 
 
 def solve(
@@ -229,52 +283,11 @@ def solve(
     exhausts without one (or the root graph is contradictory), Feasible or
     Unknown when a limit stops the search with or without an incumbent.
     """
-    total = inst.n_activities
-    if len(durations) != total:
-        raise ValueError(f"expected {total} durations, got {len(durations)}")
-    if any(d < 0 for d in durations):
-        raise ValueError("durations must be nonnegative")
-    t0 = time.monotonic()
     fixed = dict(fixed or {})
-    graph = _base_graph(inst)
-
     incumbent = _validated_warm_start(inst, durations, warm_start, fixed)
-    best = incumbent.makespan if incumbent else None
-
-    stack: list[tuple[tuple[int, int, int], ...]] = [()]
-    nodes = 0
-    exhausted = True
-    while stack:
-        if nodes >= node_limit or time.monotonic() - t0 > time_limit:
-            exhausted = False
-            break
-        added = stack.pop()
-        nodes += 1
-        starts = earliest_schedule(
-            DistanceGraph(node_count=total, edges=graph.edges + added), fixed
-        )
-        if starts is None:
-            continue
-        bound = max(s + d for s, d in zip(starts, durations))
-        if best is not None and bound >= best:
-            continue
-        conflict = _first_conflict(inst, durations, starts)
-        if conflict is None:
-            incumbent = Schedule.from_starts(starts, durations)
-            best = incumbent.makespan
-            continue
-        t, r, active = conflict
-        subset = _minimal_conflict_set(inst, r, active)
-        for edge in reversed(_branch_edges(subset, durations)):
-            stack.append(added + (edge,))
-
-    wall = time.monotonic() - t0
-    if incumbent is not None:
-        assert check_schedule(inst, durations, incumbent).feasible
-        status = SolveStatus.OPTIMAL if exhausted else SolveStatus.FEASIBLE
-        return SolveOutcome(status, incumbent, nodes, wall)
-    status = SolveStatus.INFEASIBLE if exhausted else SolveStatus.UNKNOWN
-    return SolveOutcome(status, None, nodes, wall)
+    out = _search(inst, [durations], fixed, incumbent, time_limit, node_limit)
+    schedule = None if out.starts is None else Schedule.from_starts(out.starts, durations)
+    return SolveOutcome(out.status, schedule, out.nodes_explored, out.wall_time)
 
 
 def solve_saa(
@@ -283,64 +296,5 @@ def solve_saa(
     time_limit: float = 300.0,
     node_limit: int = 10_000_000,
 ) -> SaaOutcome:
-    """One start vector feasible for every duration scenario, minimizing mean makespan.
-
-    Precedence constraints are duration-independent, so scenarios differ only
-    in their resource profiles and makespans.  Conflicts are hunted scenario
-    by scenario; branching uses the conflicting scenario's durations, which
-    separates that scenario's overlap and keeps the search complete.
-    """
-    if not scenarios:
-        raise ValueError("at least one scenario required")
-    total = inst.n_activities
-    for d in scenarios:
-        if len(d) != total:
-            raise ValueError(f"every scenario needs {total} durations")
-    t0 = time.monotonic()
-    graph = _base_graph(inst)
-
-    best_starts: tuple[int, ...] | None = None
-    best_obj: float | None = None
-
-    stack: list[tuple[tuple[int, int, int], ...]] = [()]
-    nodes = 0
-    exhausted = True
-    while stack:
-        if nodes >= node_limit or time.monotonic() - t0 > time_limit:
-            exhausted = False
-            break
-        added = stack.pop()
-        nodes += 1
-        starts = earliest_schedule(
-            DistanceGraph(node_count=total, edges=graph.edges + added)
-        )
-        if starts is None:
-            continue
-        bound = sum(
-            max(s + d for s, d in zip(starts, scen)) for scen in scenarios
-        ) / len(scenarios)
-        if best_obj is not None and bound >= best_obj:
-            continue
-        conflict = None
-        for scen in scenarios:
-            conflict = _first_conflict(inst, scen, starts)
-            if conflict is not None:
-                branch_durations = scen
-                break
-        if conflict is None:
-            best_starts = tuple(starts)
-            best_obj = bound
-            continue
-        t, r, active = conflict
-        subset = _minimal_conflict_set(inst, r, active)
-        for edge in reversed(_branch_edges(subset, branch_durations)):
-            stack.append(added + (edge,))
-
-    wall = time.monotonic() - t0
-    if best_starts is not None:
-        for scen in scenarios:
-            assert check_schedule(inst, scen, Schedule.from_starts(best_starts, scen)).feasible
-        status = SolveStatus.OPTIMAL if exhausted else SolveStatus.FEASIBLE
-        return SaaOutcome(status, best_starts, best_obj, nodes, wall)
-    status = SolveStatus.INFEASIBLE if exhausted else SolveStatus.UNKNOWN
-    return SaaOutcome(status, None, None, nodes, wall)
+    """One start vector feasible for every duration scenario, minimizing mean makespan."""
+    return _search(inst, scenarios, {}, None, time_limit, node_limit)

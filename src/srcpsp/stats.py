@@ -281,23 +281,13 @@ def build_partial_ordering(
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    table: dict[str, dict[tuple[str, int | None], MethodRun]] = {}
-    for run in runs:
-        table.setdefault(run.method, {})[(run.instance, run.seed)] = run
-    methods = tuple(sorted(table))
+    runs = tuple(runs)
+    methods = tuple(sorted({run.method for run in runs}))
     edges: list[tuple[str, str, str]] = []
     annotations: dict[tuple[str, str], TestResult] = {}
     for i, name_a in enumerate(methods):
         for name_b in methods[i + 1 :]:
-            shared = [key for key in table[name_a] if key in table[name_b]]
-            pairs = tuple(
-                (
-                    _metric_value(table[name_a][key], metric),
-                    _metric_value(table[name_b][key], metric),
-                )
-                for key in shared
-            )
-            series = PairedSeries(pairs)
+            series = method_pair_series(runs, name_a, name_b, metric)
             if len(series) == 0:
                 logger.info(
                     "%s vs %s on %s: no comparable pairs", name_a, name_b, metric

@@ -97,22 +97,37 @@ def _relax(
     return None, cycle
 
 
-def propagate(g: DistanceGraph) -> PropagationResult:
+def propagate(
+    g: DistanceGraph,
+    fixed: Mapping[int, int] | None = None,
+) -> PropagationResult:
     """Check consistency and compute the earliest-time potential of ``g``.
 
     The returned potential is the least solution of the system
-    ``{t_j - t_i >= w} + {t >= 0}``; the potential of a node is the longest
-    constraint path that reaches it.  An inconsistent system yields a
-    :class:`NegativeCycle` whose lower bounds sum to a positive value.
+    ``{t_j - t_i >= w} + {t >= 0}``, with each node of ``fixed`` pinned to its
+    exact time; the potential of a node is the longest constraint path that
+    reaches it.  An inconsistent system yields a :class:`NegativeCycle` whose
+    lower bounds sum to a positive value; a cycle that runs through a pinned
+    time passes through the virtual origin, numbered ``g.node_count``.
     """
     n = g.node_count
-    tight = _tightest_edges(g)
     origin = n
+    tight = _tightest_edges(g)
+    for v, t in (fixed or {}).items():
+        if not 0 <= v < n:
+            raise ValueError(f"fixed node {v} out of range")
+        tight[(origin, v)] = max(t, 0)  # t_v >= t
+        tight[(v, origin)] = -t  # t_v <= t
     edges = [(origin, v, 0) for v in range(n)]
-    edges.extend((i, j, w) for (i, j), w in tight.items())
+    for (i, j), w in tight.items():
+        edges.append((i, j, w))
     dist, cycle = _relax(n + 1, edges, origin)
     if cycle is not None:
-        total = sum(tight[(cycle[k], cycle[(k + 1) % len(cycle)])] for k in range(len(cycle)))
+        # an origin edge missing from ``tight`` is an unpinned t_v >= 0
+        total = sum(
+            tight.get((cycle[k], cycle[(k + 1) % len(cycle)]), 0)
+            for k in range(len(cycle))
+        )
         return NegativeCycle(nodes=tuple(cycle), total=total)
     assert dist is not None
     return Consistent(potentials=tuple(dist[:n]))
@@ -127,22 +142,7 @@ def earliest_schedule(
     Returns the earliest start vector, or None when the fixed assignments
     contradict the graph (or each other).
     """
-    n = g.node_count
-    fixed = fixed or {}
-    for v, t in fixed.items():
-        if not 0 <= v < n:
-            raise ValueError(f"fixed node {v} out of range")
-        if t < 0:
-            return None  # all time points live on the nonnegative axis
-    origin = n
-    edges: list[tuple[int, int, int]] = [(origin, v, 0) for v in range(n)]
-    for (i, j), w in _tightest_edges(g).items():
-        edges.append((i, j, w))
-    for v, t in fixed.items():
-        edges.append((origin, v, t))   # t_v >= t
-        edges.append((v, origin, -t))  # t_v <= t
-    dist, cycle = _relax(n + 1, edges, origin)
-    if cycle is not None:
+    result = propagate(g, fixed)
+    if isinstance(result, NegativeCycle):
         return None
-    assert dist is not None
-    return dist[:n]
+    return list(result.potentials)

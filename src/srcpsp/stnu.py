@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .chaining import PartialOrderSchedule
 from .instances import DurationSample, StochasticInstance
@@ -472,23 +471,3 @@ def rte_execute(estnu: Estnu, sample: DurationSample) -> ExecutionTrace:
         decisions=tuple(decisions),
     )
 
-
-def to_dot(obj: Stnu | Estnu) -> str:
-    """Debug rendering: ordinary edges solid, contingent links dashed, waits dotted."""
-    stnu = obj.base if isinstance(obj, Estnu) else obj
-    waits: Iterable[tuple[int, int, int, int]] = (
-        obj.wait_edges if isinstance(obj, Estnu) else ()
-    )
-    lines = ["digraph stnu {", "  rankdir=LR;", "  node [shape=circle];"]
-    for tp in range(stnu.n_timepoints):
-        lines.append(f'  {tp} [label="{stnu.label(tp)}"];')
-    for u, v, w in stnu.ordinary_edges:
-        lines.append(f'  {u} -> {v} [label="{w}"];')
-    for a, c, low, high in stnu.contingent_links:
-        lines.append(f'  {a} -> {c} [label="[{low},{high}]", style=dashed];')
-    for x, a, w, c in waits:
-        lines.append(
-            f'  {x} -> {a} [label="wait {stnu.label(c)}: {w}", style=dotted];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"

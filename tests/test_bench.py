@@ -315,7 +315,19 @@ def test_run_bench_rejects_empty_instance_sets(tmp_path):
         run_bench(cfg)
 
 
-def test_audit_stops_methods_that_misreport_feasibility(tmp_path, monkeypatch):
+def _run_bench_with(tmp_path, method):
+    run_bench(small_config(tmp_path, methods=[method]))
+
+
+def _simulate_with(tmp_path, method):
+    argv = ["simulate", "--instance", str(EXAMPLE), "--method", method]
+    bench.main([*argv, "--epsilon", "1", "--samples", "1"])
+
+
+@pytest.mark.parametrize(
+    "entry", [_run_bench_with, _simulate_with], ids=["run_bench", "simulate"]
+)
+def test_audit_stops_methods_that_misreport_feasibility(tmp_path, monkeypatch, entry):
     def lying_runner(stoch, cfg, sample):
         total = stoch.base.n_activities
         return MethodRun(
@@ -331,9 +343,8 @@ def test_audit_stops_methods_that_misreport_feasibility(tmp_path, monkeypatch):
         )
 
     monkeypatch.setitem(bench._RUNNERS, PROACTIVE_Q, lying_runner)
-    cfg = small_config(tmp_path, methods=[PROACTIVE_Q])
     with pytest.raises(RuntimeError, match="audit"):
-        run_bench(cfg)
+        entry(tmp_path, PROACTIVE_Q)
 
 
 # -- reporting -------------------------------------------------------------

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from srcpsp.chaining import chain, pos_respects_schedule
+from srcpsp.chaining import chain
 from srcpsp.instances import ProjectInstance, make_stochastic, sample_durations
 from srcpsp.solver import Schedule, SolveStatus, check_schedule, solve
 from srcpsp.stn import DistanceGraph, earliest_schedule
@@ -85,12 +85,19 @@ def test_chain_edges_are_consecutive_pairs(example_instance):
 
 
 def test_pos_respects_schedule_cases(example_instance):
+    def respects(pos, sched, durations):
+        # every chain edge holds end-to-start in the schedule
+        return all(
+            sched.starts[b] >= sched.starts[a] + durations[a]
+            for a, b in pos.chain_edges
+        )
+
     inst = example_instance
     sched = Schedule.from_starts((0, 1, 3, 5, 0, 3, 7), inst.durations)
     pos = chain(inst, inst.durations, sched)
-    assert pos_respects_schedule(pos, sched, inst.durations)
+    assert respects(pos, sched, inst.durations)
     stretched = tuple(d + 3 if d else 0 for d in inst.durations)
-    assert not pos_respects_schedule(pos, sched, stretched)
+    assert not respects(pos, sched, stretched)
 
 
 def test_chain_is_deterministic(example_instance):

@@ -1,21 +1,40 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from srcpsp.instances import ProjectInstance
-from srcpsp.solver import (
-    InfeasibleGraphError,
-    Schedule,
-    SolveStatus,
-    check_schedule,
-    critical_path_bound,
-    solve,
-    solve_saa,
+from srcpsp.instances import (
+    ProjectInstance,
+    make_stochastic,
+    parse_psplib,
+    quantile_durations,
 )
+from srcpsp.solver import Schedule, SolveStatus, check_schedule, solve, solve_saa
 
 from oracles import brute_force_optimum, random_instance
 
 A, B, C, D, E = 1, 2, 3, 4, 5
+
+J10 = Path(__file__).resolve().parent.parent / "data" / "j10"
+
+# Search results on the bundled j10 set at epsilon 1: solve on the 0.9-quantile
+# durations (status, makespan, nodes), then solve_saa on the 0.25/0.5/0.75/0.9
+# quantile scenarios with node_limit=3000 (status, objective, nodes).  Any
+# change to the branching or node order shows up here as a changed node count.
+J10_PINNED = (
+    ("j10_01", "OPTIMAL", 47, 195, "OPTIMAL", 45.25, 753),
+    ("j10_02", "OPTIMAL", 41, 87, "OPTIMAL", 39.75, 299),
+    ("j10_03", "OPTIMAL", 59, 127, "OPTIMAL", 57.25, 2899),
+    ("j10_04", "OPTIMAL", 54, 125, "OPTIMAL", 52.75, 1057),
+    ("j10_05", "OPTIMAL", 40, 15, "OPTIMAL", 38.25, 53),
+    ("j10_06", "OPTIMAL", 64, 155, "FEASIBLE", 62.75, 3000),
+    ("j10_07", "OPTIMAL", 51, 7, "OPTIMAL", 49.25, 43),
+    ("j10_08", "OPTIMAL", 61, 1713, "FEASIBLE", 64.25, 3000),
+    ("j10_09", "OPTIMAL", 49, 7, "OPTIMAL", 47.25, 11),
+    ("j10_10", "OPTIMAL", 37, 113, "OPTIMAL", 35.75, 1875),
+    ("j10_11", "OPTIMAL", 67, 57, "OPTIMAL", 65.75, 207),
+    ("j10_12", "OPTIMAL", 32, 203, "OPTIMAL", 31.5, 1357),
+)
 
 
 def sched(inst, starts, durations=None):
@@ -123,40 +142,6 @@ def test_solve_node_limit_reports_honestly(example_instance):
     assert out.nodes_explored <= 1
 
 
-def test_critical_path_bound_example(example_instance):
-    bound = critical_path_bound(example_instance, example_instance.durations)
-    assert bound <= 8
-    assert bound == 7  # longest chain: a(0) -> b(2) -> +5
-
-
-def test_critical_path_bound_chain():
-    inst = ProjectInstance(
-        2,
-        (0, 2, 3, 0),
-        ((0, 0, 0, 0),),
-        (1,),
-        ((0, 1, 0), (1, 2, 2), (1, 3, 2), (2, 3, 3)),
-    )
-    assert critical_path_bound(inst, inst.durations) == 5
-
-
-def test_critical_path_bound_empty_project():
-    inst = ProjectInstance(0, (0, 0), ((0, 0),), (1,), ((0, 1, 0),))
-    assert critical_path_bound(inst, inst.durations) == 0
-
-
-def test_critical_path_bound_inconsistent():
-    inst = ProjectInstance(
-        2,
-        (0, 1, 1, 0),
-        ((0, 0, 0, 0),),
-        (1,),
-        ((1, 2, 2), (2, 1, -1)),
-    )
-    with pytest.raises(InfeasibleGraphError):
-        critical_path_bound(inst, inst.durations)
-
-
 def test_property_solver_matches_brute_force():
     rng = random.Random(20260818)
     optimal_seen = 0
@@ -190,26 +175,41 @@ def test_property_proposition_one_shrink_invariance():
             trials += 1
 
 
-def test_property_bound_below_optimum():
-    rng = random.Random(99)
-    for _ in range(150):
-        inst = random_instance(rng)
-        try:
-            bound = critical_path_bound(inst, inst.durations)
-        except InfeasibleGraphError:
-            continue
-        out = solve(inst, inst.durations, time_limit=10)
-        if out.status is SolveStatus.OPTIMAL:
-            assert bound <= out.schedule.makespan
-
-
 def test_saa_single_scenario_matches_solve(example_instance):
-    inst = example_instance
-    out = solve(inst, inst.durations)
-    saa = solve_saa(inst, [inst.durations])
-    assert saa.status is SolveStatus.OPTIMAL
-    assert saa.objective == out.schedule.makespan
-    assert saa.starts == out.schedule.starts
+    rng = random.Random(31)
+    instances = [example_instance] + [random_instance(rng) for _ in range(150)]
+    optimal_seen = 0
+    for inst in instances:
+        out = solve(inst, inst.durations)
+        saa = solve_saa(inst, [inst.durations])
+        assert saa.status is out.status
+        assert saa.nodes_explored == out.nodes_explored
+        if out.schedule is None:
+            assert saa.starts is None and saa.objective is None
+        else:
+            assert saa.starts == out.schedule.starts
+            assert saa.objective == out.schedule.makespan
+            optimal_seen += out.status is SolveStatus.OPTIMAL
+    assert optimal_seen > 75
+
+
+def test_search_results_pinned_on_j10():
+    for name, *expected in J10_PINNED:
+        stoch = make_stochastic(parse_psplib((J10 / f"{name}.sch").read_text()), 1)
+        out = solve(stoch.base, quantile_durations(stoch, 0.9).durations)
+        scenarios = [
+            quantile_durations(stoch, g).durations for g in (0.25, 0.5, 0.75, 0.9)
+        ]
+        saa = solve_saa(stoch.base, scenarios, node_limit=3000)
+        got = [
+            out.status.name,
+            out.schedule.makespan,
+            out.nodes_explored,
+            saa.status.name,
+            saa.objective,
+            saa.nodes_explored,
+        ]
+        assert got == expected, name
 
 
 def test_saa_feasible_for_every_scenario(example_instance):
@@ -220,6 +220,8 @@ def test_saa_feasible_for_every_scenario(example_instance):
     assert saa.status is SolveStatus.OPTIMAL
     for scen in (low, high):
         assert check_schedule(inst, scen, Schedule.from_starts(saa.starts, scen)).feasible
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_saa(inst, [low, (0, 3, -1, 5, 2, 3, 0)])
 
 
 def test_saa_objective_is_mean_of_scenario_makespans(example_instance):

@@ -78,6 +78,16 @@ def test_earliest_schedule_fixed_conflict_is_none():
     assert earliest_schedule(g, fixed={0: 5, 1: 6}) is None
 
 
+def test_propagate_pinned_conflict_cycle_runs_through_origin():
+    # t0 pinned to 5 and t1 to 6 against t1 >= t0 + 3: origin -> 0 -> 1 -> origin
+    g = DistanceGraph(node_count=2, edges=((0, 1, 3),))
+    res = propagate(g, fixed={0: 5, 1: 6})
+    assert isinstance(res, NegativeCycle)
+    assert sorted(res.nodes) == [0, 1, 2]
+    assert res.total == 2
+    assert propagate(g, fixed={0: 1}) == Consistent(potentials=(1, 4))
+
+
 def test_earliest_schedule_fixed_value_respected_without_constraints():
     g = DistanceGraph(node_count=3, edges=())
     assert earliest_schedule(g, fixed={1: 7}) == [0, 7, 0]

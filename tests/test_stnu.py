@@ -20,7 +20,6 @@ from srcpsp.stnu import (
     build_stnu,
     dc_check,
     rte_execute,
-    to_dot,
 )
 
 # five-activity example: a..e = 1..5, d's duration uncertain in [1, 2]
@@ -308,12 +307,3 @@ def test_dc_check_agrees_with_game_oracle():
     assert verdicts[True] >= 10
     assert verdicts[False] >= 10
 
-
-def test_to_dot_renders_all_edge_kinds(dc_pos, uncertain):
-    res = dc_check(build_stnu(dc_pos, uncertain))
-    text = to_dot(res.estnu)
-    assert "style=dashed" in text
-    assert "style=dotted" in text
-    assert '"s4"' in text and '"f4"' in text
-    plain = to_dot(build_stnu(dc_pos, uncertain))
-    assert "style=dotted" not in plain
