@@ -11,18 +11,25 @@ One search serves both entry points: it fixes one start vector for a list
 of duration scenarios and minimizes their mean makespan.  ``solve`` runs it
 on a single scenario, ``solve_saa`` on the sample-average method's quantile
 scenarios.
+
+Each node costs only what is new at it.  The base graph, its root solution
+and each resource's users are built once per search; a child copies its
+parent's potentials and tightens forward from the head of its one new edge
+(``stn._tighten``), and conflicts are found by one sorted start/end sweep
+per resource.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
 from .instances import ProjectInstance
-from .stn import DistanceGraph, earliest_schedule
+from .stn import DistanceGraph, _incremental_root, _tighten
 
 
 class SolveStatus(Enum):
@@ -126,24 +133,51 @@ def check_schedule(
     )
 
 
-def _first_conflict(
+def _resource_users(
     inst: ProjectInstance,
     durations: Sequence[int],
+) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
+    """``(resource, capacity, [(activity, demand, duration)])`` per resource
+    whose positive-duration users could together exceed its capacity."""
+    found = []
+    for r, cap in enumerate(inst.capacities):
+        users = [
+            (j, q, d)
+            for j, (q, d) in enumerate(zip(inst.demands[r], durations))
+            if q > 0 and d > 0
+        ]
+        if sum(q for _, q, _ in users) > cap:
+            found.append((r, cap, users))
+    return found
+
+
+def _first_conflict(
+    resources: Sequence[tuple[int, int, Sequence[tuple[int, int, int]]]],
     starts: Sequence[int],
 ) -> tuple[int, int, list[int]] | None:
-    """Earliest (time, resource, active activities) where usage exceeds capacity."""
-    total = inst.n_activities
-    events = sorted({starts[j] for j in range(total) if durations[j] > 0})
-    for t in events:
-        for r in range(inst.n_resources):
-            active = [
-                j
-                for j in range(total)
-                if inst.demands[r][j] > 0 and starts[j] <= t < starts[j] + durations[j]
-            ]
-            if sum(inst.demands[r][j] for j in active) > inst.capacities[r]:
-                return t, r, active
-    return None
+    """Earliest (time, resource, active activities) where usage exceeds capacity.
+
+    ``resources`` comes from :func:`_resource_users`.  One sorted sweep per
+    resource finds its first overload, which always falls on a user's start;
+    the earliest time wins, then the lowest resource.  The active list is in
+    activity order.
+    """
+    best: tuple[int, int, list[int]] | None = None
+    for r, cap, users in resources:
+        events = [(starts[j], q) for j, q, _ in users]
+        # an end sorts before a start at the same time: intervals are half-open
+        events += [(starts[j] + d, -q) for j, q, d in users]
+        events.sort()
+        usage = 0
+        for t, q in events:
+            if best is not None and t >= best[0]:
+                break
+            usage += q
+            if usage > cap:
+                active = [j for j, _, d in users if starts[j] <= t < starts[j] + d]
+                best = (t, r, active)
+                break
+    return best
 
 
 def _minimal_conflict_set(
@@ -218,43 +252,49 @@ def _search(
         if any(d < 0 for d in durations):
             raise ValueError("durations must be nonnegative")
     t0 = time.monotonic()
+    # The base system, its root solution and the resource users are fixed
+    # for the whole search; each node only adds its newest ordering edge.
+    root, succ = _incremental_root(
+        DistanceGraph(node_count=total, edges=inst.temporal_constraints), fixed
+    )
+    resources = [_resource_users(inst, durations) for durations in scenarios]
 
     def makespan_sum(starts: Sequence[int]) -> int:
-        return sum(max(s + d for s, d in zip(starts, scen)) for scen in scenarios)
+        # map stops at the end of the scenario, before the origin's potential
+        return sum(max(map(operator.add, starts, scen)) for scen in scenarios)
 
     best_starts = None if incumbent is None else tuple(incumbent)
     best = None if incumbent is None else makespan_sum(incumbent)
 
-    stack: list[tuple[tuple[int, int, int], ...]] = [()]
+    # each entry: the parent's potentials (origin last) and the node's edges
+    stack: list[tuple[list[int] | None, tuple[tuple[int, int, int], ...]]] = [(root, ())]
     nodes = 0
     exhausted = True
     while stack:
         if nodes >= node_limit or time.monotonic() - t0 > time_limit:
             exhausted = False
             break
-        added = stack.pop()
+        dist, added = stack.pop()
         nodes += 1
-        starts = earliest_schedule(
-            DistanceGraph(node_count=total, edges=inst.temporal_constraints + added),
-            fixed,
-        )
-        if starts is None:
+        if added:
+            dist = _tighten(succ, dist, added)
+        if dist is None:
             continue
-        bound = makespan_sum(starts)
+        bound = makespan_sum(dist)
         if best is not None and bound >= best:
             continue
-        for durations in scenarios:
-            conflict = _first_conflict(inst, durations, starts)
+        for durations, users in zip(scenarios, resources):
+            conflict = _first_conflict(users, dist)
             if conflict is not None:
                 break
         if conflict is None:
-            best_starts = tuple(starts)
+            best_starts = tuple(dist[:total])
             best = bound
             continue
         t, r, active = conflict
         subset = _minimal_conflict_set(inst, r, active)
         for edge in reversed(_branch_edges(subset, durations)):
-            stack.append(added + (edge,))
+            stack.append((dist, added + (edge,)))
 
     wall = time.monotonic() - t0
     if best_starts is None:

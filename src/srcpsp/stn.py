@@ -8,6 +8,7 @@ from a virtual origin, so every time point also satisfies ``t >= 0``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -68,9 +69,13 @@ def _relax(
     edges: Sequence[tuple[int, int, int]],
     origin: int,
 ) -> tuple[list[int] | None, list[int] | None]:
-    """Longest paths from ``origin``; returns (distances, None) or (None, cycle)."""
+    """Longest paths from ``origin``; returns (distances, None) or (None, cycle).
+
+    Every node must be reachable from ``origin``, so that all distances end
+    up finite integers.
+    """
     neg_inf = float("-inf")
-    dist: list[float] = [neg_inf] * node_count
+    dist: list = [neg_inf] * node_count
     dist[origin] = 0
     pred: list[int | None] = [None] * node_count
     last_changed = origin
@@ -83,7 +88,7 @@ def _relax(
                 last_changed = j
                 changed = True
         if not changed:
-            return [int(d) for d in dist], None
+            return dist, None
     # Still relaxing after node_count rounds: walk predecessors into the cycle.
     node = last_changed
     for _ in range(node_count):
@@ -95,6 +100,90 @@ def _relax(
         walk = pred[walk]  # type: ignore[index]
     cycle.reverse()
     return None, cycle
+
+
+def _tighten(
+    succ: Sequence[Sequence[tuple[int, int]]],
+    dist: list[int],
+    added: Sequence[tuple[int, int, int]],
+) -> list[int] | None:
+    """Longest paths once the last edge of ``added`` joins a consistent system.
+
+    ``succ[i]`` lists the ``(j, w)`` base edges out of node ``i``, and the
+    virtual origin is the last node; ``dist`` is the least solution of the
+    base edges plus all of ``added`` but its last edge, with the origin at 0.  Only what the new
+    edge ``(a, b, w)`` raises is recomputed: a FIFO queue tightens forward
+    from ``b`` (Cesta & Oddi, TIME 1996).  Any raise stems from the new
+    edge, so raising ``a`` or the origin closes a positive cycle, and the
+    result is None; a cycle through the origin would reach ``a`` as well,
+    the origin test only stops a contradicted pin sooner.  ``dist`` is
+    never modified; it is returned as is when the new edge already holds.
+    """
+    a, b, w = added[-1]
+    if dist[a] + w <= dist[b]:
+        return dist
+    origin = len(dist) - 1
+    dist = dist.copy()
+    dist[b] = dist[a] + w
+    extra: dict[int, list[tuple[int, int]]] = {}
+    for i, j, x in added:
+        extra.setdefault(i, []).append((j, x))
+    queued = [False] * len(dist)
+    queued[b] = True
+    queue = deque((b,))
+    while queue:
+        u = queue.popleft()
+        queued[u] = False
+        du = dist[u]
+        for edges in (succ[u], extra.get(u, ())):
+            for v, x in edges:
+                if du + x > dist[v]:
+                    if v == a or v == origin:
+                        return None
+                    dist[v] = du + x
+                    if not queued[v]:
+                        queued[v] = True
+                        queue.append(v)
+    return dist
+
+
+def _rooted_edges(
+    g: DistanceGraph,
+    fixed: Mapping[int, int] | None,
+) -> tuple[dict[tuple[int, int], int], list[tuple[int, int, int]]]:
+    """Tightest edges of ``g`` with the virtual origin, numbered ``g.node_count``.
+
+    The origin adds ``t_v >= 0`` for every node and pins each node of
+    ``fixed`` to its exact time.  Returns the tightest weight per node pair
+    (origin edges only for pins) and the edge list that ``_relax`` runs on.
+    """
+    n = g.node_count
+    origin = n
+    tight = _tightest_edges(g)
+    for v, t in (fixed or {}).items():
+        if not 0 <= v < n:
+            raise ValueError(f"fixed node {v} out of range")
+        tight[(origin, v)] = max(t, 0)  # t_v >= t
+        tight[(v, origin)] = -t  # t_v <= t
+    edges = [(origin, v, 0) for v in range(n)]
+    for (i, j), w in tight.items():
+        edges.append((i, j, w))
+    return tight, edges
+
+
+def _incremental_root(
+    g: DistanceGraph,
+    fixed: Mapping[int, int] | None,
+) -> tuple[list[int] | None, list[list[tuple[int, int]]]]:
+    """Root potentials of ``g`` with ``fixed`` pins, origin last (None when
+    inconsistent), and the successor lists that :func:`_tighten` runs on."""
+    n = g.node_count
+    _, edges = _rooted_edges(g, fixed)
+    succ: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for i, j, w in edges:
+        succ[i].append((j, w))
+    dist, _ = _relax(n + 1, edges, n)
+    return dist, succ
 
 
 def propagate(
@@ -111,17 +200,8 @@ def propagate(
     time passes through the virtual origin, numbered ``g.node_count``.
     """
     n = g.node_count
-    origin = n
-    tight = _tightest_edges(g)
-    for v, t in (fixed or {}).items():
-        if not 0 <= v < n:
-            raise ValueError(f"fixed node {v} out of range")
-        tight[(origin, v)] = max(t, 0)  # t_v >= t
-        tight[(v, origin)] = -t  # t_v <= t
-    edges = [(origin, v, 0) for v in range(n)]
-    for (i, j), w in tight.items():
-        edges.append((i, j, w))
-    dist, cycle = _relax(n + 1, edges, origin)
+    tight, edges = _rooted_edges(g, fixed)
+    dist, cycle = _relax(n + 1, edges, n)
     if cycle is not None:
         # an origin edge missing from ``tight`` is an unpinned t_v >= 0
         total = sum(
@@ -142,7 +222,6 @@ def earliest_schedule(
     Returns the earliest start vector, or None when the fixed assignments
     contradict the graph (or each other).
     """
-    result = propagate(g, fixed)
-    if isinstance(result, NegativeCycle):
-        return None
-    return list(result.potentials)
+    n = g.node_count
+    dist, _ = _relax(n + 1, _rooted_edges(g, fixed)[1], n)
+    return None if dist is None else dist[:n]

@@ -9,8 +9,10 @@ from srcpsp.instances import (
     parse_psplib,
     quantile_durations,
 )
+from srcpsp import solver
 from srcpsp.solver import Schedule, SolveStatus, check_schedule, solve, solve_saa
 
+import reference_solver
 from oracles import brute_force_optimum, random_instance
 
 A, B, C, D, E = 1, 2, 3, 4, 5
@@ -116,8 +118,11 @@ def test_solve_with_fixed_starts(example_instance):
 
 
 def test_solve_with_contradictory_fixed(example_instance):
-    out = solve(example_instance, example_instance.durations, fixed={A: 0, B: 1})
-    assert out.status is SolveStatus.INFEASIBLE
+    inst = example_instance
+    for fixed in ({A: 0, B: 1}, {C: -1}):
+        out = solve(inst, inst.durations, fixed=fixed)
+        assert (out.status, out.nodes_explored) == (SolveStatus.INFEASIBLE, 1)
+        assert out.schedule is None
 
 
 def test_solve_warm_start_never_worsens(example_instance):
@@ -243,3 +248,108 @@ def test_saa_adding_scenario_never_improves_objective():
         two = solve_saa(inst, [base, bigger], time_limit=10)
         if one.status is SolveStatus.OPTIMAL and two.status is SolveStatus.OPTIMAL:
             assert two.objective >= one.objective
+
+
+def _outcome(out):
+    return out.status, out.starts, out.objective, out.nodes_explored
+
+
+def test_search_matches_reference_search():
+    rng = random.Random(4)
+    seen = {"multi": 0, "pinned": 0, "contradictory": 0, "incumbent": 0}
+    for case in range(600):
+        extra_scenarios = rng.choice((0, 0, 1, 2))
+        # seven activities under three scenarios can take 10^5 nodes
+        inst = random_instance(rng, max_real=rng.choice((3, 5, 7 - extra_scenarios)))
+        total = inst.n_activities
+        scenarios = [inst.durations]
+        for _ in range(extra_scenarios):
+            scenarios.append(tuple(d + rng.randint(0, 2) if d else 0 for d in inst.durations))
+        fixed = {}
+        if case % 2:
+            for v in rng.sample(range(total), rng.randint(1, min(3, total))):
+                fixed[v] = rng.randint(-2, 8)  # a negative pin contradicts t >= 0
+        node_limit = rng.choice((0, 1, 3, 50, 10**7))
+        incumbent = None
+        if case % 3 == 0:
+            # a feasible start vector that honours the pins, often not optimal
+            limit = rng.choice((4, 10**7))
+            incumbent = reference_solver._search(inst, scenarios, fixed, None, 60, limit).starts
+        new = solver._search(inst, scenarios, fixed, incumbent, 60, node_limit)
+        ref = reference_solver._search(inst, scenarios, fixed, incumbent, 60, node_limit)
+        assert _outcome(new) == _outcome(ref), case
+        seen["multi"] += len(scenarios) > 1
+        seen["pinned"] += bool(fixed)
+        seen["incumbent"] += incumbent is not None
+        root_infeasible = ref.status is SolveStatus.INFEASIBLE and ref.nodes_explored == 1
+        seen["contradictory"] += bool(fixed) and root_infeasible
+    assert min(seen.values()) > 40, seen
+
+
+def test_pinned_search_matches_reference_on_j10():
+    # a reactive-style re-solve: the first third of the plan is pinned
+    for name, *_ in J10_PINNED:
+        stoch = make_stochastic(parse_psplib((J10 / f"{name}.sch").read_text()), 1)
+        plan = solve(stoch.base, quantile_durations(stoch, 0.9).durations).schedule
+        fixed = {j: s for j, s in enumerate(plan.starts) if 3 * s < plan.makespan}
+        median = quantile_durations(stoch, 0.5).durations
+        for scenarios in ([median], [median, quantile_durations(stoch, 0.9).durations]):
+            new = solver._search(stoch.base, scenarios, fixed, None, 60, 2000)
+            ref = reference_solver._search(stoch.base, scenarios, fixed, None, 60, 2000)
+            assert _outcome(new) == _outcome(ref), name
+
+
+def _sweep_matches_reference(inst, durations, starts):
+    users = solver._resource_users(inst, durations)
+    got = solver._first_conflict(users, starts)
+    assert got == reference_solver._first_conflict(inst, durations, starts)
+    return got
+
+
+def test_conflict_sweep_matches_reference_scan():
+    rng = random.Random(11)
+    conflicts = 0
+    for _ in range(3000):
+        inst = random_instance(rng, max_real=rng.choice((3, 5)))
+        # zero durations for real activities too, and starts on a short
+        # range so that many start and end times coincide
+        durations = [0] + [rng.randint(0, 3) for _ in range(inst.activity_count)] + [0]
+        starts = [rng.randint(0, 4) for _ in range(inst.n_activities)]
+        conflicts += _sweep_matches_reference(inst, durations, starts) is not None
+    assert 500 < conflicts < 2900
+
+
+def test_conflict_sweep_edge_cases():
+    inst = ProjectInstance(
+        5,
+        (0, 2, 2, 3, 1, 2, 0),
+        ((0, 2, 2, 0, 1, 0, 0), (0, 0, 1, 1, 1, 0, 0)),
+        (3, 2),
+        (),
+    )
+    d = inst.durations
+    # both resources overload at 3: the lower resource index wins
+    assert _sweep_matches_reference(inst, d, (0, 3, 3, 2, 3, 0, 0)) == (3, 0, [1, 2, 4])
+    # resource 1 overloads at 1, where activity 5, which uses no resource, starts too
+    assert _sweep_matches_reference(inst, d, (0, 6, 0, 0, 1, 1, 0)) == (1, 1, [2, 3, 4])
+    # activity 1 ends when activity 2 starts: no overlap on resource 0
+    assert _sweep_matches_reference(inst, d, (0, 0, 2, 4, 7, 0, 0)) is None
+    # a zero-duration user never loads its resource
+    shrunk = (0, 2, 2, 0, 1, 2, 0)
+    assert _sweep_matches_reference(inst, shrunk, (0, 5, 0, 0, 0, 0, 0)) is None
+    assert _sweep_matches_reference(inst, d, (0, 5, 0, 0, 0, 0, 0)) == (0, 1, [2, 3, 4])
+
+
+def test_limits_are_checked_before_every_node(example_instance):
+    inst = example_instance
+    # no node is counted, the root included, even when the root pins contradict
+    for fixed in ({}, {A: 0, B: 1}):
+        for limits in ({"node_limit": 0}, {"time_limit": -1.0}):
+            out = solve(inst, inst.durations, fixed=fixed, **limits)
+            assert (out.status, out.nodes_explored) == (SolveStatus.UNKNOWN, 0)
+    full = solve(inst, inst.durations).nodes_explored
+    assert full > 3
+    for limit in range(1, full + 2):
+        out = solve(inst, inst.durations, node_limit=limit)
+        assert out.nodes_explored == min(limit, full)
+        assert (out.status is SolveStatus.OPTIMAL) == (limit >= full)

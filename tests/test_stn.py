@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from srcpsp.stn import Consistent, DistanceGraph, NegativeCycle, earliest_schedule, propagate
+from srcpsp.stn import (
+    Consistent,
+    DistanceGraph,
+    NegativeCycle,
+    _incremental_root,
+    _tighten,
+    earliest_schedule,
+    propagate,
+)
 
 
 def test_propagate_simple_chain():
@@ -171,3 +179,26 @@ def test_property_least_solution():
                 lowered[j] - lowered[i] >= w for i, j, w in g.edges
             )
             assert not ok
+
+
+def test_property_tighten_matches_full_relaxation():
+    # Edges join one at a time, each tightened from its head, as in the
+    # branch-and-bound; every step must equal a from-scratch earliest_schedule.
+    rng = random.Random(3)
+    steps = chains = 0
+    for _ in range(300):
+        g = _random_graph(rng)
+        n = g.node_count
+        fixed = {v: rng.randint(-1, 6) for v in rng.sample(range(n), rng.randint(0, min(2, n)))}
+        dist, succ = _incremental_root(g, fixed)
+        assert (None if dist is None else dist[:n]) == earliest_schedule(g, fixed)
+        added = ()
+        while dist is not None:
+            added += ((rng.randrange(n), rng.randrange(n), rng.randint(-3, 4)),)
+            dist = _tighten(succ, dist, added)
+            full = earliest_schedule(DistanceGraph(n, g.edges + added), fixed)
+            assert (None if dist is None else dist[:n]) == full
+            assert dist is None or dist[n] == 0
+            steps += 1
+        chains += bool(added)  # every chain ends in a positive cycle
+    assert steps > 300 and chains > 60
