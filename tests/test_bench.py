@@ -536,6 +536,45 @@ def test_cli_stats_emits_report_and_dot(tmp_path, capsys):
     assert '"alpha" -> "beta" [style=solid];' in dot_path.read_text(encoding="utf-8")
 
 
+STATS_GOLDEN = """\
+pairwise tests, metric=quality, alpha=0.02
+  alpha vs beta (n=30); signed-rank z=-4.772 p=0.0000*; win-share 1.000 p=0.0000*; magnitude 0.468/1.532 p=0.0000
+  alpha vs delta (n=30); signed-rank z=-0.433 p=0.6649; win-share 0.733 p=0.0176*; magnitude 1.183/0.817 p=0.0153
+  alpha vs gamma (n=30); signed-rank n/a; win-share n/a; magnitude n/a
+  alpha vs omega (n=0); signed-rank n/a; win-share n/a; magnitude n/a
+  beta vs delta (n=30); signed-rank z=+4.772 p=0.0000*; win-share 0.000 p=0.0000*; magnitude 1.590/0.410 p=0.0000
+  beta vs gamma (n=30); signed-rank z=+4.772 p=0.0000*; win-share 0.000 p=0.0000*; magnitude 1.532/0.468 p=0.0000
+  beta vs omega (n=0); signed-rank n/a; win-share n/a; magnitude n/a
+  delta vs gamma (n=30); signed-rank z=+0.433 p=0.6649; win-share 0.267 p=0.0176*; magnitude 0.817/1.183 p=0.0153
+  delta vs omega (n=0); signed-rank n/a; win-share n/a; magnitude n/a
+  gamma vs omega (n=0); signed-rank n/a; win-share n/a; magnitude n/a
+edges (better -> worse):
+  alpha -> beta [strong]
+  alpha -> delta [weak]
+  delta -> beta [strong]
+  gamma -> beta [strong]
+  gamma -> delta [weak]
+"""
+
+
+def test_cli_stats_report_text_is_pinned(tmp_path, capsys):
+    # alpha beats beta outright, wins small and loses big against delta
+    # (win-share only), ties gamma everywhere and shares no key with omega
+    rows = []
+    for k in range(30):
+        key = dict(instance=f"i{k:02d}", seed=k)
+        rows.append(make_row(method="alpha", makespan=10, **key))
+        rows.append(make_row(method="beta", makespan=20 + k, **key))
+        rows.append(make_row(method="gamma", makespan=10, **key))
+        rows.append(make_row(method="delta", makespan=11 if k < 22 else 1, **key))
+    rows.append(make_row(method="omega", instance="x00", seed=99))
+    csv_path = tmp_path / "results.csv"
+    csv_path.write_text(ResultsTable(rows=tuple(rows)).to_csv(), encoding="utf-8")
+    argv = ["stats", "--results", str(csv_path), "--metric", "quality", "--alpha", "0.02"]
+    assert bench.main(argv) == 0
+    assert capsys.readouterr().out == STATS_GOLDEN
+
+
 def test_cli_stats_rejects_empty_selection(tmp_path, capsys):
     csv_path = tmp_path / "results.csv"
     csv_path.write_text(

@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import logging
 import random
+from pathlib import Path
 
 import pytest
 
 from oracles import random_instance
+from srcpsp.bench import _RUNNERS, _default_method_configs, derive_seed
 from srcpsp.instances import (
     DurationSample,
     ProjectInstance,
     StochasticInstance,
     make_stochastic,
+    parse_psplib,
     quantile_durations,
     sample_durations,
 )
@@ -33,6 +36,8 @@ from srcpsp.methods import (
     run_stnu,
 )
 from srcpsp.solver import Schedule, SolveStatus, check_schedule, solve_saa
+
+J10 = Path(__file__).resolve().parent.parent / "data" / "j10"
 
 UNCERTAIN_BOUNDS = ((0, 0), (2, 2), (5, 5), (3, 3), (1, 2), (2, 2), (0, 0))
 
@@ -405,3 +410,119 @@ def test_perfect_information_undecided_keeps_the_sample(
         )
     assert kept
     assert "undecided" in caplog.text
+
+
+# (feasible, makespan, failure_reason, starts) of each runner on j10 at
+# epsilon 1 with the bench's default method configs and the desk seeds
+# derive_seed(1, name, 1.0, k), recorded before the runners shared helpers
+METHOD_RUNS_PINNED = {
+    ('j10_01', 0, 'proactive_q'): (True, 45, None, (0, 0, 3, 8, 22, 5, 15, 29, 15, 29, 42, 45)),
+    ('j10_01', 0, 'proactive_saa'): (True, 44, None, (0, 0, 3, 8, 22, 5, 15, 34, 15, 34, 29, 44)),
+    ('j10_01', 0, 'reactive'): (True, 31, None, (0, 0, 3, 7, 15, 4, 11, 21, 11, 21, 18, 31)),
+    ('j10_01', 0, 'stnu'): (True, 30, None, (0, 0, 3, 7, 15, 4, 11, 18, 11, 20, 27, 30)),
+    ('j10_01', 1, 'proactive_q'): (True, 45, None, (0, 0, 3, 8, 22, 5, 15, 29, 15, 29, 42, 45)),
+    ('j10_01', 1, 'proactive_saa'): (True, 45, None, (0, 0, 3, 8, 22, 5, 15, 34, 15, 34, 29, 44)),
+    ('j10_01', 1, 'reactive'): (True, 36, None, (0, 0, 2, 6, 16, 3, 10, 22, 10, 22, 33, 36)),
+    ('j10_01', 1, 'stnu'): (True, 36, None, (0, 0, 2, 6, 16, 3, 10, 22, 10, 22, 33, 36)),
+    ('j10_02', 0, 'proactive_q'): (True, 39, None, (0, 0, 8, 11, 16, 19, 23, 25, 34, 23, 12, 39)),
+    ('j10_02', 0, 'proactive_saa'): (True, 39, None, (0, 0, 8, 11, 16, 19, 23, 25, 34, 23, 12, 39)),
+    ('j10_02', 0, 'reactive'): (True, 34, None, (0, 0, 8, 11, 16, 19, 21, 23, 29, 21, 12, 34)),
+    ('j10_02', 0, 'stnu'): (True, 34, None, (0, 0, 8, 11, 16, 19, 21, 23, 29, 21, 12, 34)),
+    ('j10_02', 1, 'proactive_q'): (True, 39, None, (0, 0, 8, 11, 16, 19, 23, 25, 34, 23, 12, 39)),
+    ('j10_02', 1, 'proactive_saa'): (True, 39, None, (0, 0, 8, 11, 16, 19, 23, 25, 34, 23, 12, 39)),
+    ('j10_02', 1, 'reactive'): (True, 38, None, (0, 0, 8, 11, 16, 19, 22, 24, 33, 22, 12, 38)),
+    ('j10_02', 1, 'stnu'): (True, 38, None, (0, 0, 8, 11, 16, 19, 22, 24, 33, 22, 12, 38)),
+    ('j10_03', 0, 'proactive_q'): (True, 57, None, (0, 0, 10, 15, 32, 15, 26, 22, 44, 33, 49, 56)),
+    ('j10_03', 0, 'proactive_saa'): (True, 57, None, (0, 0, 10, 15, 32, 15, 26, 22, 44, 33, 49, 56)),
+    ('j10_03', 0, 'reactive'): (True, 53, None, (0, 0, 10, 15, 27, 15, 26, 22, 37, 43, 42, 51)),
+    ('j10_03', 0, 'stnu'): (True, 50, None, (0, 0, 10, 15, 27, 15, 20, 22, 37, 26, 42, 49)),
+    ('j10_03', 1, 'proactive_q'): (True, 56, None, (0, 0, 10, 15, 32, 15, 26, 22, 44, 33, 49, 56)),
+    ('j10_03', 1, 'proactive_saa'): (True, 56, None, (0, 0, 10, 15, 32, 15, 26, 22, 44, 33, 49, 56)),
+    ('j10_03', 1, 'reactive'): (True, 42, None, (0, 0, 7, 10, 27, 10, 27, 15, 23, 34, 34, 42)),
+    ('j10_03', 1, 'stnu'): (True, 42, None, (0, 0, 7, 10, 23, 10, 16, 15, 30, 20, 35, 42)),
+    ('j10_04', 0, 'proactive_q'): (True, 52, None, (0, 0, 13, 21, 19, 28, 38, 40, 35, 47, 45, 52)),
+    ('j10_04', 0, 'proactive_saa'): (True, 52, None, (0, 0, 13, 21, 19, 28, 38, 40, 35, 47, 45, 52)),
+    ('j10_04', 0, 'reactive'): (True, 45, None, (0, 0, 12, 18, 18, 24, 32, 34, 31, 40, 39, 45)),
+    ('j10_04', 0, 'stnu'): (True, 45, None, (0, 0, 12, 18, 18, 24, 32, 34, 31, 40, 39, 45)),
+    ('j10_04', 1, 'proactive_q'): (True, 52, None, (0, 0, 13, 21, 19, 28, 38, 40, 35, 47, 45, 52)),
+    ('j10_04', 1, 'proactive_saa'): (True, 52, None, (0, 0, 13, 21, 19, 28, 38, 40, 35, 47, 45, 52)),
+    ('j10_04', 1, 'reactive'): (True, 43, None, (0, 0, 10, 17, 16, 22, 29, 31, 29, 38, 36, 43)),
+    ('j10_04', 1, 'stnu'): (True, 43, None, (0, 0, 10, 17, 16, 22, 29, 31, 29, 38, 36, 43)),
+    ('j10_05', 0, 'proactive_q'): (True, 40, None, (0, 0, 3, 11, 14, 21, 22, 3, 27, 24, 26, 37)),
+    ('j10_05', 0, 'proactive_saa'): (True, 40, None, (0, 0, 3, 11, 14, 21, 22, 3, 27, 24, 26, 37)),
+    ('j10_05', 0, 'reactive'): (True, 33, None, (0, 0, 3, 11, 12, 19, 19, 3, 20, 19, 21, 30)),
+    ('j10_05', 0, 'stnu'): (True, 33, None, (0, 0, 3, 11, 12, 19, 19, 3, 20, 19, 21, 30)),
+    ('j10_05', 1, 'proactive_q'): (True, 37, None, (0, 0, 3, 11, 14, 21, 22, 3, 27, 24, 26, 37)),
+    ('j10_05', 1, 'proactive_saa'): (True, 37, None, (0, 0, 3, 11, 14, 21, 22, 3, 27, 24, 26, 37)),
+    ('j10_05', 1, 'reactive'): (True, 29, None, (0, 0, 2, 10, 7, 14, 19, 2, 19, 17, 21, 29)),
+    ('j10_05', 1, 'stnu'): (True, 29, None, (0, 0, 2, 10, 7, 14, 19, 2, 19, 17, 21, 29)),
+    ('j10_06', 0, 'proactive_q'): (True, 62, None, (0, 0, 11, 24, 30, 36, 11, 47, 30, 54, 59, 62)),
+    ('j10_06', 0, 'proactive_saa'): (True, 62, None, (0, 0, 11, 24, 30, 36, 11, 47, 30, 54, 59, 62)),
+    ('j10_06', 0, 'reactive'): (True, 51, None, (0, 0, 10, 22, 26, 31, 10, 43, 26, 38, 48, 51)),
+    ('j10_06', 0, 'stnu'): (True, 51, None, (0, 0, 10, 22, 26, 31, 10, 39, 26, 43, 48, 51)),
+    ('j10_06', 1, 'proactive_q'): (True, 62, None, (0, 0, 11, 24, 30, 36, 11, 47, 30, 54, 59, 62)),
+    ('j10_06', 1, 'proactive_saa'): (True, 62, None, (0, 0, 11, 24, 30, 36, 11, 47, 30, 54, 59, 62)),
+    ('j10_06', 1, 'reactive'): (True, 40, None, (0, 0, 9, 17, 27, 21, 9, 32, 19, 35, 37, 40)),
+    ('j10_06', 1, 'stnu'): (True, 42, None, (0, 0, 9, 17, 21, 26, 9, 34, 19, 37, 39, 42)),
+    ('j10_07', 0, 'proactive_q'): (True, 48, None, (0, 0, 10, 16, 26, 7, 28, 24, 29, 40, 35, 48)),
+    ('j10_07', 0, 'proactive_saa'): (True, 48, None, (0, 0, 10, 16, 26, 7, 28, 24, 29, 40, 35, 48)),
+    ('j10_07', 0, 'reactive'): (True, 46, None, (0, 0, 8, 14, 24, 7, 26, 22, 27, 38, 33, 46)),
+    ('j10_07', 0, 'stnu'): (True, 46, None, (0, 0, 8, 14, 24, 7, 26, 22, 27, 38, 33, 46)),
+    ('j10_07', 1, 'proactive_q'): (True, 48, None, (0, 0, 10, 16, 26, 7, 28, 24, 29, 40, 35, 48)),
+    ('j10_07', 1, 'proactive_saa'): (True, 48, None, (0, 0, 10, 16, 26, 7, 28, 24, 29, 40, 35, 48)),
+    ('j10_07', 1, 'reactive'): (True, 46, None, (0, 0, 9, 15, 25, 7, 27, 23, 28, 38, 34, 46)),
+    ('j10_07', 1, 'stnu'): (True, 46, None, (0, 0, 9, 15, 25, 7, 27, 23, 28, 38, 34, 46)),
+    ('j10_08', 0, 'proactive_q'): (True, 60, None, (0, 0, 25, 12, 32, 9, 12, 32, 40, 54, 42, 59)),
+    ('j10_08', 0, 'proactive_saa'): (True, 61, None, (0, 0, 25, 12, 32, 9, 12, 32, 14, 42, 49, 58)),
+    ('j10_08', 0, 'reactive'): (True, 56, None, (0, 0, 11, 11, 17, 9, 27, 17, 25, 38, 44, 53)),
+    ('j10_08', 0, 'stnu'): (True, 57, None, (0, 0, 23, 9, 29, 9, 12, 29, 36, 51, 39, 56)),
+    ('j10_08', 1, 'proactive_q'): (True, 59, None, (0, 0, 25, 12, 32, 9, 12, 32, 40, 54, 42, 59)),
+    ('j10_08', 1, 'proactive_saa'): (True, 58, None, (0, 0, 25, 12, 32, 9, 12, 32, 14, 42, 49, 58)),
+    ('j10_08', 1, 'reactive'): (True, 49, None, (0, 0, 22, 12, 27, 9, 12, 27, 35, 44, 35, 49)),
+    ('j10_08', 1, 'stnu'): (True, 49, None, (0, 0, 22, 9, 27, 9, 12, 27, 35, 44, 35, 49)),
+    ('j10_09', 0, 'proactive_q'): (True, 48, None, (0, 0, 9, 14, 21, 19, 28, 26, 36, 39, 9, 46)),
+    ('j10_09', 0, 'proactive_saa'): (True, 48, None, (0, 0, 9, 14, 21, 19, 28, 26, 36, 39, 9, 46)),
+    ('j10_09', 0, 'reactive'): (True, 47, None, (0, 0, 9, 14, 20, 19, 27, 25, 35, 38, 9, 45)),
+    ('j10_09', 0, 'stnu'): (True, 45, None, (0, 0, 9, 14, 20, 19, 27, 25, 35, 35, 9, 45)),
+    ('j10_09', 1, 'proactive_q'): (True, 48, None, (0, 0, 9, 14, 21, 19, 28, 26, 36, 39, 9, 46)),
+    ('j10_09', 1, 'proactive_saa'): (True, 48, None, (0, 0, 9, 14, 21, 19, 28, 26, 36, 39, 9, 46)),
+    ('j10_09', 1, 'reactive'): (True, 47, None, (0, 0, 9, 14, 21, 19, 27, 26, 35, 38, 9, 45)),
+    ('j10_09', 1, 'stnu'): (True, 47, None, (0, 0, 9, 14, 21, 19, 27, 26, 35, 38, 9, 45)),
+    ('j10_10', 0, 'proactive_q'): (True, 35, None, (0, 0, 8, 19, 16, 24, 30, 22, 24, 19, 30, 35)),
+    ('j10_10', 0, 'proactive_saa'): (True, 35, None, (0, 0, 8, 19, 16, 24, 30, 22, 24, 19, 30, 35)),
+    ('j10_10', 0, 'reactive'): (True, 31, None, (0, 0, 7, 16, 15, 21, 26, 19, 21, 16, 26, 31)),
+    ('j10_10', 0, 'stnu'): (True, 29, None, (0, 0, 7, 16, 15, 19, 24, 18, 19, 16, 24, 29)),
+    ('j10_10', 1, 'proactive_q'): (True, 37, None, (0, 0, 8, 19, 16, 24, 30, 22, 24, 19, 30, 35)),
+    ('j10_10', 1, 'proactive_saa'): (True, 37, None, (0, 0, 8, 19, 16, 24, 30, 22, 24, 19, 30, 35)),
+    ('j10_10', 1, 'reactive'): (True, 36, None, (0, 0, 8, 19, 16, 24, 29, 22, 24, 19, 29, 34)),
+    ('j10_10', 1, 'stnu'): (True, 36, None, (0, 0, 8, 19, 16, 24, 29, 22, 24, 19, 29, 34)),
+    ('j10_11', 0, 'proactive_q'): (True, 66, None, (0, 0, 8, 11, 11, 23, 51, 26, 38, 61, 51, 65)),
+    ('j10_11', 0, 'proactive_saa'): (True, 66, None, (0, 0, 8, 11, 11, 23, 51, 26, 38, 61, 51, 65)),
+    ('j10_11', 0, 'reactive'): (True, 60, None, (0, 0, 8, 10, 10, 21, 45, 23, 33, 55, 45, 59)),
+    ('j10_11', 0, 'stnu'): (True, 60, None, (0, 0, 8, 10, 10, 21, 45, 23, 33, 55, 45, 59)),
+    ('j10_11', 1, 'proactive_q'): (True, 65, None, (0, 0, 8, 11, 11, 23, 51, 26, 38, 61, 51, 65)),
+    ('j10_11', 1, 'proactive_saa'): (True, 65, None, (0, 0, 8, 11, 11, 23, 51, 26, 38, 61, 51, 65)),
+    ('j10_11', 1, 'reactive'): (True, 52, None, (0, 0, 8, 10, 9, 19, 38, 21, 30, 48, 38, 52)),
+    ('j10_11', 1, 'stnu'): (True, 52, None, (0, 0, 8, 10, 9, 19, 38, 21, 30, 48, 38, 52)),
+    ('j10_12', 0, 'proactive_q'): (True, 31, None, (0, 0, 7, 11, 7, 21, 18, 22, 11, 27, 30, 31)),
+    ('j10_12', 0, 'proactive_saa'): (True, 31, None, (0, 0, 7, 11, 10, 21, 18, 22, 11, 27, 30, 31)),
+    ('j10_12', 0, 'reactive'): (True, 29, None, (0, 0, 7, 11, 7, 21, 18, 22, 11, 26, 28, 29)),
+    ('j10_12', 0, 'stnu'): (True, 29, None, (0, 0, 7, 11, 7, 15, 18, 22, 11, 26, 28, 29)),
+    ('j10_12', 1, 'proactive_q'): (True, 32, None, (0, 0, 7, 11, 7, 21, 18, 22, 11, 27, 30, 31)),
+    ('j10_12', 1, 'proactive_saa'): (True, 32, None, (0, 0, 7, 11, 10, 21, 18, 22, 11, 27, 30, 31)),
+    ('j10_12', 1, 'reactive'): (True, 29, None, (0, 0, 7, 11, 7, 21, 18, 22, 11, 24, 27, 28)),
+    ('j10_12', 1, 'stnu'): (True, 29, None, (0, 0, 7, 11, 7, 21, 18, 22, 11, 24, 27, 28)),
+}
+
+
+def test_method_runs_pinned_on_j10():
+    configs = _default_method_configs()
+    for i in range(1, 13):
+        name = f"j10_{i:02d}"
+        stoch = make_stochastic(parse_psplib((J10 / f"{name}.sch").read_text()), 1)
+        for k in (0, 1):
+            sample = sample_durations(stoch, derive_seed(1, name, 1.0, k))
+            for method, runner in _RUNNERS.items():
+                run = runner(stoch, configs[method], sample)
+                got = (run.feasible, run.makespan, run.failure_reason, run.starts)
+                assert got == METHOD_RUNS_PINNED[(name, k, method)], (name, k, method)
