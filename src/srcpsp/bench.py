@@ -45,15 +45,7 @@ from .methods import (
     run_stnu,
 )
 from .solver import Schedule, check_schedule, solve
-from .stats import (
-    METRICS,
-    STRONG,
-    PartialOrdering,
-    build_partial_ordering,
-    method_pair_series,
-    proportion_test,
-    wilcoxon_pratt,
-)
+from .stats import METRICS, STRONG, PartialOrdering, build_partial_ordering
 
 ENV_PARALLELISM = "SRCPSP_JOBS"
 
@@ -106,7 +98,6 @@ _CONFIG_KEYS = {
     "samples_per_instance",
     "methods",
     "method_configs",
-    "alpha",
     "parallelism",
     "output_dir",
     "master_seed",
@@ -132,7 +123,6 @@ class BenchConfig:
     method_configs: dict[str, MethodConfig] = field(
         default_factory=_default_method_configs
     )
-    alpha: float = 0.05
     parallelism: int | None = None
     output_dir: str = "results"
     master_seed: int = 1
@@ -151,6 +141,15 @@ class BenchConfig:
             raise ValueError("config needs at least one epsilon")
         if any(eps < 0 for eps in self.epsilons):
             raise ValueError("epsilons must be nonnegative")
+        printed: dict[str, float] = {}
+        for eps in self.epsilons:
+            text = _format_number(eps)
+            if text in printed:
+                raise ValueError(
+                    f"epsilons {printed[text]!r} and {eps!r} both print as {text}, "
+                    "so their result rows would clash"
+                )
+            printed[text] = eps
         if not self.methods:
             raise ValueError("config needs at least one method")
         unknown = sorted(set(self.methods) - set(_RUNNERS))
@@ -161,8 +160,6 @@ class BenchConfig:
         unknown = sorted(set(self.method_configs) - set(_RUNNERS))
         if unknown:
             raise ValueError(f"method_configs for unknown methods: {', '.join(unknown)}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
         if self.parallelism is not None and self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
 
@@ -242,8 +239,6 @@ class BenchConfig:
                 }
                 merged[str(name)] = dataclasses.replace(base, **cleaned)  # type: ignore[arg-type]
             kwargs["method_configs"] = merged
-        if "alpha" in data:
-            kwargs["alpha"] = float(data["alpha"])  # type: ignore[arg-type]
         if "parallelism" in data and data["parallelism"] is not None:
             kwargs["parallelism"] = int(data["parallelism"])  # type: ignore[call-overload]
         if "output_dir" in data:
@@ -506,8 +501,13 @@ def _run_cell(cell: _Cell) -> list[ResultRow] | None:
 
 
 def _resolve_instances(config: BenchConfig) -> list[tuple[str, str, Path]]:
-    """(set name, instance id, path) triples in deterministic order."""
+    """(set name, instance id, path) triples in deterministic order.
+
+    Instance ids (file stems) key the result rows, so one id in two places
+    is rejected before any cell runs.
+    """
     resolved = []
+    origin: dict[str, str] = {}
     for set_name, patterns in config.instance_sets:
         paths: list[Path] = []
         seen: set[Path] = set()
@@ -520,6 +520,13 @@ def _resolve_instances(config: BenchConfig) -> list[tuple[str, str, Path]]:
         if not paths:
             raise ValueError(f"instance set {set_name!r} matched no files")
         for path in paths[: config.instances_per_set]:
+            where = f"{path} in set {set_name!r}"
+            if path.stem in origin:
+                raise ValueError(
+                    f"instance id {path.stem!r} appears twice: {origin[path.stem]} "
+                    f"and {where}"
+                )
+            origin[path.stem] = where
             resolved.append((set_name, path.stem, path))
     return resolved
 
@@ -664,42 +671,41 @@ def assert_acyclic(ordering: PartialOrdering) -> None:
         visit(method)
 
 
-def ordering_report(
-    runs: Sequence[MethodRun], ordering: PartialOrdering, alpha: float
-) -> str:
+def ordering_report(ordering: PartialOrdering) -> str:
     """Readable pairwise test table plus the resulting edges."""
-    lines = [f"pairwise tests, metric={ordering.metric}, alpha={_format_number(alpha)}"]
-    for i, name_a in enumerate(ordering.methods):
-        for name_b in ordering.methods[i + 1 :]:
-            series = method_pair_series(runs, name_a, name_b, ordering.metric)
-            parts = [f"{name_a} vs {name_b} (n={len(series)})"]
-            try:
-                ranked = wilcoxon_pratt(series, alpha)
-                flag = "*" if ranked.significant else ""
-                parts.append(
-                    f"signed-rank z={ranked.statistic:+.3f} p={ranked.p_value:.4f}{flag}"
-                )
-            except ValueError:
-                parts.append("signed-rank n/a")
-            try:
-                share = proportion_test(series, alpha)
-                flag = "*" if share.significant else ""
-                parts.append(
-                    f"win-share {share.extras['proportion_a']:.3f} "
-                    f"p={share.p_value:.4f}{flag}"
-                )
-            except ValueError:
-                parts.append("win-share n/a")
-            annotation = ordering.annotations.get((name_a, name_b))
-            if annotation is not None:
-                parts.append(
-                    f"magnitude {annotation.extras['normalized_mean_a']:.3f}"
-                    f"/{annotation.extras['normalized_mean_b']:.3f}"
-                    f" p={annotation.p_value:.4f}"
-                )
-            else:
-                parts.append("magnitude n/a")
-            lines.append("  " + "; ".join(parts))
+    lines = [
+        f"pairwise tests, metric={ordering.metric}, "
+        f"alpha={_format_number(ordering.alpha)}"
+    ]
+    for (name_a, name_b), tests in ordering.pair_tests.items():
+        parts = [f"{name_a} vs {name_b} (n={tests.n_pairs})"]
+        ranked = tests.signed_rank
+        if ranked is None:
+            parts.append("signed-rank n/a")
+        else:
+            flag = "*" if ranked.significant else ""
+            parts.append(
+                f"signed-rank z={ranked.statistic:+.3f} p={ranked.p_value:.4f}{flag}"
+            )
+        share = tests.win_share
+        if share is None:
+            parts.append("win-share n/a")
+        else:
+            flag = "*" if share.significant else ""
+            parts.append(
+                f"win-share {share.extras['proportion_a']:.3f} "
+                f"p={share.p_value:.4f}{flag}"
+            )
+        annotation = ordering.annotations.get((name_a, name_b))
+        if annotation is None:
+            parts.append("magnitude n/a")
+        else:
+            parts.append(
+                f"magnitude {annotation.extras['normalized_mean_a']:.3f}"
+                f"/{annotation.extras['normalized_mean_b']:.3f}"
+                f" p={annotation.p_value:.4f}"
+            )
+        lines.append("  " + "; ".join(parts))
     if ordering.edges:
         lines.append("edges (better -> worse):")
         for better, worse, strength in ordering.edges:
@@ -858,7 +864,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         raise ValueError("no rows match the requested filters")
     ordering = build_partial_ordering(runs, args.metric, args.alpha)
     assert_acyclic(ordering)
-    print(ordering_report(runs, ordering, args.alpha))
+    print(ordering_report(ordering))
     if args.out is not None:
         Path(args.out).write_text(ordering_to_dot(ordering), encoding="utf-8")
         print(f"ordering graph: {args.out}")

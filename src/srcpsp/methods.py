@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .chaining import chain
 from .instances import DurationSample, StochasticInstance, quantile_durations
-from .solver import Schedule, SolveStatus, check_schedule, solve, solve_saa
+from .solver import Schedule, SolveOutcome, SolveStatus, check_schedule, solve, solve_saa
 from .stnu import Controllable, Stnu, build_stnu, dc_check, rte_execute
 
 logger = logging.getLogger(__name__)
@@ -75,23 +75,26 @@ class MethodRun:
             raise ValueError("time components must be nonnegative")
 
 
-def _failure(
+def _record(
     method: str,
-    seed: int | None,
-    reason: str,
+    sample: DurationSample,
     offline: float,
     online: float = 0.0,
+    failure: str | None = None,
+    starts: tuple[int, ...] | None = None,
+    makespan: int | None = None,
 ) -> MethodRun:
+    """A method's run record: feasible exactly when no failure tag is given."""
     return MethodRun(
         method=method,
         instance="",
-        seed=seed,
-        feasible=False,
-        makespan=None,
+        seed=sample.seed,
+        feasible=failure is None,
+        makespan=None if failure else makespan,
         time_offline=offline,
         time_online=online,
-        failure_reason=reason,
-        starts=None,
+        failure_reason=failure,
+        starts=starts,
     )
 
 
@@ -103,37 +106,35 @@ def _offline_tag(status: SolveStatus) -> str | None:
     return None
 
 
-def _proactive_online(
+def _quantile_plan(
+    stoch: StochasticInstance, cfg: MethodConfig
+) -> tuple[DurationSample, SolveOutcome]:
+    """The gamma-quantile duration estimate and the plan solved against it."""
+    estimate = quantile_durations(stoch, cfg.gamma)
+    out = solve(stoch.base, estimate.durations, time_limit=cfg.time_limit_offline)
+    return estimate, out
+
+
+def _execute_fixed(
     method: str,
     stoch: StochasticInstance,
-    starts: tuple[int, ...],
     sample: DurationSample,
     offline: float,
+    status: SolveStatus,
+    starts: tuple[int, ...] | None,
 ) -> MethodRun:
     """Online phase of the fixed-start methods: a feasibility sweep, no recourse."""
+    tag = _offline_tag(status)
+    if tag is not None:
+        return _record(method, sample, offline, failure=tag)
+    assert starts is not None
     t0 = time.perf_counter()
     realized = sample.durations
-    report = check_schedule(
-        stoch.base, realized, Schedule.from_starts(starts, realized)
-    )
+    report = check_schedule(stoch.base, realized, Schedule.from_starts(starts, realized))
     makespan = max(s + d for s, d in zip(starts, realized))
     online = time.perf_counter() - t0
-    if not report.feasible:
-        return dataclasses.replace(
-            _failure(method, sample.seed, FAIL_EXECUTION, offline, online),
-            starts=starts,
-        )
-    return MethodRun(
-        method=method,
-        instance="",
-        seed=sample.seed,
-        feasible=True,
-        makespan=makespan,
-        time_offline=offline,
-        time_online=online,
-        failure_reason=None,
-        starts=starts,
-    )
+    failure = None if report.feasible else FAIL_EXECUTION
+    return _record(method, sample, offline, online, failure, starts, makespan)
 
 
 def run_proactive_quantile(
@@ -141,14 +142,10 @@ def run_proactive_quantile(
 ) -> MethodRun:
     """Solve once against the gamma-quantile durations, then never adapt."""
     t0 = time.perf_counter()
-    estimate = quantile_durations(stoch, cfg.gamma)
-    out = solve(stoch.base, estimate.durations, time_limit=cfg.time_limit_offline)
+    _, out = _quantile_plan(stoch, cfg)
     offline = time.perf_counter() - t0
-    tag = _offline_tag(out.status)
-    if tag is not None:
-        return _failure(PROACTIVE_Q, sample.seed, tag, offline)
-    assert out.schedule is not None
-    return _proactive_online(PROACTIVE_Q, stoch, out.schedule.starts, sample, offline)
+    starts = None if out.schedule is None else out.schedule.starts
+    return _execute_fixed(PROACTIVE_Q, stoch, sample, offline, out.status, starts)
 
 
 def run_proactive_saa(
@@ -159,11 +156,7 @@ def run_proactive_saa(
     scenarios = [quantile_durations(stoch, g).durations for g in cfg.saa_gammas]
     out = solve_saa(stoch.base, scenarios, time_limit=cfg.time_limit_offline)
     offline = time.perf_counter() - t0
-    tag = _offline_tag(out.status)
-    if tag is not None:
-        return _failure(PROACTIVE_SAA, sample.seed, tag, offline)
-    assert out.starts is not None
-    return _proactive_online(PROACTIVE_SAA, stoch, out.starts, sample, offline)
+    return _execute_fixed(PROACTIVE_SAA, stoch, sample, offline, out.status, out.starts)
 
 
 def run_reactive(
@@ -182,12 +175,11 @@ def run_reactive(
     realized = sample.durations
     n = inst.n_activities
     t0 = time.perf_counter()
-    estimate = quantile_durations(stoch, cfg.gamma)
-    out = solve(inst, estimate.durations, time_limit=cfg.time_limit_offline)
+    estimate, out = _quantile_plan(stoch, cfg)
     offline = time.perf_counter() - t0
     tag = _offline_tag(out.status)
     if tag is not None:
-        return _failure(REACTIVE, sample.seed, tag, offline)
+        return _record(REACTIVE, sample, offline, failure=tag)
     assert out.schedule is not None
     plan = list(out.schedule.starts)
     current = list(estimate.durations)
@@ -222,26 +214,16 @@ def run_reactive(
             warm_start=Schedule.from_starts(tuple(plan), tuple(current)),
         )
         online += time.perf_counter() - t1
-        if res.status is SolveStatus.INFEASIBLE:
-            return _failure(REACTIVE, sample.seed, FAIL_EXECUTION, offline, online)
-        if res.status is SolveStatus.UNKNOWN:
-            return _failure(REACTIVE, sample.seed, FAIL_SOLVER_TIMEOUT, offline, online)
-        assert res.schedule is not None
+        if res.schedule is None:
+            infeasible = res.status is SolveStatus.INFEASIBLE
+            lost = FAIL_EXECUTION if infeasible else FAIL_SOLVER_TIMEOUT
+            return _record(REACTIVE, sample, offline, online, lost)
         plan = list(res.schedule.starts)
     starts = tuple(plan)
     report = check_schedule(inst, realized, Schedule.from_starts(starts, realized))
     assert report.feasible, "reactive simulation produced an infeasible trace"
-    return MethodRun(
-        method=REACTIVE,
-        instance="",
-        seed=sample.seed,
-        feasible=True,
-        makespan=max(s + d for s, d in zip(starts, realized)),
-        time_offline=offline,
-        time_online=online,
-        failure_reason=None,
-        starts=starts,
-    )
+    makespan = max(s + d for s, d in zip(starts, realized))
+    return _record(REACTIVE, sample, offline, online, None, starts, makespan)
 
 
 def run_stnu(
@@ -250,32 +232,20 @@ def run_stnu(
     """Chain a quantile-estimate schedule, check controllability, execute online."""
     inst = stoch.base
     t0 = time.perf_counter()
-    estimate = quantile_durations(stoch, cfg.gamma)
-    out = solve(inst, estimate.durations, time_limit=cfg.time_limit_offline)
+    estimate, out = _quantile_plan(stoch, cfg)
     tag = _offline_tag(out.status)
     if tag is not None:
-        return _failure(STNU, sample.seed, tag, time.perf_counter() - t0)
-    assert out.schedule is not None
+        return _record(STNU, sample, time.perf_counter() - t0, failure=tag)
     pos = chain(inst, estimate.durations, out.schedule)
     verdict = dc_check(build_stnu(pos, stoch))
     offline = time.perf_counter() - t0
     if not isinstance(verdict, Controllable):
-        return _failure(STNU, sample.seed, FAIL_NOT_DC, offline)
+        return _record(STNU, sample, offline, failure=FAIL_NOT_DC)
     t1 = time.perf_counter()
     trace = rte_execute(verdict.estnu, sample)
     online = time.perf_counter() - t1
     starts = tuple(trace.times[Stnu.start(j)] for j in range(inst.n_activities))
-    return MethodRun(
-        method=STNU,
-        instance="",
-        seed=sample.seed,
-        feasible=True,
-        makespan=trace.makespan,
-        time_offline=offline,
-        time_online=online,
-        failure_reason=None,
-        starts=starts,
-    )
+    return _record(STNU, sample, offline, online, None, starts, trace.makespan)
 
 
 def perfect_information_feasible(

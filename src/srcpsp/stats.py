@@ -102,19 +102,31 @@ class TestResult:
 
 
 @dataclass(frozen=True)
+class PairTests:
+    """Ordering tests of one method pair; None where a test is undefined."""
+
+    n_pairs: int
+    signed_rank: TestResult | None
+    win_share: TestResult | None
+
+
+@dataclass(frozen=True)
 class PartialOrdering:
-    """Directed comparison graph for one metric.
+    """Directed comparison graph for one metric at significance level ``alpha``.
 
     Edges run from the better to the worse method; ``strong`` edges come from
     the signed-rank test, ``weak`` ones from the win-share test alone.
-    ``annotations`` holds the magnitude test per alphabetically ordered
-    method pair where it was defined; it never orders methods.
+    ``pair_tests`` holds both ordering tests for every alphabetically ordered
+    method pair, ``annotations`` the magnitude test where it was defined;
+    annotations never order methods.
     """
 
     methods: tuple[str, ...]
     metric: str
     edges: tuple[tuple[str, str, str], ...]
     annotations: dict[tuple[str, str], TestResult] = field(default_factory=dict)
+    pair_tests: dict[tuple[str, str], PairTests] = field(default_factory=dict)
+    alpha: float = 0.05
 
     def __post_init__(self) -> None:
         for better, worse, strength in self.edges:
@@ -276,8 +288,10 @@ def build_partial_ordering(
     A significant signed-rank test yields a strong edge from its winner;
     otherwise a significant win-share test yields a weak edge.  The
     magnitude test runs on the double hits of each pair and is attached as
-    an annotation.  Undefined tests (all ties, constant differences, too
-    few double hits) leave the pair unordered with a logged note.
+    an annotation.  Both ordering tests of every pair, n=0 pairs included,
+    are kept for the report.  Undefined tests (all ties, constant
+    differences, too few double hits) leave the pair unordered with a
+    logged note.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -285,34 +299,35 @@ def build_partial_ordering(
     methods = tuple(sorted({run.method for run in runs}))
     edges: list[tuple[str, str, str]] = []
     annotations: dict[tuple[str, str], TestResult] = {}
+    pair_tests: dict[tuple[str, str], PairTests] = {}
     for i, name_a in enumerate(methods):
         for name_b in methods[i + 1 :]:
             series = method_pair_series(runs, name_a, name_b, metric)
+            try:
+                ranked = wilcoxon_pratt(series, alpha)
+            except NoNonzeroDifferences:
+                ranked = None
+            try:
+                share = proportion_test(series, alpha)
+            except AllTies:
+                share = None
+            pair_tests[(name_a, name_b)] = PairTests(len(series), ranked, share)
             if len(series) == 0:
                 logger.info(
                     "%s vs %s on %s: no comparable pairs", name_a, name_b, metric
                 )
                 continue
             edge = None
-            try:
-                ranked = wilcoxon_pratt(series, alpha)
-            except NoNonzeroDifferences:
-                ranked = None
             if ranked is not None and ranked.significant:
                 if ranked.statistic < 0:
                     edge = (name_a, name_b, STRONG)
                 else:
                     edge = (name_b, name_a, STRONG)
-            else:
-                try:
-                    share = proportion_test(series, alpha)
-                except AllTies:
-                    share = None
-                if share is not None and share.significant:
-                    if share.extras["proportion_a"] > 0.5:
-                        edge = (name_a, name_b, WEAK)
-                    else:
-                        edge = (name_b, name_a, WEAK)
+            elif share is not None and share.significant:
+                if share.extras["proportion_a"] > 0.5:
+                    edge = (name_a, name_b, WEAK)
+                else:
+                    edge = (name_b, name_a, WEAK)
             if edge is not None:
                 edges.append(edge)
             else:
@@ -336,5 +351,10 @@ def build_partial_ordering(
                     exc,
                 )
     return PartialOrdering(
-        methods=methods, metric=metric, edges=tuple(edges), annotations=annotations
+        methods=methods,
+        metric=metric,
+        edges=tuple(edges),
+        annotations=annotations,
+        pair_tests=pair_tests,
+        alpha=alpha,
     )

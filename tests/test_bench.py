@@ -93,7 +93,6 @@ def test_config_defaults_from_minimal_mapping():
     assert cfg.epsilons == (1.0, 2.0)
     assert cfg.samples_per_instance == 10
     assert set(cfg.methods) == set(bench.DEFAULT_METHODS)
-    assert cfg.alpha == 0.05
     assert cfg.config_for(STNU).gamma == 1.0
     assert cfg.config_for("proactive_saa").time_limit_offline == 300.0
     assert cfg.config_for("reactive").time_limit_reschedule == 2.0
@@ -138,6 +137,13 @@ def test_config_merges_method_overrides():
 )
 def test_config_rejects_bad_mappings(mapping):
     with pytest.raises(ValueError):
+        BenchConfig.from_mapping(mapping)
+
+
+def test_config_rejects_epsilons_that_print_alike():
+    # both would write epsilon "1" and share every seed
+    mapping = {"instance_sets": {"s": "*.sch"}, "epsilons": [1, 1.0000001]}
+    with pytest.raises(ValueError, match=r"1\.0 and 1\.0000001 both print as 1,"):
         BenchConfig.from_mapping(mapping)
 
 
@@ -313,6 +319,25 @@ def test_run_bench_rejects_empty_instance_sets(tmp_path):
     cfg = small_config(tmp_path, instance_sets={"ghost": str(tmp_path / "*.none")})
     with pytest.raises(ValueError, match="matched no files"):
         run_bench(cfg)
+
+
+def test_cli_bench_rejects_one_instance_id_in_two_sets(tmp_path, monkeypatch, capsys):
+    def no_cell(cell):
+        raise AssertionError("a cell ran before the clash was reported")
+
+    monkeypatch.setattr(bench, "_run_cell", no_cell)
+    twin = tmp_path / "example.sch"
+    twin.write_text(EXAMPLE.read_text(encoding="utf-8"), encoding="utf-8")
+    config = {
+        "instance_sets": {"a": str(EXAMPLE), "b": str(twin)},
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert bench.main(["bench", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "instance id 'example' appears twice" in err
+    assert f"{twin} in set 'b'" in err
 
 
 def _run_bench_with(tmp_path, method):
