@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
@@ -22,6 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import Any
 
 from .instances import (
     DurationSample,
@@ -48,11 +50,6 @@ from .solver import Schedule, check_schedule, solve
 from .stats import METRICS, STRONG, PartialOrdering, build_partial_ordering
 
 ENV_PARALLELISM = "SRCPSP_JOBS"
-
-CSV_HEADER = (
-    "instance_set,instance,epsilon,sample,method,feasible,makespan,"
-    "time_offline_ms,time_online_ms,failure_reason,seed"
-)
 
 _RUNNERS: dict[str, Callable[[StochasticInstance, MethodConfig, DurationSample], MethodRun]] = {
     PROACTIVE_Q: run_proactive_quantile,
@@ -91,16 +88,79 @@ def derive_seed(master_seed: int, instance: str, epsilon: float, sample: int) ->
 # configuration
 
 
-_CONFIG_KEYS = {
-    "instance_sets",
-    "instances_per_set",
-    "epsilons",
-    "samples_per_instance",
-    "methods",
-    "method_configs",
-    "parallelism",
-    "output_dir",
-    "master_seed",
+# a config value check: (key, value) -> the value to use, or ValueError
+_Check = Callable[[str, object], Any]
+
+
+def _kind(label: str, test: Callable[[Any], bool]) -> _Check:
+    """A config value check: the value passes ``test`` and is not a bool."""
+
+    def check(key: str, value: object) -> Any:
+        if isinstance(value, bool) or not test(value):
+            raise ValueError(f"{key} must be {label}, got {value!r}")
+        return value
+
+    return check
+
+
+_integer = _kind("an integer", lambda v: isinstance(v, int))
+_number = _kind("a finite number", lambda v: isinstance(v, (int, float)) and math.isfinite(v))
+_text = _kind("a string", lambda v: isinstance(v, str))
+_mapping = _kind("an object", lambda v: isinstance(v, Mapping))
+_list = _kind("a list", lambda v: isinstance(v, Sequence) and not isinstance(v, str))
+
+
+def _list_of(item: _Check) -> _Check:
+    return lambda key, value: tuple(
+        item(f"{key}[{i}]", v) for i, v in enumerate(_list(key, value))
+    )
+
+
+def _checked(fields: Mapping[str, _Check], data: Mapping[str, Any], prefix: str = "") -> dict:
+    """Each value of ``data`` through its field's check; unknown keys fail."""
+    unknown = sorted(prefix + str(key) for key in data if key not in fields)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    return {key: fields[key](prefix + key, value) for key, value in data.items()}
+
+
+_METHOD_FIELDS = {
+    "gamma": _number,
+    "saa_gammas": _list_of(_number),
+    "time_limit_offline": _number,
+    "time_limit_reschedule": _number,
+}
+
+
+def _method_configs(key: str, value: object) -> dict[str, MethodConfig]:
+    merged = _default_method_configs()
+    for name, overrides in _mapping(key, value).items():
+        if name not in merged:
+            raise ValueError(f"{key} for unknown method {name!r}")
+        where = f"{key}[{name!r}]"
+        checked = _checked(_METHOD_FIELDS, _mapping(where, overrides), where + ".")
+        merged[name] = dataclasses.replace(merged[name], **checked)
+    return merged
+
+
+def _instance_sets(key: str, value: object) -> tuple[tuple[str, tuple[str, ...]], ...]:
+    patterns = _list_of(_text)
+    return tuple(
+        (name, (globs,) if isinstance(globs, str) else patterns(f"{key}[{name!r}]", globs))
+        for name, globs in sorted(_mapping(key, value).items())
+    )
+
+
+_CONFIG_FIELDS = {
+    "instance_sets": _instance_sets,
+    "instances_per_set": _integer,
+    "epsilons": lambda key, value: tuple(map(float, _list_of(_number)(key, value))),
+    "samples_per_instance": _integer,
+    "methods": _list_of(_text),
+    "method_configs": _method_configs,
+    "parallelism": lambda key, value: None if value is None else _integer(key, value),
+    "output_dir": _text,
+    "master_seed": _integer,
 }
 
 
@@ -182,70 +242,9 @@ class BenchConfig:
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, object]) -> BenchConfig:
-        unknown = sorted(set(data) - _CONFIG_KEYS)
-        if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if "instance_sets" not in data:
             raise ValueError("config needs instance_sets")
-        raw_sets = data["instance_sets"]
-        if not isinstance(raw_sets, Mapping):
-            raise ValueError("instance_sets must map set names to glob patterns")
-        sets = []
-        for name in sorted(raw_sets):
-            patterns = raw_sets[name]
-            if isinstance(patterns, str):
-                patterns = [patterns]
-            if not isinstance(patterns, Sequence) or not all(
-                isinstance(p, str) for p in patterns
-            ):
-                raise ValueError(f"instance set {name!r}: patterns must be strings")
-            sets.append((str(name), tuple(patterns)))
-        kwargs: dict[str, object] = {"instance_sets": tuple(sets)}
-        if "instances_per_set" in data:
-            kwargs["instances_per_set"] = int(data["instances_per_set"])  # type: ignore[call-overload]
-        if "epsilons" in data:
-            raw_eps = data["epsilons"]
-            if not isinstance(raw_eps, Sequence) or isinstance(raw_eps, str):
-                raise ValueError("epsilons must be a list of numbers")
-            kwargs["epsilons"] = tuple(float(e) for e in raw_eps)
-        if "samples_per_instance" in data:
-            kwargs["samples_per_instance"] = int(data["samples_per_instance"])  # type: ignore[call-overload]
-        if "methods" in data:
-            raw_methods = data["methods"]
-            if not isinstance(raw_methods, Sequence) or isinstance(raw_methods, str):
-                raise ValueError("methods must be a list of method names")
-            kwargs["methods"] = tuple(str(m) for m in raw_methods)
-        if "method_configs" in data:
-            raw_cfgs = data["method_configs"]
-            if not isinstance(raw_cfgs, Mapping):
-                raise ValueError("method_configs must map method names to settings")
-            defaults = _default_method_configs()
-            merged: dict[str, MethodConfig] = dict(defaults)
-            for name, overrides in raw_cfgs.items():
-                if not isinstance(overrides, Mapping):
-                    raise ValueError(f"method_configs[{name!r}] must be an object")
-                base = defaults.get(str(name))
-                if base is None:
-                    raise ValueError(f"method_configs for unknown method {name!r}")
-                fields = {f.name for f in dataclasses.fields(MethodConfig)}
-                bad = sorted(set(overrides) - fields)
-                if bad:
-                    raise ValueError(
-                        f"method_configs[{name!r}]: unknown settings {', '.join(bad)}"
-                    )
-                cleaned = {
-                    key: tuple(value) if key == "saa_gammas" else value
-                    for key, value in overrides.items()
-                }
-                merged[str(name)] = dataclasses.replace(base, **cleaned)  # type: ignore[arg-type]
-            kwargs["method_configs"] = merged
-        if "parallelism" in data and data["parallelism"] is not None:
-            kwargs["parallelism"] = int(data["parallelism"])  # type: ignore[call-overload]
-        if "output_dir" in data:
-            kwargs["output_dir"] = str(data["output_dir"])
-        if "master_seed" in data:
-            kwargs["master_seed"] = int(data["master_seed"])  # type: ignore[call-overload]
-        return cls(**kwargs)  # type: ignore[arg-type]
+        return cls(**_checked(_CONFIG_FIELDS, data))
 
     @classmethod
     def from_json(cls, path: str | Path) -> BenchConfig:
@@ -262,54 +261,58 @@ class BenchConfig:
 # results
 
 
-@dataclass(frozen=True)
-class ResultRow:
-    """One method execution on one realized sample."""
+def _seconds_as_ms(seconds: float) -> str:
+    return f"{seconds * 1000.0:.3f}"
 
-    instance_set: str
-    instance: str
-    epsilon: float
-    sample: int
-    method: str
-    feasible: bool
-    makespan: int | None
-    time_offline_ms: float
-    time_online_ms: float
-    failure_reason: str | None
-    seed: int
 
-    def key(self) -> tuple[str, str, float, int]:
-        return (self.method, self.instance, self.epsilon, self.sample)
+def _ms_as_seconds(text: str) -> float:
+    return float(text) / 1000.0
 
-    def sort_key(self) -> tuple[str, str, float, int, str]:
-        return (self.instance_set, self.instance, self.epsilon, self.sample, self.method)
 
-    def csv_fields(self) -> list[str]:
-        return [
-            self.instance_set,
-            self.instance,
-            _format_number(self.epsilon),
-            str(self.sample),
-            self.method,
-            "true" if self.feasible else "false",
-            "" if self.makespan is None else str(self.makespan),
-            f"{self.time_offline_ms:.3f}",
-            f"{self.time_online_ms:.3f}",
-            self.failure_reason or "",
-            str(self.seed),
-        ]
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError("feasible must be true or false")
+    return text == "true"
+
+
+# The results CSV, one column per entry in order: header, MethodRun field,
+# field to text, text to field.  Times are seconds in a run, ms in the file.
+_COLUMNS: tuple[tuple[str, str, Callable[[Any], str], Callable[[str], Any]], ...] = (
+    ("instance_set", "instance_set", str, str),
+    ("instance", "instance", str, str),
+    ("epsilon", "epsilon", _format_number, float),
+    ("sample", "sample", str, int),
+    ("method", "method", str, str),
+    ("feasible", "feasible", lambda v: "true" if v else "false", _flag),
+    ("makespan", "makespan", lambda v: "" if v is None else str(v), lambda t: int(t) if t else None),
+    ("time_offline_ms", "time_offline", _seconds_as_ms, _ms_as_seconds),
+    ("time_online_ms", "time_online", _seconds_as_ms, _ms_as_seconds),
+    ("failure_reason", "failure_reason", lambda v: v or "", lambda t: t or None),
+    ("seed", "seed", str, int),
+)
+
+CSV_HEADER = ",".join(header for header, _, _, _ in _COLUMNS)
+
+
+def _csv_fields(run: MethodRun) -> list[str]:
+    return [to_text(getattr(run, name)) for _, name, to_text, _ in _COLUMNS]
+
+
+def sort_key(run: MethodRun) -> tuple:
+    """Results-table order: set, instance, epsilon, sample, method."""
+    return (run.instance_set, run.instance, run.epsilon, run.sample, run.method)
 
 
 @dataclass(frozen=True)
 class ResultsTable:
-    """Immutable collection of result rows with a uniqueness invariant."""
+    """Immutable collection of cell-stamped method runs, one per cell and method."""
 
-    rows: tuple[ResultRow, ...]
+    rows: tuple[MethodRun, ...]
 
     def __post_init__(self) -> None:
-        seen: set[tuple[str, str, float, int]] = set()
+        seen: set[tuple[str, str, float | None, int | None]] = set()
         for row in self.rows:
-            key = row.key()
+            key = (row.method, row.instance, row.epsilon, row.sample)
             if key in seen:
                 raise ValueError(f"duplicate result row for {key}")
             seen.add(key)
@@ -322,7 +325,7 @@ class ResultsTable:
         out.write(CSV_HEADER + "\n")
         writer = csv.writer(out, lineterminator="\n")
         for row in self.rows:
-            writer.writerow(row.csv_fields())
+            writer.writerow(_csv_fields(row))
         return out.getvalue()
 
     @classmethod
@@ -338,39 +341,11 @@ class ResultsTable:
         for lineno, record in enumerate(reader, start=2):
             if not record:
                 continue
-            if len(record) != 11:
-                raise ValueError(f"line {lineno}: expected 11 fields, got {len(record)}")
-            (
-                instance_set,
-                instance,
-                eps_text,
-                sample_text,
-                method,
-                feasible_text,
-                makespan_text,
-                offline_text,
-                online_text,
-                reason,
-                seed_text,
-            ) = record
-            if feasible_text not in ("true", "false"):
-                raise ValueError(f"line {lineno}: feasible must be true or false")
             try:
-                rows.append(
-                    ResultRow(
-                        instance_set=instance_set,
-                        instance=instance,
-                        epsilon=float(eps_text),
-                        sample=int(sample_text),
-                        method=method,
-                        feasible=feasible_text == "true",
-                        makespan=None if makespan_text == "" else int(makespan_text),
-                        time_offline_ms=float(offline_text),
-                        time_online_ms=float(online_text),
-                        failure_reason=reason or None,
-                        seed=int(seed_text),
-                    )
-                )
+                if len(record) != len(_COLUMNS):
+                    raise ValueError(f"expected {len(_COLUMNS)} fields, got {len(record)}")
+                fields = {name: parse(text) for (_, name, _, parse), text in zip(_COLUMNS, record)}
+                rows.append(MethodRun(**fields, starts=None))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
         return cls(rows=tuple(rows))
@@ -380,60 +355,31 @@ class ResultsTable:
         epsilon: float | None = None,
         instance_set: str | None = None,
     ) -> tuple[MethodRun, ...]:
-        """Rows as method-run records for the significance tests.
+        """Runs for the significance tests, optionally of one epsilon or set.
 
-        Milliseconds convert back to seconds; seeds key the pairing, so
-        filtering by epsilon keeps scenarios from mixing across noise
-        levels even though each cell's seed already differs.
+        Seeds key the pairing, so filtering by epsilon keeps scenarios from
+        mixing across noise levels even though each cell's seed already
+        differs.
         """
-        runs = []
-        for row in self.rows:
-            if epsilon is not None and row.epsilon != epsilon:
-                continue
-            if instance_set is not None and row.instance_set != instance_set:
-                continue
-            runs.append(
-                MethodRun(
-                    method=row.method,
-                    instance=row.instance,
-                    seed=row.seed,
-                    feasible=row.feasible,
-                    makespan=row.makespan,
-                    time_offline=row.time_offline_ms / 1000.0,
-                    time_online=row.time_online_ms / 1000.0,
-                    failure_reason=row.failure_reason,
-                    starts=None,
-                )
-            )
-        return tuple(runs)
-
-    def instance_sets(self) -> tuple[str, ...]:
-        return tuple(sorted({row.instance_set for row in self.rows}))
-
-    def epsilons(self) -> tuple[float, ...]:
-        return tuple(sorted({row.epsilon for row in self.rows}))
+        return tuple(
+            run
+            for run in self.rows
+            if (epsilon is None or run.epsilon == epsilon)
+            and (instance_set is None or run.instance_set == instance_set)
+        )
 
     def methods(self) -> tuple[str, ...]:
         return tuple(sorted({row.method for row in self.rows}))
 
 
-def feasibility_ratio(
-    table: ResultsTable, method: str, instance_set: str, epsilon: float
-) -> Fraction | None:
-    """Exact share of feasible runs in one cell, or None when the cell is empty."""
-    total = 0
-    feasible = 0
+def feasibility_shares(table: ResultsTable) -> dict[tuple[float, str, str], Fraction]:
+    """Exact share of feasible runs per populated (epsilon, set, method) cell."""
+    counts: dict[tuple[float, str, str], list[int]] = {}
     for row in table.rows:
-        if (
-            row.method == method
-            and row.instance_set == instance_set
-            and row.epsilon == epsilon
-        ):
-            total += 1
-            feasible += row.feasible
-    if total == 0:
-        return None
-    return Fraction(feasible, total)
+        tally = counts.setdefault((row.epsilon, row.instance_set, row.method), [0, 0])
+        tally[0] += row.feasible
+        tally[1] += 1
+    return {cell: Fraction(feasible, total) for cell, (feasible, total) in counts.items()}
 
 
 # --------------------------------------------------------------------------
@@ -454,42 +400,29 @@ class _Cell:
     configs: dict[str, MethodConfig]
 
 
-def _audit_row(
-    stochastic: StochasticInstance, sample: DurationSample, run: MethodRun
-) -> None:
-    # replay every claimed-feasible execution before it is persisted
-    if not run.feasible:
-        return
-    schedule = Schedule.from_starts(run.starts, sample.durations)
-    report = check_schedule(stochastic.base, sample.durations, schedule)
-    if not report.feasible:
-        raise RuntimeError(
-            f"audit failure: {run.method} reported an infeasible execution "
-            f"as feasible on {run.instance}"
-        )
-
-
-def _method_row(cell: _Cell, method: str, sample: DurationSample) -> ResultRow:
-    """Run one method on the cell's realized sample, audit it, and record it."""
+def _method_row(cell: _Cell, method: str, sample: DurationSample) -> MethodRun:
+    """Run one method on the cell's realized sample, audit it, and stamp the cell."""
     run = _RUNNERS[method](cell.stochastic, cell.configs[method], sample)
-    run = dataclasses.replace(run, instance=cell.instance, seed=cell.seed)
-    _audit_row(cell.stochastic, sample, run)
-    return ResultRow(
+    # replay every claimed-feasible execution before it is persisted
+    if run.feasible:
+        schedule = Schedule.from_starts(run.starts, sample.durations)
+        if not check_schedule(cell.stochastic.base, sample.durations, schedule).feasible:
+            raise RuntimeError(
+                f"audit failure: {method} reported an infeasible execution "
+                f"as feasible on {cell.instance}"
+            )
+    return dataclasses.replace(
+        run,
         instance_set=cell.instance_set,
         instance=cell.instance,
         epsilon=cell.epsilon,
         sample=cell.sample,
-        method=method,
-        feasible=run.feasible,
-        makespan=run.makespan,
-        time_offline_ms=run.time_offline * 1000.0,
-        time_online_ms=run.time_online * 1000.0,
-        failure_reason=run.failure_reason,
         seed=cell.seed,
+        starts=None,
     )
 
 
-def _run_cell(cell: _Cell) -> list[ResultRow] | None:
+def _run_cell(cell: _Cell) -> list[MethodRun] | None:
     """All methods on one realized sample; None when the cell is excluded."""
     sample = sample_durations(cell.stochastic, cell.seed)
     filter_limit = max(
@@ -557,7 +490,7 @@ def build_cells(config: BenchConfig) -> list[_Cell]:
 
 def run_bench(
     config: BenchConfig,
-    sink: Callable[[ResultRow], None] | None = None,
+    sink: Callable[[MethodRun], None] | None = None,
 ) -> tuple[ResultsTable, int]:
     """Execute the whole run matrix.
 
@@ -568,14 +501,19 @@ def run_bench(
     processes; because cells are independent and the table is sorted at
     the end, serial and parallel runs produce identical tables.
     """
-    cells = build_cells(config)
-    workers = config.jobs()
-    rows: list[ResultRow] = []
+    return _run_cells(build_cells(config), config.jobs(), sink)
+
+
+def _run_cells(
+    cells: list[_Cell], workers: int, sink: Callable[[MethodRun], None] | None
+) -> tuple[ResultsTable, int]:
+    """Run built cells over ``workers`` processes into a sorted table."""
+    rows: list[MethodRun] = []
     excluded = 0
     executor: ProcessPoolExecutor | None = None
     if workers > 1:
         executor = ProcessPoolExecutor(max_workers=workers)
-        produced: Iterable[list[ResultRow] | None] = executor.map(_run_cell, cells)
+        produced: Iterable[list[MethodRun] | None] = executor.map(_run_cell, cells)
     else:
         produced = map(_run_cell, cells)
     try:
@@ -590,7 +528,7 @@ def run_bench(
     finally:
         if executor is not None:
             executor.shutdown()
-    rows.sort(key=ResultRow.sort_key)
+    rows.sort(key=sort_key)
     return ResultsTable(rows=tuple(rows)), excluded
 
 
@@ -600,9 +538,10 @@ def run_bench(
 
 def feasibility_grid(table: ResultsTable) -> str:
     """Per-epsilon grid of feasible-run shares, methods by instance sets."""
-    sets = table.instance_sets()
+    shares = feasibility_shares(table)
+    sets = sorted({set_name for _, set_name, _ in shares})
     lines = []
-    for epsilon in table.epsilons():
+    for epsilon in sorted({epsilon for epsilon, _, _ in shares}):
         lines.append(f"feasibility ratios, epsilon={_format_number(epsilon)}")
         name_width = max([len("method")] + [len(m) for m in table.methods()])
         header = "  " + "method".ljust(name_width)
@@ -612,7 +551,7 @@ def feasibility_grid(table: ResultsTable) -> str:
         for method in table.methods():
             line = "  " + method.ljust(name_width)
             for set_name in sets:
-                ratio = feasibility_ratio(table, method, set_name, epsilon)
+                ratio = shares.get((epsilon, set_name, method))
                 text = "-" if ratio is None else f"{float(ratio):.2f}"
                 line += "  " + text.rjust(max(5, len(set_name)))
             lines.append(line)
@@ -623,16 +562,10 @@ def feasibility_csv(table: ResultsTable) -> str:
     """Exact feasibility shares as CSV, one row per populated cell."""
     out = io.StringIO()
     out.write("epsilon,instance_set,method,feasible_ratio\n")
-    writer = csv.writer(out, lineterminator="\n")
-    for epsilon in table.epsilons():
-        for set_name in table.instance_sets():
-            for method in table.methods():
-                ratio = feasibility_ratio(table, method, set_name, epsilon)
-                if ratio is None:
-                    continue
-                writer.writerow(
-                    [_format_number(epsilon), set_name, method, str(ratio)]
-                )
+    csv.writer(out, lineterminator="\n").writerows(
+        [_format_number(epsilon), set_name, method, str(ratio)]
+        for (epsilon, set_name, method), ratio in sorted(feasibility_shares(table).items())
+    )
     return out.getvalue()
 
 
@@ -782,23 +715,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     base = parse_psplib(Path(args.instance).read_text(encoding="utf-8"))
     instance_id = Path(args.instance).stem
     stochastic = make_stochastic(base, args.epsilon)
-    config = _default_method_configs()[args.method]
-    overrides: dict[str, object] = {}
-    if args.gamma is not None:
-        overrides["gamma"] = args.gamma
+    overrides: dict[str, object] = {
+        key: getattr(args, key)
+        for key in ("gamma", "time_limit_offline", "time_limit_reschedule")
+        if getattr(args, key) is not None
+    }
     if args.saa_gammas is not None:
         try:
-            overrides["saa_gammas"] = tuple(
-                float(part) for part in args.saa_gammas.split(",")
-            )
+            overrides["saa_gammas"] = [float(part) for part in args.saa_gammas.split(",")]
         except ValueError:
             raise ValueError("--saa-gammas must be a comma-separated list of numbers") from None
-    if args.time_limit_offline is not None:
-        overrides["time_limit_offline"] = args.time_limit_offline
-    if args.time_limit_reschedule is not None:
-        overrides["time_limit_reschedule"] = args.time_limit_reschedule
-    if overrides:
-        config = dataclasses.replace(config, **overrides)  # type: ignore[arg-type]
+    config = dataclasses.replace(
+        _default_method_configs()[args.method], **_checked(_METHOD_FIELDS, overrides)
+    )
+    path = None if args.out is None else Path(args.out)
+    needs_header = path is None or not path.exists() or path.stat().st_size == 0
+    if not needs_header:
+        with path.open(encoding="utf-8") as handle:
+            if handle.readline().rstrip("\r\n") != CSV_HEADER:
+                raise ValueError(f"{path} is not a results CSV; not appending to it")
     rows = []
     for sample in range(args.samples):
         cell = _Cell(
@@ -814,11 +749,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         realized = sample_durations(stochastic, cell.seed)
         rows.append(_method_row(cell, args.method, realized))
     text = ResultsTable(rows=tuple(rows)).to_csv()
-    if args.out is None:
+    if path is None:
         print(text, end="")
     else:
-        path = Path(args.out)
-        needs_header = not path.exists() or path.stat().st_size == 0
         with path.open("a", encoding="utf-8") as handle:
             handle.write(text if needs_header else text.partition("\n")[2])
         feasible_count = sum(row.feasible for row in rows)
@@ -828,6 +761,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = BenchConfig.from_json(args.config)
+    # building the cells resolves and parses every instance, so a config
+    # rejected there leaves the previous results file alone
+    cells = build_cells(config)
+    workers = config.jobs()
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
@@ -837,11 +774,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         handle.write(CSV_HEADER + "\n")
         writer = csv.writer(handle, lineterminator="\n")
 
-        def sink(row: ResultRow) -> None:
-            writer.writerow(row.csv_fields())
+        def sink(row: MethodRun) -> None:
+            writer.writerow(_csv_fields(row))
             handle.flush()
 
-        table, excluded = run_bench(config, sink)
+        table, excluded = _run_cells(cells, workers, sink)
     results_path.write_text(table.to_csv(), encoding="utf-8")
     feasibility_path = out_dir / "feasibility.csv"
     feasibility_path.write_text(feasibility_csv(table), encoding="utf-8")

@@ -58,6 +58,8 @@ class MethodConfig:
 
 @dataclass(frozen=True)
 class MethodRun:
+    """One method's run on one sample; bench stamps the cell key it ran under."""
+
     method: str
     instance: str
     seed: int | None
@@ -67,6 +69,9 @@ class MethodRun:
     time_online: float
     failure_reason: str | None
     starts: tuple[int, ...] | None
+    instance_set: str = ""
+    epsilon: float | None = None
+    sample: int | None = None
 
     def __post_init__(self) -> None:
         if self.feasible and self.makespan is None:

@@ -407,7 +407,7 @@ def test_desk_scale_online_times_order_methods(desk_table):
     table, _ = desk_table
     mean_online = {}
     for method in (PROACTIVE_Q, PROACTIVE_SAA, REACTIVE, STNU):
-        times = [r.time_online_ms for r in table.rows if r.method == method]
+        times = [r.time_online for r in table.rows if r.method == method]
         mean_online[method] = sum(times) / len(times)
     assert mean_online[PROACTIVE_Q] < mean_online[STNU]
     assert mean_online[PROACTIVE_SAA] < mean_online[STNU]

@@ -13,21 +13,22 @@ from srcpsp import bench
 from srcpsp.bench import (
     CSV_HEADER,
     BenchConfig,
-    ResultRow,
     ResultsTable,
     assert_acyclic,
     derive_seed,
     feasibility_csv,
     feasibility_grid,
-    feasibility_ratio,
+    feasibility_shares,
     ordering_to_dot,
     run_bench,
+    sort_key,
 )
 from srcpsp.instances import ProjectInstance, serialize_psplib
 from srcpsp.methods import PROACTIVE_Q, STNU, MethodRun
 from srcpsp.stats import STRONG, WEAK, PartialOrdering
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 EXAMPLE = DATA / "example.sch"
 
 UNSATISFIABLE = ProjectInstance(
@@ -40,7 +41,7 @@ UNSATISFIABLE = ProjectInstance(
 )
 
 
-def make_row(**overrides) -> ResultRow:
+def make_row(**overrides) -> MethodRun:
     base = dict(
         instance_set="j10",
         instance="j10_01",
@@ -49,13 +50,14 @@ def make_row(**overrides) -> ResultRow:
         method=PROACTIVE_Q,
         feasible=True,
         makespan=20,
-        time_offline_ms=12.5,
-        time_online_ms=0.25,
+        time_offline=0.0125,
+        time_online=0.00025,
         failure_reason=None,
         seed=42,
+        starts=None,
     )
     base.update(overrides)
-    return ResultRow(**base)
+    return MethodRun(**base)
 
 
 # -- seed derivation -------------------------------------------------------
@@ -133,11 +135,49 @@ def test_config_merges_method_overrides():
         {"instance_sets": {"s": "*.sch"}, "alpha": 0},
         {"instance_sets": {"s": "*.sch"}, "alpha": 1},
         {"instance_sets": {"s": "*.sch"}, "parallelism": 0},
+        # wrong value types: truncated, coerced or crashing before
+        {"instance_sets": {"s": "*.sch"}, "master_seed": 1.9},
+        {"instance_sets": {"s": "*.sch"}, "instances_per_set": 2.7},
+        {"instance_sets": {"s": "*.sch"}, "parallelism": 1.5},
+        {"instance_sets": {"s": "*.sch"}, "master_seed": True},
+        {"instance_sets": {"s": "*.sch"}, "epsilons": ["1"]},
+        {"instance_sets": {"s": "*.sch"}, "epsilons": [float("nan")]},
+        {"instance_sets": {"s": "*.sch"}, "output_dir": None},
+        {"instance_sets": {"s": "*.sch"}, "method_configs": {"stnu": {"gamma": "0.9"}}},
+        {"instance_sets": {"s": "*.sch"}, "method_configs": {"proactive_saa": {"saa_gammas": 0.5}}},
     ],
 )
 def test_config_rejects_bad_mappings(mapping):
     with pytest.raises(ValueError):
         BenchConfig.from_mapping(mapping)
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"master_seed": 1.9}, "master_seed must be an integer, got 1.9"),
+        ({"epsilons": [1, float("inf")]}, r"epsilons\[1\] must be a finite number"),
+        ({"output_dir": None}, "output_dir must be a string, got None"),
+        (
+            {"method_configs": {"stnu": {"time_limit_offline": "60"}}},
+            r"method_configs\['stnu'\]\.time_limit_offline must be a finite number",
+        ),
+        ({"method_configs": {"stnu": {"bogus": 1}}}, r"method_configs\['stnu'\]\.bogus"),
+    ],
+)
+def test_config_type_errors_name_the_key(setting, message):
+    with pytest.raises(ValueError, match=message):
+        BenchConfig.from_mapping({"instance_sets": {"s": "*.sch"}, **setting})
+
+
+def test_readme_bench_example_shows_the_defaults():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    shown = BenchConfig.from_mapping(example)
+    defaults = BenchConfig.from_mapping({"instance_sets": example["instance_sets"]})
+    assert set(example) == {f.name for f in dataclasses.fields(BenchConfig)}
+    for key in set(example) - {"instance_sets"}:
+        assert getattr(shown, key) == getattr(defaults, key), key
 
 
 def test_config_rejects_epsilons_that_print_alike():
@@ -211,6 +251,14 @@ def test_results_csv_reports_offending_line():
     text = CSV_HEADER + "\nj10,i,1,0\n"
     with pytest.raises(ValueError, match="line 2"):
         ResultsTable.from_csv(text)
+    # each row must make a valid run record
+    good = "j10,i,1,0,stnu,true,3,1.0,1.0,,5\n"
+    text = CSV_HEADER + "\n" + good + "j10,i,1,1,stnu,true,,1.0,1.0,,6\n"
+    with pytest.raises(ValueError, match="line 3: feasible run must report a makespan"):
+        ResultsTable.from_csv(text)
+    text = CSV_HEADER + "\n" + good + "j10,i,1,1,stnu,false,,-1.0,1.0,not_dc,6\n"
+    with pytest.raises(ValueError, match="line 3: time components must be nonnegative"):
+        ResultsTable.from_csv(text)
 
 
 def test_to_method_runs_converts_and_filters():
@@ -219,7 +267,8 @@ def test_to_method_runs_converts_and_filters():
         make_row(epsilon=2.0, method="stnu", sample=1, seed=43),
         make_row(epsilon=1.0, method="reactive", instance_set="ubo", seed=44),
     )
-    table = ResultsTable(rows=rows)
+    # through the CSV, whose time columns are milliseconds
+    table = ResultsTable.from_csv(ResultsTable(rows=rows).to_csv())
     runs = table.to_method_runs()
     assert len(runs) == 3
     assert all(isinstance(r, MethodRun) for r in runs)
@@ -236,15 +285,26 @@ def test_feasibility_ratio_is_exact_or_absent():
         make_row(sample=k, feasible=k < 7, makespan=20 if k < 7 else None,
                  failure_reason=None if k < 7 else "execution_violation")
         for k in range(10)
-    )
+    ) + (make_row(method=STNU, epsilon=2.0),)
     table = ResultsTable(rows=rows)
-    assert feasibility_ratio(table, PROACTIVE_Q, "j10", 1.0) == Fraction(7, 10)
-    assert feasibility_ratio(table, PROACTIVE_Q, "j10", 2.0) is None
-    assert feasibility_ratio(table, "stnu", "j10", 1.0) is None
-    grid = feasibility_grid(table)
-    assert "epsilon=1" in grid and "0.70" in grid
-    csv_text = feasibility_csv(table)
-    assert "1,j10,proactive_q,7/10" in csv_text
+    shares = feasibility_shares(table)
+    assert shares == {
+        (1.0, "j10", PROACTIVE_Q): Fraction(7, 10),
+        (2.0, "j10", STNU): Fraction(1),
+    }
+    # the empty cells: proactive_q at epsilon 2, stnu at epsilon 1
+    assert (2.0, "j10", PROACTIVE_Q) not in shares
+    assert (1.0, "j10", STNU) not in shares
+    grid = feasibility_grid(table).splitlines()
+    assert grid[0] == "feasibility ratios, epsilon=1"
+    assert grid[2].split() == [PROACTIVE_Q, "0.70"]
+    assert grid[3].split() == [STNU, "-"]
+    assert grid[6].split() == [PROACTIVE_Q, "-"]
+    assert grid[7].split() == [STNU, "1.00"]
+    assert feasibility_csv(table).splitlines()[1:] == [
+        "1,j10,proactive_q,7/10",
+        "2,j10,stnu,1",
+    ]
 
 
 # -- run matrix ------------------------------------------------------------
@@ -268,8 +328,8 @@ def test_run_bench_produces_sorted_complete_table(tmp_path):
     table, excluded = run_bench(small_config(tmp_path))
     assert excluded == 0
     assert len(table) == 6  # 3 samples x 2 methods
-    assert [r.sort_key() for r in table.rows] == sorted(
-        r.sort_key() for r in table.rows
+    assert [sort_key(r) for r in table.rows] == sorted(
+        sort_key(r) for r in table.rows
     )
     assert {r.method for r in table.rows} == {PROACTIVE_Q, STNU}
     # both methods on one sample share the realized scenario
@@ -280,7 +340,7 @@ def test_run_bench_produces_sorted_complete_table(tmp_path):
 def test_run_bench_is_deterministic_modulo_wall_time(tmp_path):
     def stripped(table):
         return [
-            dataclasses.replace(row, time_offline_ms=0.0, time_online_ms=0.0)
+            dataclasses.replace(row, time_offline=0.0, time_online=0.0)
             for row in table.rows
         ]
 
@@ -294,7 +354,7 @@ def test_run_bench_parallel_matches_serial(tmp_path):
     parallel, excluded_p = run_bench(small_config(tmp_path, parallelism=2))
     assert excluded_s == excluded_p
     strip = lambda t: [
-        dataclasses.replace(r, time_offline_ms=0.0, time_online_ms=0.0)
+        dataclasses.replace(r, time_offline=0.0, time_online=0.0)
         for r in t.rows
     ]
     assert strip(serial) == strip(parallel)
@@ -303,7 +363,7 @@ def test_run_bench_parallel_matches_serial(tmp_path):
 def test_run_bench_sink_sees_every_row(tmp_path):
     seen = []
     table, _ = run_bench(small_config(tmp_path), sink=seen.append)
-    assert sorted(r.sort_key() for r in seen) == [r.sort_key() for r in table.rows]
+    assert sorted(sort_key(r) for r in seen) == [sort_key(r) for r in table.rows]
 
 
 def test_run_bench_excludes_inherently_infeasible_cells(tmp_path):
@@ -338,6 +398,46 @@ def test_cli_bench_rejects_one_instance_id_in_two_sets(tmp_path, monkeypatch, ca
     err = capsys.readouterr().err
     assert "instance id 'example' appears twice" in err
     assert f"{twin} in set 'b'" in err
+
+
+@pytest.mark.parametrize("fault", ["id_clash", "parse_error"])
+def test_cli_bench_rejected_config_keeps_previous_results(tmp_path, capsys, fault):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    previous = out_dir / "results.csv"
+    previous.write_text(
+        ResultsTable(rows=(make_row(), make_row(sample=1))).to_csv(), encoding="utf-8"
+    )
+    before = previous.read_bytes()
+    other = tmp_path / "example.sch"
+    if fault == "id_clash":
+        other.write_text(EXAMPLE.read_text(encoding="utf-8"), encoding="utf-8")
+    else:
+        other = tmp_path / "broken.sch"
+        other.write_text("gibberish\n", encoding="utf-8")
+    config = {
+        "instance_sets": {"a": str(EXAMPLE), "b": str(other)},
+        "output_dir": str(out_dir),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert bench.main(["bench", "--config", str(cfg_path)]) == 2
+    assert "error" in capsys.readouterr().err
+    assert previous.read_bytes() == before
+
+
+def test_cli_bench_rejects_mistyped_method_setting(tmp_path, capsys):
+    config = {
+        "instance_sets": {"demo": str(EXAMPLE)},
+        "method_configs": {"stnu": {"gamma": "0.9"}},
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert bench.main(["bench", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "method_configs['stnu'].gamma must be a finite number, got '0.9'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def _run_bench_with(tmp_path, method):
@@ -441,6 +541,7 @@ def test_cli_rejects_out_of_range_numerics(tmp_path, capsys):
     simulate = ["simulate", "--instance", str(EXAMPLE), "--method", "stnu"]
     assert bench.main([*simulate, "--epsilon", "1", "--samples", "0"]) == 2
     assert bench.main([*simulate, "--epsilon", "-1"]) == 2
+    assert bench.main([*simulate, "--epsilon", "1", "--time-limit-offline", "nan"]) == 2
     results = tmp_path / "results.csv"
     results.write_text(
         CSV_HEADER + "\n"
@@ -452,6 +553,7 @@ def test_cli_rejects_out_of_range_numerics(tmp_path, capsys):
     assert bench.main([*stats, "--alpha", "1.5"]) == 2
     err = capsys.readouterr().err
     assert "--samples" in err
+    assert "time_limit_offline must be a finite number, got nan" in err
     assert "--alpha" in err
 
 
@@ -491,6 +593,20 @@ def test_cli_simulate_appends_csv(tmp_path, capsys):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 5  # one header, two appended batches of two
     assert all(",stnu," in line for line in lines[1:])
+
+
+def test_cli_simulate_refuses_to_append_to_a_foreign_csv(tmp_path, monkeypatch, capsys):
+    def no_run(stoch, cfg, sample):
+        raise AssertionError("a sample ran before the header was checked")
+
+    monkeypatch.setitem(bench._RUNNERS, STNU, no_run)
+    foreign = tmp_path / "feasibility.csv"
+    foreign.write_text("epsilon,instance_set,method,feasible_ratio\n1,j10,stnu,1\n", encoding="utf-8")
+    before = foreign.read_bytes()
+    argv = ["simulate", "--instance", str(EXAMPLE), "--method", STNU, "--epsilon", "1"]
+    assert bench.main([*argv, "--out", str(foreign)]) == 2
+    assert "not a results CSV" in capsys.readouterr().err
+    assert foreign.read_bytes() == before
 
 
 def test_cli_simulate_prints_csv_without_out(capsys):
@@ -536,13 +652,13 @@ def test_cli_stats_emits_report_and_dot(tmp_path, capsys):
         rows.append(
             make_row(
                 instance=f"i{k:02d}", method="alpha", makespan=10, seed=k,
-                time_offline_ms=1.0, time_online_ms=1.0,
+                time_offline=0.001, time_online=0.001,
             )
         )
         rows.append(
             make_row(
                 instance=f"i{k:02d}", method="beta", makespan=20 + k, seed=k,
-                time_offline_ms=1.0, time_online_ms=1.0,
+                time_offline=0.001, time_online=0.001,
             )
         )
     csv_path = tmp_path / "results.csv"
