@@ -265,8 +265,14 @@ def _seconds_as_ms(seconds: float) -> str:
     return f"{seconds * 1000.0:.3f}"
 
 
+def _finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"not a finite number: {text}")
+    return value
+
+
 def _ms_as_seconds(text: str) -> float:
-    return float(text) / 1000.0
+    return _finite(text) / 1000.0
 
 
 def _flag(text: str) -> bool:
@@ -280,7 +286,7 @@ def _flag(text: str) -> bool:
 _COLUMNS: tuple[tuple[str, str, Callable[[Any], str], Callable[[str], Any]], ...] = (
     ("instance_set", "instance_set", str, str),
     ("instance", "instance", str, str),
-    ("epsilon", "epsilon", _format_number, float),
+    ("epsilon", "epsilon", _format_number, _finite),
     ("sample", "sample", str, int),
     ("method", "method", str, str),
     ("feasible", "feasible", lambda v: "true" if v else "false", _flag),

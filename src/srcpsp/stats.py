@@ -79,9 +79,6 @@ class PairedSeries:
                 out.append(a - b)
         return tuple(out)
 
-    def swapped(self) -> "PairedSeries":
-        return PairedSeries(tuple((b, a) for a, b in self.pairs))
-
 
 @dataclass(frozen=True)
 class TestResult:

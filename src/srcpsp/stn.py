@@ -1,9 +1,12 @@
 """Simple temporal network machinery shared by the solver and the STNU layer.
 
 A :class:`DistanceGraph` collects difference constraints in lower-bound
-convention: an edge ``(i, j, w)`` states ``t_j - t_i >= w``.  Consistency and
-earliest times are computed with Bellman-Ford style longest-path relaxation
-from a virtual origin, so every time point also satisfies ``t >= 0``.
+convention: an edge ``(i, j, w)`` states ``t_j - t_i >= w``.  One Bellman-Ford
+style longest-path relaxation, :func:`_relax`, runs from a virtual origin, so
+every time point also satisfies ``t >= 0``.  Two fronts share it:
+:func:`earliest_schedule` returns the least solution, and
+:func:`_incremental_root` seeds the solver's incremental :func:`_tighten`.
+The STNU all-max check calls :func:`_relax` itself to find a positive cycle.
 """
 
 from __future__ import annotations
@@ -29,30 +32,6 @@ class DistanceGraph:
         for i, j, _ in self.edges:
             if not (0 <= i < self.node_count and 0 <= j < self.node_count):
                 raise ValueError(f"edge ({i}, {j}) out of range for {self.node_count} nodes")
-
-
-@dataclass(frozen=True)
-class Consistent:
-    """Result of a successful propagation: minimal nonnegative solution."""
-
-    potentials: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class NegativeCycle:
-    """Witness of an infeasible constraint system.
-
-    ``nodes`` lists the cycle in traversal order (first node not repeated).
-    ``total`` is the sum of the tightest lower bounds along the cycle; the
-    system is infeasible because this sum is positive, i.e. the cycle forces
-    each of its nodes strictly after itself.
-    """
-
-    nodes: tuple[int, ...]
-    total: int
-
-
-PropagationResult = Consistent | NegativeCycle
 
 
 def _tightest_edges(g: DistanceGraph) -> dict[tuple[int, int], int]:
@@ -150,12 +129,12 @@ def _tighten(
 def _rooted_edges(
     g: DistanceGraph,
     fixed: Mapping[int, int] | None,
-) -> tuple[dict[tuple[int, int], int], list[tuple[int, int, int]]]:
+) -> list[tuple[int, int, int]]:
     """Tightest edges of ``g`` with the virtual origin, numbered ``g.node_count``.
 
     The origin adds ``t_v >= 0`` for every node and pins each node of
-    ``fixed`` to its exact time.  Returns the tightest weight per node pair
-    (origin edges only for pins) and the edge list that ``_relax`` runs on.
+    ``fixed`` to its exact time.  Returns the edge list that ``_relax`` runs
+    on.
     """
     n = g.node_count
     origin = n
@@ -168,7 +147,7 @@ def _rooted_edges(
     edges = [(origin, v, 0) for v in range(n)]
     for (i, j), w in tight.items():
         edges.append((i, j, w))
-    return tight, edges
+    return edges
 
 
 def _incremental_root(
@@ -178,39 +157,12 @@ def _incremental_root(
     """Root potentials of ``g`` with ``fixed`` pins, origin last (None when
     inconsistent), and the successor lists that :func:`_tighten` runs on."""
     n = g.node_count
-    _, edges = _rooted_edges(g, fixed)
+    edges = _rooted_edges(g, fixed)
     succ: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
     for i, j, w in edges:
         succ[i].append((j, w))
     dist, _ = _relax(n + 1, edges, n)
     return dist, succ
-
-
-def propagate(
-    g: DistanceGraph,
-    fixed: Mapping[int, int] | None = None,
-) -> PropagationResult:
-    """Check consistency and compute the earliest-time potential of ``g``.
-
-    The returned potential is the least solution of the system
-    ``{t_j - t_i >= w} + {t >= 0}``, with each node of ``fixed`` pinned to its
-    exact time; the potential of a node is the longest constraint path that
-    reaches it.  An inconsistent system yields a :class:`NegativeCycle` whose
-    lower bounds sum to a positive value; a cycle that runs through a pinned
-    time passes through the virtual origin, numbered ``g.node_count``.
-    """
-    n = g.node_count
-    tight, edges = _rooted_edges(g, fixed)
-    dist, cycle = _relax(n + 1, edges, n)
-    if cycle is not None:
-        # an origin edge missing from ``tight`` is an unpinned t_v >= 0
-        total = sum(
-            tight.get((cycle[k], cycle[(k + 1) % len(cycle)]), 0)
-            for k in range(len(cycle))
-        )
-        return NegativeCycle(nodes=tuple(cycle), total=total)
-    assert dist is not None
-    return Consistent(potentials=tuple(dist[:n]))
 
 
 def earliest_schedule(
@@ -223,5 +175,5 @@ def earliest_schedule(
     contradict the graph (or each other).
     """
     n = g.node_count
-    dist, _ = _relax(n + 1, _rooted_edges(g, fixed)[1], n)
+    dist, _ = _relax(n + 1, _rooted_edges(g, fixed), n)
     return None if dist is None else dist[:n]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .chaining import PartialOrderSchedule
 from .instances import DurationSample, StochasticInstance
-from .stn import Consistent, DistanceGraph, propagate
+from .stn import _relax
 
 
 class RteError(RuntimeError):
@@ -295,15 +295,14 @@ def _allmax_witness(prop: _Propagator) -> NotDc | None:
             continue
         if (u, v) not in tight or w < tight[(u, v)][0]:
             tight[(u, v)] = (w, prop.uc_walk[(u, c)])
-    # upper-bound edge (u, v, w) is the lower-bound edge (v, u, -w)
-    g = DistanceGraph(
-        node_count=n,
-        edges=tuple((v, u, -w) for (u, v), (w, _) in tight.items()),
-    )
-    res = propagate(g)
-    if isinstance(res, Consistent):
+    # upper-bound edge (u, v, w) is the lower-bound edge (v, u, -w); no edge
+    # enters the origin n, so a positive cycle never passes through it
+    edges = [(n, v, 0) for v in range(n)]
+    edges += [(v, u, -w) for (u, v), (w, _) in tight.items()]
+    _, cycle = _relax(n + 1, edges, n)
+    if cycle is None:
         return None
-    cycle = tuple(reversed(res.nodes))
+    cycle.reverse()
     walk: list[_Step] = []
     for k in range(len(cycle)):
         u, v = cycle[k], cycle[(k + 1) % len(cycle)]

@@ -259,6 +259,16 @@ def test_results_csv_reports_offending_line():
     text = CSV_HEADER + "\n" + good + "j10,i,1,1,stnu,false,,-1.0,1.0,not_dc,6\n"
     with pytest.raises(ValueError, match="line 3: time components must be nonnegative"):
         ResultsTable.from_csv(text)
+    # non-finite numbers are not run records, and a row keyed nan would slip
+    # past the duplicate-row check because nan != nan
+    for bad in (
+        "j10,i,nan,0,stnu,true,3,nan,inf,,5",
+        "j10,i,inf,1,stnu,true,3,1.0,1.0,,6",
+        "j10,i,1,1,stnu,true,3,nan,1.0,,6",
+        "j10,i,1,1,stnu,false,,1.0,inf,not_dc,6",
+    ):
+        with pytest.raises(ValueError, match="line 3: not a finite number"):
+            ResultsTable.from_csv(CSV_HEADER + "\n" + good + bad + "\n")
 
 
 def test_to_method_runs_converts_and_filters():

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from srcpsp.instances import (
 )
 
 A, B, C, D, E = 1, 2, 3, 4, 5
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_parse_example(example_instance):
@@ -215,3 +220,18 @@ def test_quantile_rejects_out_of_range(example_instance):
 def test_duration_sample_is_plain_data():
     s = DurationSample(durations=(0, 1, 0), seed=5)
     assert s.durations == (0, 1, 0)
+
+
+def test_make_instances_regenerates_bundled_j10(tmp_path):
+    # the generator's documented command rewrites data/j10 byte for byte
+    subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "make_instances.py"),
+         "--out", str(tmp_path), "--count", "12", "--seed", "7"],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        check=True,
+        capture_output=True,
+    )
+    bundled = sorted((ROOT / "data" / "j10").iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in bundled]
+    for path in bundled:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

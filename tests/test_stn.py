@@ -3,73 +3,63 @@ import random
 import pytest
 
 from srcpsp.stn import (
-    Consistent,
     DistanceGraph,
-    NegativeCycle,
     _incremental_root,
+    _relax,
+    _rooted_edges,
     _tighten,
     earliest_schedule,
-    propagate,
 )
+
+
+def _cycle(g: DistanceGraph) -> list[int] | None:
+    """Positive cycle that the relaxation finds from the unpinned origin."""
+    n = g.node_count
+    return _relax(n + 1, _rooted_edges(g, None), n)[1]
 
 
 def test_propagate_simple_chain():
     # b starts at least 2 after a, c at least 1 after b
     g = DistanceGraph(node_count=3, edges=((0, 1, 2), (1, 2, 1)))
-    res = propagate(g)
-    assert isinstance(res, Consistent)
-    assert res.potentials == (0, 2, 3)
+    assert earliest_schedule(g) == [0, 2, 3]
 
 
 def test_propagate_empty_graph_is_all_zero():
     g = DistanceGraph(node_count=3, edges=())
-    res = propagate(g)
-    assert isinstance(res, Consistent)
-    assert res.potentials == (0, 0, 0)
+    assert earliest_schedule(g) == [0, 0, 0]
 
 
 def test_propagate_contradictory_window():
     # t1 - t0 >= 5 and t0 - t1 >= -3 (t1 <= t0 + 3): impossible.
     g = DistanceGraph(node_count=2, edges=((0, 1, 5), (1, 0, -3)))
-    res = propagate(g)
-    assert isinstance(res, NegativeCycle)
-    assert res.total == 2
-    assert sorted(res.nodes) == [0, 1]
+    assert earliest_schedule(g) is None
+    assert sorted(_cycle(g)) == [0, 1]
 
 
 def test_propagate_positive_self_loop():
     g = DistanceGraph(node_count=1, edges=((0, 0, 1),))
-    res = propagate(g)
-    assert isinstance(res, NegativeCycle)
-    assert res.nodes == (0,)
-    assert res.total == 1
+    assert earliest_schedule(g) is None
+    assert _cycle(g) == [0]
 
 
 def test_propagate_parallel_edges_keep_tightest():
     g = DistanceGraph(node_count=2, edges=((0, 1, 2), (0, 1, 7), (0, 1, 4)))
-    res = propagate(g)
-    assert isinstance(res, Consistent)
-    assert res.potentials == (0, 7)
+    assert earliest_schedule(g) == [0, 7]
 
 
 def test_propagate_cycle_total_uses_tightest_bounds():
     # Parallel (1, 0) edges: loosest is fine alone, tightest closes the cycle.
     g = DistanceGraph(node_count=2, edges=((0, 1, 3), (1, 0, -5), (1, 0, -2)))
-    res = propagate(g)
-    assert isinstance(res, NegativeCycle)
-    assert res.total == 1
+    assert earliest_schedule(DistanceGraph(2, g.edges[:2])) == [0, 3]
+    assert earliest_schedule(g) is None
+    assert sorted(_cycle(g)) == [0, 1]
+    weight = {(i, j): w for i, j, w in _rooted_edges(g, None)}
+    assert weight[(0, 1)] + weight[(1, 0)] == 1
 
 
 def test_edge_validation():
     with pytest.raises(ValueError):
         DistanceGraph(node_count=2, edges=((0, 2, 1),))
-
-
-def test_earliest_schedule_unfixed_matches_propagate():
-    g = DistanceGraph(node_count=4, edges=((0, 1, 2), (1, 2, 1), (2, 0, -6), (0, 3, 4)))
-    res = propagate(g)
-    assert isinstance(res, Consistent)
-    assert earliest_schedule(g) == list(res.potentials)
 
 
 def test_earliest_schedule_fixed_pushes_dependents():
@@ -84,16 +74,6 @@ def test_earliest_schedule_fixed_pushes_dependents():
 def test_earliest_schedule_fixed_conflict_is_none():
     g = DistanceGraph(node_count=2, edges=((0, 1, 3),))
     assert earliest_schedule(g, fixed={0: 5, 1: 6}) is None
-
-
-def test_propagate_pinned_conflict_cycle_runs_through_origin():
-    # t0 pinned to 5 and t1 to 6 against t1 >= t0 + 3: origin -> 0 -> 1 -> origin
-    g = DistanceGraph(node_count=2, edges=((0, 1, 3),))
-    res = propagate(g, fixed={0: 5, 1: 6})
-    assert isinstance(res, NegativeCycle)
-    assert sorted(res.nodes) == [0, 1, 2]
-    assert res.total == 2
-    assert propagate(g, fixed={0: 1}) == Consistent(potentials=(1, 4))
 
 
 def test_earliest_schedule_fixed_value_respected_without_constraints():
@@ -128,24 +108,25 @@ def _random_graph(rng: random.Random) -> DistanceGraph:
 
 def test_property_potentials_satisfy_all_edges():
     rng = random.Random(20260818)
-    seen_consistent = 0
+    seen_consistent = seen_cycles = 0
     for _ in range(300):
         g = _random_graph(rng)
-        res = propagate(g)
-        if isinstance(res, Consistent):
+        pot = earliest_schedule(g)
+        if pot is not None:
             seen_consistent += 1
-            pot = res.potentials
             assert all(p >= 0 for p in pot)
             for i, j, w in g.edges:
                 assert pot[j] - pot[i] >= w
         else:
-            nodes = res.nodes
-            assert res.total > 0
-            # every hop of the witness is backed by an edge
-            arcs = {(i, j) for i, j, _ in g.edges}
-            for k in range(len(nodes)):
-                assert (nodes[k], nodes[(k + 1) % len(nodes)]) in arcs
-    assert seen_consistent > 20
+            # the witness the STNU all-max check reads: every hop is backed
+            # by a relaxed edge, and the hops' bounds sum to a positive value
+            seen_cycles += 1
+            nodes = _cycle(g)
+            weight = {(i, j): w for i, j, w in _rooted_edges(g, None)}
+            hops = [(nodes[k], nodes[(k + 1) % len(nodes)]) for k in range(len(nodes))]
+            assert all(hop in weight for hop in hops)
+            assert sum(weight[hop] for hop in hops) > 0
+    assert seen_consistent > 20 and seen_cycles > 20
 
 
 def test_property_edge_order_is_irrelevant():
@@ -155,12 +136,7 @@ def test_property_edge_order_is_irrelevant():
         shuffled = list(g.edges)
         rng.shuffle(shuffled)
         g2 = DistanceGraph(node_count=g.node_count, edges=tuple(shuffled))
-        r1, r2 = propagate(g), propagate(g2)
-        if isinstance(r1, Consistent):
-            assert isinstance(r2, Consistent)
-            assert r1.potentials == r2.potentials
-        else:
-            assert isinstance(r2, NegativeCycle)
+        assert earliest_schedule(g) == earliest_schedule(g2)
 
 
 def test_property_least_solution():
@@ -168,10 +144,9 @@ def test_property_least_solution():
     rng = random.Random(7)
     for _ in range(120):
         g = _random_graph(rng)
-        res = propagate(g)
-        if not isinstance(res, Consistent):
+        pot = earliest_schedule(g)
+        if pot is None:
             continue
-        pot = list(res.potentials)
         for v in range(g.node_count):
             lowered = pot.copy()
             lowered[v] -= 1

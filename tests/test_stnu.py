@@ -17,6 +17,7 @@ from srcpsp.stnu import (
     NotDc,
     RteError,
     Stnu,
+    _Propagator,
     build_stnu,
     dc_check,
     rte_execute,
@@ -307,3 +308,19 @@ def test_dc_check_agrees_with_game_oracle():
     assert verdicts[True] >= 10
     assert verdicts[False] >= 10
 
+
+
+def test_dc_check_allmax_projection_catches_crossed_waits():
+    # Each activity's end must come within 6 of the other's start.  Both ends
+    # may fire 10 after their starts, so with every duration at its maximum
+    # the two bounds form a negative cycle that edge propagation alone misses.
+    crossed = Stnu(2, ((0, 3, 6), (2, 1, 6)), ((0, 1, 1, 10), (2, 3, 1, 10)))
+    prop = _Propagator(crossed)
+    prop.run()
+    assert prop.witness is None
+    assert dc_check(crossed) == NotDc(nodes=(3, 2), total=-9)
+    assert not game_controllable(crossed, horizon=24)
+
+    loose = Stnu(2, ((0, 3, 12), (2, 1, 12)), ((0, 1, 1, 10), (2, 3, 1, 10)))
+    assert isinstance(dc_check(loose), Controllable)
+    assert game_controllable(loose, horizon=24)
