@@ -3,14 +3,22 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
 from game_oracle import game_controllable, random_stnu
 from srcpsp.chaining import chain
-from srcpsp.instances import DurationSample, StochasticInstance
-from srcpsp.solver import Schedule
+from srcpsp.instances import (
+    DurationSample,
+    StochasticInstance,
+    make_stochastic,
+    parse_psplib,
+    quantile_durations,
+)
+from srcpsp.solver import Schedule, solve
 from srcpsp.stnu import (
     Controllable,
     Estnu,
@@ -35,6 +43,8 @@ SC, FC = 6, 7
 SD, FD = 8, 9
 SE, FE = 10, 11
 S6, E6 = 12, 13
+
+J10 = Path(__file__).resolve().parent.parent / "data" / "j10"
 
 
 @pytest.fixture()
@@ -324,3 +334,62 @@ def test_dc_check_allmax_projection_catches_crossed_waits():
     loose = Stnu(2, ((0, 3, 12), (2, 1, 12)), ((0, 1, 1, 10), (2, 3, 1, 10)))
     assert isinstance(dc_check(loose), Controllable)
     assert game_controllable(loose, horizon=24)
+
+
+def _crossed_stnu(rng) -> Stnu:
+    """All-contingent ring: each end must come soon after the next start."""
+    m = rng.randrange(2, 4)
+    links = tuple((2 * j, 2 * j + 1, 1, rng.randrange(2, 12)) for j in range(m))
+    edges = tuple((2 * i, 2 * ((i + 1) % m) + 1, rng.randrange(0, 12)) for i in range(m))
+    return Stnu(m, edges, links)
+
+
+def _j10_plan_stnus():
+    for path in sorted(J10.glob("*.sch")):
+        inst = parse_psplib(path.read_text())
+        for epsilon in (1, 2):
+            stoch = make_stochastic(inst, epsilon)
+            for gamma in (0.9, 1.0):
+                estimate = quantile_durations(stoch, gamma)
+                out = solve(inst, estimate.durations, time_limit=60)
+                pos = chain(inst, estimate.durations, out.schedule)
+                yield build_stnu(pos, stoch)
+
+
+def _golden_networks(group: str):
+    rng = random.Random(0x601D)
+    if group == "j10":
+        yield from _j10_plan_stnus()
+    elif group == "crossed":
+        for _ in range(200):
+            yield _crossed_stnu(rng)
+    else:
+        for _ in range(300):
+            yield random_stnu(rng, max_activities=int(group[-1]))
+
+
+def _digest(items) -> str:
+    return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+
+
+# (controllable, not DC, digest of every witness, digest of every closure
+# with its waits), recorded from the edge propagator with flattened walks
+DC_CHECK_GOLDEN = {
+    "random3": (232, 68, "106fc2f268b2861a", "3b279214493caf5f"),
+    "random5": (248, 52, "f309145ab9ec881c", "2ea772b6d9e6ab43"),
+    "crossed": (89, 111, "97be009b133d9946", "bd25193d7787033a"),
+    "j10": (48, 0, "4f53cda18c2baa0c", "f8cf63a5a4c9c479"),
+}
+
+
+@pytest.mark.parametrize("group", sorted(DC_CHECK_GOLDEN))
+def test_dc_check_pinned(group):
+    witnesses, closures = [], []
+    for stnu in _golden_networks(group):
+        res = dc_check(stnu)
+        if isinstance(res, NotDc):
+            witnesses.append((res.nodes, res.total))
+        else:
+            closures.append((res.estnu.base.ordinary_edges, res.estnu.wait_edges))
+    got = (len(closures), len(witnesses), _digest(witnesses), _digest(closures))
+    assert got == DC_CHECK_GOLDEN[group]
