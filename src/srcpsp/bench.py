@@ -309,6 +309,11 @@ def sort_key(run: MethodRun) -> tuple:
     return (run.instance_set, run.instance, run.epsilon, run.sample, run.method)
 
 
+def _row_key(run: MethodRun) -> tuple[str, str, float | None, int | None]:
+    """What one results table holds at most once: method, instance, epsilon, sample."""
+    return (run.method, run.instance, run.epsilon, run.sample)
+
+
 @dataclass(frozen=True)
 class ResultsTable:
     """Immutable collection of cell-stamped method runs, one per cell and method."""
@@ -318,8 +323,7 @@ class ResultsTable:
     def __post_init__(self) -> None:
         seen: set[tuple[str, str, float | None, int | None]] = set()
         for row in self.rows:
-            key = (row.method, row.instance, row.epsilon, row.sample)
-            if key in seen:
+            if (key := _row_key(row)) in seen:
                 raise ValueError(f"duplicate result row for {key}")
             seen.add(key)
 
@@ -735,11 +739,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _default_method_configs()[args.method], **_checked(_METHOD_FIELDS, overrides)
     )
     path = None if args.out is None else Path(args.out)
-    needs_header = path is None or not path.exists() or path.stat().st_size == 0
-    if not needs_header:
-        with path.open(encoding="utf-8") as handle:
-            if handle.readline().rstrip("\r\n") != CSV_HEADER:
-                raise ValueError(f"{path} is not a results CSV; not appending to it")
+    kept = "" if path is None or not path.exists() else path.read_text(encoding="utf-8")
+    if kept and kept.partition("\n")[0].rstrip("\r") != CSV_HEADER:
+        raise ValueError(f"{path} is not a results CSV; not appending to it")
+    taken = {_row_key(row) for row in ResultsTable.from_csv(kept).rows} if kept else set()
+    epsilon = _finite(_format_number(args.epsilon))  # as the file reads it back
+    for sample in range(args.samples):
+        if (key := (args.method, instance_id, epsilon, sample)) in taken:
+            raise ValueError(f"{path} already holds a row for {key}; not appending to it")
     rows = []
     for sample in range(args.samples):
         cell = _Cell(
@@ -759,7 +766,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(text, end="")
     else:
         with path.open("a", encoding="utf-8") as handle:
-            handle.write(text if needs_header else text.partition("\n")[2])
+            handle.write(text.partition("\n")[2] if kept else text)
         feasible_count = sum(row.feasible for row in rows)
         print(f"appended {len(rows)} rows ({feasible_count} feasible) to {path}")
     return 0

@@ -172,7 +172,7 @@ def parse_psplib(text: str) -> ProjectInstance:
 
     durations = [0] * total
     demand_rows = [[0] * n_res for _ in range(total)]
-    seen_req: set[int] = set()
+    req_line: dict[int, int] = {}  # activity -> line number, in file order
     for no, line in lines[1 + total : 1 + 2 * total]:
         parts = _int_tokens(line.split(), no)
         if len(parts) != 3 + n_res:
@@ -180,9 +180,9 @@ def parse_psplib(text: str) -> ProjectInstance:
         act, _mode, dur = parts[0], parts[1], parts[2]
         if not 0 <= act < total:
             raise ParseError(f"line {no}: activity id {act} out of range 0..{total - 1}")
-        if act in seen_req:
+        if act in req_line:
             raise ParseError(f"line {no}: duplicate requirement line for activity {act}")
-        seen_req.add(act)
+        req_line[act] = no
         if dur < 0:
             raise ParseError(f"line {no}: negative duration {dur}")
         if act in (0, total - 1) and (dur != 0 or any(q != 0 for q in parts[3:])):
@@ -196,10 +196,8 @@ def parse_psplib(text: str) -> ProjectInstance:
         raise ParseError(f"line {cap_no}: expected {n_res} capacities, got {len(capacities)}")
     if any(c < 1 for c in capacities):
         raise ParseError(f"line {cap_no}: capacities must be >= 1")
-    for no, line in lines[1 + total : 1 + 2 * total]:
-        parts = _int_tokens(line.split(), no)
-        act = parts[0]
-        for r, q in enumerate(parts[3:]):
+    for act, no in req_line.items():  # demands are checked once capacities are known
+        for r, q in enumerate(demand_rows[act]):
             if q < 0:
                 raise ParseError(f"line {no}: negative demand {q}")
             if q > capacities[r]:

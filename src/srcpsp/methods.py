@@ -134,12 +134,11 @@ def _execute_fixed(
         return _record(method, sample, offline, failure=tag)
     assert starts is not None
     t0 = time.perf_counter()
-    realized = sample.durations
-    report = check_schedule(stoch.base, realized, Schedule.from_starts(starts, realized))
-    makespan = max(s + d for s, d in zip(starts, realized))
+    schedule = Schedule.from_starts(starts, sample.durations)
+    report = check_schedule(stoch.base, sample.durations, schedule)
     online = time.perf_counter() - t0
     failure = None if report.feasible else FAIL_EXECUTION
-    return _record(method, sample, offline, online, failure, starts, makespan)
+    return _record(method, sample, offline, online, failure, starts, schedule.makespan)
 
 
 def run_proactive_quantile(
@@ -224,11 +223,10 @@ def run_reactive(
             lost = FAIL_EXECUTION if infeasible else FAIL_SOLVER_TIMEOUT
             return _record(REACTIVE, sample, offline, online, lost)
         plan = list(res.schedule.starts)
-    starts = tuple(plan)
-    report = check_schedule(inst, realized, Schedule.from_starts(starts, realized))
+    trace = Schedule.from_starts(plan, realized)
+    report = check_schedule(inst, realized, trace)
     assert report.feasible, "reactive simulation produced an infeasible trace"
-    makespan = max(s + d for s, d in zip(starts, realized))
-    return _record(REACTIVE, sample, offline, online, None, starts, makespan)
+    return _record(REACTIVE, sample, offline, online, None, trace.starts, trace.makespan)
 
 
 def run_stnu(

@@ -10,9 +10,9 @@ Morris-Muscettola labeled-distance-graph rules: ordinary composition,
 upper-case composition, lower-case and cross-case reductions guarded by
 strictly negative second legs, and label removal once a wait is covered by
 the link's lower bound.  Propagation to quiescence either derives a negative
-ordinary self-loop / an inconsistent all-max projection (not DC, witness
-extracted from edge provenance) or yields the closed edge set an executor
-can dispatch greedily.
+ordinary self-loop / an inconsistent all-max projection (not DC; the
+witness is expanded from shared edge derivations only then) or yields the
+closed edge set an executor can dispatch greedily.
 """
 
 from __future__ import annotations
@@ -140,27 +140,31 @@ def build_stnu(pos: PartialOrderSchedule, stoch: StochasticInstance) -> Stnu:
 
 _ORD = "ord"
 _UC = "uc"
-_LC = "lc"
 
-# a provenance walk is a tuple of original steps (kind, from, to, weight)
-_Step = tuple[str, int, int, int]
+# A derivation is an original edge (from, to, weight) or a pair (first,
+# second) of earlier derivations whose walks run one after the other; pairs
+# share their parts, so storing one never copies a walk.
+_Derivation = tuple
+
+
+class _Inconsistent(Exception):
+    """Propagation derived a contradiction; args are its derivation."""
 
 
 class _Propagator:
-    """Edge-propagation state; derives the DC closure or a negative witness."""
+    """Edge-propagation state; derives the DC closure or raises _Inconsistent."""
 
     def __init__(self, stnu: Stnu) -> None:
         self.stnu = stnu
         self.low = {c: low for _, c, low, _ in stnu.contingent_links}
         self.activation = {c: a for a, c, _, _ in stnu.contingent_links}
         self.ord: dict[tuple[int, int], int] = {}
-        self.ord_walk: dict[tuple[int, int], tuple[_Step, ...]] = {}
+        self.ord_how: dict[tuple[int, int], _Derivation] = {}
         self.uc: dict[tuple[int, int], int] = {}  # (source, contingent label) -> weight
-        self.uc_walk: dict[tuple[int, int], tuple[_Step, ...]] = {}
+        self.uc_how: dict[tuple[int, int], _Derivation] = {}
         self.ord_out: dict[int, set[int]] = {}
         self.ord_in: dict[int, set[int]] = {}
         self.uc_out: dict[int, set[int]] = {}
-        self.witness: NotDc | None = None
         weights = [abs(w) for _, _, w in stnu.ordinary_edges]
         weights += [abs(low) + abs(high) for _, _, low, high in stnu.contingent_links]
         self.horizon = 1 + sum(weights)
@@ -168,9 +172,7 @@ class _Propagator:
 
     # -- storage with minimum-keeping and immediate inconsistency checks --
 
-    def put_ord(self, u: int, v: int, w: int, walk: tuple[_Step, ...]) -> None:
-        if self.witness is not None:
-            return
+    def put_ord(self, u: int, v: int, w: int, how: _Derivation) -> None:
         if u == v and w >= 0:
             return  # vacuous self-loop
         key = (u, v)
@@ -181,15 +183,12 @@ class _Propagator:
             self.ord_out.setdefault(u, set()).add(v)
             self.ord_in.setdefault(v, set()).add(u)
         self.ord[key] = w
-        self.ord_walk[key] = walk
+        self.ord_how[key] = how
         if (u == v and w < 0) or w < -self.horizon:
-            self.witness = _witness_from_walk(walk)
-            return
+            raise _Inconsistent(how)
         self.queue.append((_ORD, u, v, w))
 
-    def put_uc(self, u: int, c: int, w: int, walk: tuple[_Step, ...]) -> None:
-        if self.witness is not None:
-            return
+    def put_uc(self, u: int, c: int, w: int, how: _Derivation) -> None:
         key = (u, c)
         if key in self.uc:
             if self.uc[key] <= w:
@@ -197,29 +196,26 @@ class _Propagator:
         else:
             self.uc_out.setdefault(u, set()).add(c)
         self.uc[key] = w
-        self.uc_walk[key] = walk
-        if w < -self.horizon:
-            self.witness = _witness_from_walk(walk)
-            return
-        if w < 0 and u == self.activation[c]:
-            # activation waiting on its own link: released strictly after itself
-            self.witness = _witness_from_walk(walk)
-            return
+        self.uc_how[key] = how
+        if w < -self.horizon or (w < 0 and u == self.activation[c]):
+            # past the horizon, or an activation waiting on its own link
+            # (released strictly after itself)
+            raise _Inconsistent(how)
         self.queue.append((_UC, u, c, w))
         if w >= -self.low[c]:
             # wait expires no later than the link can fire: unconditional bound
-            self.put_ord(u, self.activation[c], w, walk)
+            self.put_ord(u, self.activation[c], w, how)
 
     # -- rule application --
 
     def run(self) -> None:
         for u, v, w in self.stnu.ordinary_edges:
-            self.put_ord(u, v, w, ((_ORD, u, v, w),))
+            self.put_ord(u, v, w, (u, v, w))
         for a, c, low, high in self.stnu.contingent_links:
-            self.put_ord(a, c, high, ((_ORD, a, c, high),))
-            self.put_ord(c, a, -low, ((_ORD, c, a, -low),))
-            self.put_uc(c, c, -high, ((_UC, c, a, -high),))
-        while self.queue and self.witness is None:
+            self.put_ord(a, c, high, (a, c, high))
+            self.put_ord(c, a, -low, (c, a, -low))
+            self.put_uc(c, c, -high, (c, a, -high))
+        while self.queue:
             kind, x, y, w = self.queue.pop()
             if kind == _ORD:
                 if self.ord.get((x, y)) == w:
@@ -228,43 +224,42 @@ class _Propagator:
                 self._from_uc(x, y, w)
 
     def _from_ord(self, u: int, v: int, w: int) -> None:
-        walk = self.ord_walk[(u, v)]
+        how = self.ord_how[(u, v)]
         for y in list(self.ord_out.get(v, ())):  # (u -> v) + (v -> y)
-            self.put_ord(u, y, w + self.ord[(v, y)], walk + self.ord_walk[(v, y)])
-            if self.witness is not None:
-                return
+            self.put_ord(u, y, w + self.ord[(v, y)], (how, self.ord_how[(v, y)]))
         for x in list(self.ord_in.get(u, ())):  # (x -> u) + (u -> v)
-            self.put_ord(x, v, self.ord[(x, u)] + w, self.ord_walk[(x, u)] + walk)
-            if self.witness is not None:
-                return
+            self.put_ord(x, v, self.ord[(x, u)] + w, (self.ord_how[(x, u)], how))
         for c in list(self.uc_out.get(v, ())):  # upper-case rule: ordinary prefix
-            self.put_uc(u, c, w + self.uc[(v, c)], walk + self.uc_walk[(v, c)])
-            if self.witness is not None:
-                return
+            self.put_uc(u, c, w + self.uc[(v, c)], (how, self.uc_how[(v, c)]))
         if w < 0 and u in self.low and v != u:
             # lower-case rule: the link into u may fire at its minimum
             a, low = self.activation[u], self.low[u]
-            self.put_ord(a, v, low + w, ((_LC, a, u, low),) + walk)
+            self.put_ord(a, v, low + w, ((a, u, low), how))
 
     def _from_uc(self, u: int, c: int, w: int) -> None:
-        walk = self.uc_walk[(u, c)]
+        how = self.uc_how[(u, c)]
         for x in list(self.ord_in.get(u, ())):
-            self.put_uc(x, c, self.ord[(x, u)] + w, self.ord_walk[(x, u)] + walk)
-            if self.witness is not None:
-                return
+            self.put_uc(x, c, self.ord[(x, u)] + w, (self.ord_how[(x, u)], how))
         if w < 0 and u in self.low and u != c:
             # cross-case rule: another link's minimum firing precedes this wait
             a, low = self.activation[u], self.low[u]
-            self.put_uc(a, c, low + w, ((_LC, a, u, low),) + walk)
+            self.put_uc(a, c, low + w, ((a, u, low), how))
 
 
-def _witness_from_walk(walk: tuple[_Step, ...]) -> NotDc:
-    """Closed negative sub-walk of a derivation's original-edge expansion."""
-    nodes = [walk[0][1]]
-    for _, _, to, _ in walk:
-        nodes.append(to)
+def _witness(*derivations: _Derivation) -> NotDc:
+    """Most negative closed sub-walk of the derivations' original edges, in order."""
+    steps: list[tuple[int, int, int]] = []
+    stack = list(reversed(derivations))
+    while stack:
+        how = stack.pop()
+        if len(how) == 2:
+            stack += (how[1], how[0])
+        else:
+            steps.append(how)
+    nodes = [steps[0][0]]
     prefix = [0]
-    for _, _, _, w in walk:
+    for _, to, w in steps:
+        nodes.append(to)
         prefix.append(prefix[-1] + w)
     best: tuple[int, int, int] | None = None
     for i in range(len(nodes)):
@@ -283,18 +278,18 @@ def _witness_from_walk(walk: tuple[_Step, ...]) -> NotDc:
 def _allmax_witness(prop: _Propagator) -> NotDc | None:
     """Negative cycle in the all-max projection (waits read as hard bounds)."""
     n = prop.stnu.n_timepoints
-    tight: dict[tuple[int, int], tuple[int, tuple[_Step, ...]]] = {}
+    tight: dict[tuple[int, int], tuple[int, _Derivation]] = {}
     for (u, v), w in prop.ord.items():
         if u == v:
             continue
         if (u, v) not in tight or w < tight[(u, v)][0]:
-            tight[(u, v)] = (w, prop.ord_walk[(u, v)])
+            tight[(u, v)] = (w, prop.ord_how[(u, v)])
     for (u, c), w in prop.uc.items():
         v = prop.activation[c]
         if u == v:
             continue
         if (u, v) not in tight or w < tight[(u, v)][0]:
-            tight[(u, v)] = (w, prop.uc_walk[(u, c)])
+            tight[(u, v)] = (w, prop.uc_how[(u, c)])
     # upper-bound edge (u, v, w) is the lower-bound edge (v, u, -w); no edge
     # enters the origin n, so a positive cycle never passes through it
     edges = [(n, v, 0) for v in range(n)]
@@ -303,19 +298,17 @@ def _allmax_witness(prop: _Propagator) -> NotDc | None:
     if cycle is None:
         return None
     cycle.reverse()
-    walk: list[_Step] = []
-    for k in range(len(cycle)):
-        u, v = cycle[k], cycle[(k + 1) % len(cycle)]
-        walk.extend(tight[(u, v)][1])
-    return _witness_from_walk(tuple(walk))
+    hops = zip(cycle, cycle[1:] + cycle[:1])
+    return _witness(*(tight[hop][1] for hop in hops))
 
 
 def dc_check(stnu: Stnu) -> Controllable | NotDc:
     """Decide dynamic controllability; emit the executable closure on success."""
     prop = _Propagator(stnu)
-    prop.run()
-    if prop.witness is not None:
-        return prop.witness
+    try:
+        prop.run()
+    except _Inconsistent as contradiction:
+        return _witness(*contradiction.args)
     cycle = _allmax_witness(prop)
     if cycle is not None:
         return cycle

@@ -598,11 +598,30 @@ def test_cli_simulate_appends_csv(tmp_path, capsys):
         "--out", str(out_file),
     ]
     assert bench.main(argv) == 0
-    assert bench.main(argv) == 0
+    assert bench.main([*argv[:4], PROACTIVE_Q, *argv[5:]]) == 0
     lines = out_file.read_text(encoding="utf-8").splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 5  # one header, two appended batches of two
-    assert all(",stnu," in line for line in lines[1:])
+    assert all(",stnu," in line for line in lines[1:3])
+    assert all(",proactive_q," in line for line in lines[3:])
+    assert len(ResultsTable.from_csv("\n".join(lines))) == 4
+
+
+def test_cli_simulate_refuses_to_append_a_row_twice(tmp_path, monkeypatch, capsys):
+    out_file = tmp_path / "runs.csv"
+    argv = ["simulate", "--instance", str(EXAMPLE), "--method", STNU, "--epsilon", "1"]
+    argv += ["--seed", "3", "--out", str(out_file)]
+    assert bench.main([*argv, "--samples", "1"]) == 0
+    before = out_file.read_bytes()
+
+    def no_run(stoch, cfg, sample):
+        raise AssertionError("a sample ran before the file's keys were checked")
+
+    monkeypatch.setitem(bench._RUNNERS, STNU, no_run)
+    capsys.readouterr()
+    assert bench.main([*argv, "--samples", "2"]) == 2  # sample 0 is already in the file
+    assert "already holds a row for ('stnu', 'example', 1.0, 0)" in capsys.readouterr().err
+    assert out_file.read_bytes() == before
 
 
 def test_cli_simulate_refuses_to_append_to_a_foreign_csv(tmp_path, monkeypatch, capsys):
