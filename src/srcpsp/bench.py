@@ -16,7 +16,6 @@ import io
 import json
 import logging
 import math
-import os
 import sys
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
@@ -28,6 +27,7 @@ from typing import Any
 from .instances import (
     DurationSample,
     ParseError,
+    ProjectInstance,
     StochasticInstance,
     make_stochastic,
     parse_psplib,
@@ -48,8 +48,6 @@ from .methods import (
 )
 from .solver import Schedule, check_schedule, solve
 from .stats import METRICS, STRONG, PartialOrdering, build_partial_ordering
-
-ENV_PARALLELISM = "SRCPSP_JOBS"
 
 _RUNNERS: dict[str, Callable[[StochasticInstance, MethodConfig, DurationSample], MethodRun]] = {
     PROACTIVE_Q: run_proactive_quantile,
@@ -158,7 +156,7 @@ _CONFIG_FIELDS = {
     "samples_per_instance": _integer,
     "methods": _list_of(_text),
     "method_configs": _method_configs,
-    "parallelism": lambda key, value: None if value is None else _integer(key, value),
+    "parallelism": _integer,
     "output_dir": _text,
     "master_seed": _integer,
 }
@@ -172,7 +170,9 @@ class BenchConfig:
     up to ``instances_per_set`` files in sorted path order.  Every method in
     ``methods`` is run on every (instance, epsilon, sample) cell that
     survives the perfect-information feasibility filter, using the same
-    derived seed so method comparisons are paired.
+    derived seed so method comparisons are paired.  ``method_configs`` is
+    completed from the defaults when the config is built, and
+    ``parallelism`` worker processes run the cells.
     """
 
     instance_sets: tuple[tuple[str, tuple[str, ...]], ...]
@@ -180,10 +180,8 @@ class BenchConfig:
     epsilons: tuple[float, ...] = (1.0, 2.0)
     samples_per_instance: int = 10
     methods: tuple[str, ...] = DEFAULT_METHODS
-    method_configs: dict[str, MethodConfig] = field(
-        default_factory=_default_method_configs
-    )
-    parallelism: int | None = None
+    method_configs: dict[str, MethodConfig] = field(default_factory=dict)
+    parallelism: int = 1
     output_dir: str = "results"
     master_seed: int = 1
 
@@ -220,25 +218,11 @@ class BenchConfig:
         unknown = sorted(set(self.method_configs) - set(_RUNNERS))
         if unknown:
             raise ValueError(f"method_configs for unknown methods: {', '.join(unknown)}")
-        if self.parallelism is not None and self.parallelism < 1:
+        object.__setattr__(
+            self, "method_configs", {**_default_method_configs(), **self.method_configs}
+        )
+        if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
-
-    def jobs(self) -> int:
-        """Worker count: explicit setting, else the SRCPSP_JOBS variable, else 1."""
-        if self.parallelism is not None:
-            return self.parallelism
-        raw = os.environ.get(ENV_PARALLELISM, "1")
-        try:
-            workers = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"{ENV_PARALLELISM} must be an integer, got {raw!r}") from exc
-        return max(1, workers)
-
-    def config_for(self, method: str) -> MethodConfig:
-        configured = self.method_configs.get(method)
-        if configured is not None:
-            return configured
-        return _default_method_configs()[method]
 
     @classmethod
     def from_mapping(cls, data: Mapping[str, object]) -> BenchConfig:
@@ -398,16 +382,36 @@ def feasibility_shares(table: ResultsTable) -> dict[tuple[float, str, str], Frac
 
 @dataclass(frozen=True)
 class _Cell:
-    """One (instance, epsilon, sample) unit of work covering every method."""
+    """One (instance, epsilon, sample) unit of work: every method in ``configs``."""
 
     instance_set: str
     instance: str
     stochastic: StochasticInstance
-    epsilon: float
     sample: int
     seed: int
-    methods: tuple[str, ...]
     configs: dict[str, MethodConfig]
+
+
+def _instance_cells(
+    instance_set: str,
+    instance: str,
+    stochastic: StochasticInstance,
+    samples: int,
+    master_seed: int,
+    configs: dict[str, MethodConfig],
+) -> list[_Cell]:
+    """One instance's cells at one epsilon, seeded so every method is paired."""
+    return [
+        _Cell(
+            instance_set=instance_set,
+            instance=instance,
+            stochastic=stochastic,
+            sample=sample,
+            seed=derive_seed(master_seed, instance, stochastic.epsilon, sample),
+            configs=configs,
+        )
+        for sample in range(samples)
+    ]
 
 
 def _method_row(cell: _Cell, method: str, sample: DurationSample) -> MethodRun:
@@ -425,7 +429,7 @@ def _method_row(cell: _Cell, method: str, sample: DurationSample) -> MethodRun:
         run,
         instance_set=cell.instance_set,
         instance=cell.instance,
-        epsilon=cell.epsilon,
+        epsilon=cell.stochastic.epsilon,
         sample=cell.sample,
         seed=cell.seed,
         starts=None,
@@ -435,12 +439,10 @@ def _method_row(cell: _Cell, method: str, sample: DurationSample) -> MethodRun:
 def _run_cell(cell: _Cell) -> list[MethodRun] | None:
     """All methods on one realized sample; None when the cell is excluded."""
     sample = sample_durations(cell.stochastic, cell.seed)
-    filter_limit = max(
-        cell.configs[method].time_limit_offline for method in cell.methods
-    )
+    filter_limit = max(config.time_limit_offline for config in cell.configs.values())
     if not perfect_information_feasible(cell.stochastic, sample, filter_limit):
         return None
-    return [_method_row(cell, method, sample) for method in cell.methods]
+    return [_method_row(cell, method, sample) for method in cell.configs]
 
 
 def _resolve_instances(config: BenchConfig) -> list[tuple[str, str, Path]]:
@@ -475,49 +477,34 @@ def _resolve_instances(config: BenchConfig) -> list[tuple[str, str, Path]]:
 
 
 def build_cells(config: BenchConfig) -> list[_Cell]:
+    """Every cell of the run matrix, in instance, epsilon and sample order."""
+    configs = {method: config.method_configs[method] for method in config.methods}
     cells = []
-    configs = {method: config.config_for(method) for method in config.methods}
     for set_name, instance_id, path in _resolve_instances(config):
         base = parse_psplib(path.read_text(encoding="utf-8"))
         for epsilon in config.epsilons:
-            stochastic = make_stochastic(base, epsilon)
-            for sample in range(config.samples_per_instance):
-                seed = derive_seed(config.master_seed, instance_id, epsilon, sample)
-                cells.append(
-                    _Cell(
-                        instance_set=set_name,
-                        instance=instance_id,
-                        stochastic=stochastic,
-                        epsilon=epsilon,
-                        sample=sample,
-                        seed=seed,
-                        methods=config.methods,
-                        configs=configs,
-                    )
-                )
+            cells += _instance_cells(
+                set_name,
+                instance_id,
+                make_stochastic(base, epsilon),
+                config.samples_per_instance,
+                config.master_seed,
+                configs,
+            )
     return cells
 
 
 def run_bench(
-    config: BenchConfig,
-    sink: Callable[[MethodRun], None] | None = None,
+    cells: list[_Cell], workers: int, sink: Callable[[MethodRun], None] | None = None
 ) -> tuple[ResultsTable, int]:
-    """Execute the whole run matrix.
+    """Run built cells over ``workers`` processes into a sorted table.
 
     Returns the sorted results table plus the number of cells excluded by
     the perfect-information filter.  ``sink`` receives rows as they are
     produced (completion order), which lets callers keep partial results
-    when a later cell raises.  Work is distributed over ``config.jobs()``
-    processes; because cells are independent and the table is sorted at
-    the end, serial and parallel runs produce identical tables.
+    when a later cell raises.  Because cells are independent and the table
+    is sorted at the end, serial and parallel runs produce identical tables.
     """
-    return _run_cells(build_cells(config), config.jobs(), sink)
-
-
-def _run_cells(
-    cells: list[_Cell], workers: int, sink: Callable[[MethodRun], None] | None
-) -> tuple[ResultsTable, int]:
-    """Run built cells over ``workers`` processes into a sorted table."""
     rows: list[MethodRun] = []
     excluded = 0
     executor: ProcessPoolExecutor | None = None
@@ -591,29 +578,6 @@ def ordering_to_dot(ordering: PartialOrdering) -> str:
     return "\n".join(lines) + "\n"
 
 
-def assert_acyclic(ordering: PartialOrdering) -> None:
-    """Reject orderings whose edges form a cycle."""
-    adjacency: dict[str, list[str]] = {m: [] for m in ordering.methods}
-    for better, worse, _ in ordering.edges:
-        adjacency[better].append(worse)
-    done: set[str] = set()
-    active: set[str] = set()
-
-    def visit(node: str) -> None:
-        if node in done:
-            return
-        if node in active:
-            raise ValueError(f"method ordering on {ordering.metric} contains a cycle")
-        active.add(node)
-        for nxt in adjacency[node]:
-            visit(nxt)
-        active.discard(node)
-        done.add(node)
-
-    for method in ordering.methods:
-        visit(method)
-
-
 def ordering_report(ordering: PartialOrdering) -> str:
     """Readable pairwise test table plus the resulting edges."""
     lines = [
@@ -639,14 +603,14 @@ def ordering_report(ordering: PartialOrdering) -> str:
                 f"win-share {share.extras['proportion_a']:.3f} "
                 f"p={share.p_value:.4f}{flag}"
             )
-        annotation = ordering.annotations.get((name_a, name_b))
-        if annotation is None:
+        magnitude = tests.magnitude
+        if magnitude is None:
             parts.append("magnitude n/a")
         else:
             parts.append(
-                f"magnitude {annotation.extras['normalized_mean_a']:.3f}"
-                f"/{annotation.extras['normalized_mean_b']:.3f}"
-                f" p={annotation.p_value:.4f}"
+                f"magnitude {magnitude.extras['normalized_mean_a']:.3f}"
+                f"/{magnitude.extras['normalized_mean_b']:.3f}"
+                f" p={magnitude.p_value:.4f}"
             )
         lines.append("  " + "; ".join(parts))
     if ordering.edges:
@@ -680,12 +644,18 @@ def _parse_int_list(text: str, expected: int, label: str) -> tuple[int, ...]:
     return values
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _instance_and_durations(args: argparse.Namespace) -> tuple[ProjectInstance, tuple[int, ...]]:
+    """The ``--instance`` file and its durations, or the ``--durations`` override."""
     base = parse_psplib(Path(args.instance).read_text(encoding="utf-8"))
     if args.durations is None:
-        durations = base.durations
-    else:
-        durations = _parse_int_list(args.durations, len(base.durations), "--durations")
+        return base, base.durations
+    return base, _parse_int_list(args.durations, len(base.durations), "--durations")
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    if not args.time_limit > 0:
+        raise ValueError("--time-limit must be positive")
+    base, durations = _instance_and_durations(args)
     outcome = solve(base, durations, time_limit=args.time_limit)
     print(f"status: {outcome.status.value}")
     if outcome.schedule is not None:
@@ -696,12 +666,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    base = parse_psplib(Path(args.instance).read_text(encoding="utf-8"))
+    base, durations = _instance_and_durations(args)
     starts = _parse_int_list(args.schedule, len(base.durations), "--schedule")
-    if args.durations is None:
-        durations = base.durations
-    else:
-        durations = _parse_int_list(args.durations, len(base.durations), "--durations")
     report = check_schedule(base, durations, Schedule.from_starts(starts, durations))
     if report.feasible:
         print("feasible")
@@ -720,8 +686,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
-    if args.epsilon < 0:
-        raise ValueError("--epsilon must be nonnegative")
     base = parse_psplib(Path(args.instance).read_text(encoding="utf-8"))
     instance_id = Path(args.instance).stem
     stochastic = make_stochastic(base, args.epsilon)
@@ -747,26 +711,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for sample in range(args.samples):
         if (key := (args.method, instance_id, epsilon, sample)) in taken:
             raise ValueError(f"{path} already holds a row for {key}; not appending to it")
-    rows = []
-    for sample in range(args.samples):
-        cell = _Cell(
-            instance_set=args.set,
-            instance=instance_id,
-            stochastic=stochastic,
-            epsilon=args.epsilon,
-            sample=sample,
-            seed=derive_seed(args.seed, instance_id, args.epsilon, sample),
-            methods=(args.method,),
-            configs={args.method: config},
-        )
-        realized = sample_durations(stochastic, cell.seed)
-        rows.append(_method_row(cell, args.method, realized))
+    cells = _instance_cells(
+        args.set, instance_id, stochastic, args.samples, args.seed, {args.method: config}
+    )
+    rows = [
+        _method_row(cell, args.method, sample_durations(stochastic, cell.seed))
+        for cell in cells
+    ]
     text = ResultsTable(rows=tuple(rows)).to_csv()
     if path is None:
         print(text, end="")
     else:
+        if kept:  # no second header, and no row glued onto an unterminated last line
+            text = ("" if kept.endswith("\n") else "\n") + text.partition("\n")[2]
         with path.open("a", encoding="utf-8") as handle:
-            handle.write(text.partition("\n")[2] if kept else text)
+            handle.write(text)
         feasible_count = sum(row.feasible for row in rows)
         print(f"appended {len(rows)} rows ({feasible_count} feasible) to {path}")
     return 0
@@ -777,7 +736,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # building the cells resolves and parses every instance, so a config
     # rejected there leaves the previous results file alone
     cells = build_cells(config)
-    workers = config.jobs()
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
@@ -791,7 +749,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             writer.writerow(_csv_fields(row))
             handle.flush()
 
-        table, excluded = _run_cells(cells, workers, sink)
+        table, excluded = run_bench(cells, config.parallelism, sink)
     results_path.write_text(table.to_csv(), encoding="utf-8")
     feasibility_path = out_dir / "feasibility.csv"
     feasibility_path.write_text(feasibility_csv(table), encoding="utf-8")
@@ -813,7 +771,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if not runs:
         raise ValueError("no rows match the requested filters")
     ordering = build_partial_ordering(runs, args.metric, args.alpha)
-    assert_acyclic(ordering)
     print(ordering_report(ordering))
     if args.out is not None:
         Path(args.out).write_text(ordering_to_dot(ordering), encoding="utf-8")

@@ -246,8 +246,8 @@ def make_stochastic(inst: ProjectInstance, epsilon: float) -> StochasticInstance
     (0, 0).  With d = 0 the raw ub rounds below the clamped lb, so ub is
     lifted to lb to keep the bounds ordered.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon!r}")
     total = inst.n_activities
     bounds: list[tuple[int, int]] = []
     for j, d in enumerate(inst.durations):
@@ -255,6 +255,8 @@ def make_stochastic(inst: ProjectInstance, epsilon: float) -> StochasticInstance
             bounds.append((0, 0))
             continue
         spread = epsilon * math.sqrt(d)
+        if not math.isfinite(d + spread):
+            raise ValueError(f"epsilon {epsilon!r} gives activity {j} a non-finite duration bound")
         lb = max(1, _round_half_away(d - spread))
         ub = max(lb, _round_half_away(d + spread))
         bounds.append((lb, ub))

@@ -52,7 +52,7 @@ class MethodConfig:
         for g in (self.gamma, *self.saa_gammas):
             if not 0 <= g <= 1:
                 raise ValueError(f"quantile level {g} outside [0, 1]")
-        if self.time_limit_offline <= 0 or self.time_limit_reschedule <= 0:
+        if not (self.time_limit_offline > 0 and self.time_limit_reschedule > 0):
             raise ValueError("time limits must be positive")
 
 

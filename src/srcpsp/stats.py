@@ -11,6 +11,7 @@ import logging
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from graphlib import CycleError, TopologicalSorter
 
 from scipy import stats as _scipy_stats
 
@@ -100,11 +101,16 @@ class TestResult:
 
 @dataclass(frozen=True)
 class PairTests:
-    """Ordering tests of one method pair; None where a test is undefined."""
+    """Tests of one method pair; None where a test is undefined.
+
+    The signed-rank and win-share tests order methods; the magnitude test,
+    run on the double hits, never does.
+    """
 
     n_pairs: int
     signed_rank: TestResult | None
     win_share: TestResult | None
+    magnitude: TestResult | None
 
 
 @dataclass(frozen=True)
@@ -112,16 +118,14 @@ class PartialOrdering:
     """Directed comparison graph for one metric at significance level ``alpha``.
 
     Edges run from the better to the worse method; ``strong`` edges come from
-    the signed-rank test, ``weak`` ones from the win-share test alone.
-    ``pair_tests`` holds both ordering tests for every alphabetically ordered
-    method pair, ``annotations`` the magnitude test where it was defined;
-    annotations never order methods.
+    the signed-rank test, ``weak`` ones from the win-share test alone, and
+    they never form a cycle.  ``pair_tests`` holds the tests of every
+    alphabetically ordered method pair.
     """
 
     methods: tuple[str, ...]
     metric: str
     edges: tuple[tuple[str, str, str], ...]
-    annotations: dict[tuple[str, str], TestResult] = field(default_factory=dict)
     pair_tests: dict[tuple[str, str], PairTests] = field(default_factory=dict)
     alpha: float = 0.05
 
@@ -133,6 +137,13 @@ class PartialOrdering:
                 raise ValueError(f"unknown edge strength {strength!r}")
             if better not in self.methods or worse not in self.methods:
                 raise ValueError("edge endpoint not in methods")
+        order: TopologicalSorter[str] = TopologicalSorter()
+        for better, worse, _ in self.edges:
+            order.add(worse, better)
+        try:
+            order.prepare()
+        except CycleError:
+            raise ValueError(f"method ordering on {self.metric} contains a cycle") from None
 
 
 def wilcoxon_pratt(series: PairedSeries, alpha: float = 0.05) -> TestResult:
@@ -284,18 +295,16 @@ def build_partial_ordering(
 
     A significant signed-rank test yields a strong edge from its winner;
     otherwise a significant win-share test yields a weak edge.  The
-    magnitude test runs on the double hits of each pair and is attached as
-    an annotation.  Both ordering tests of every pair, n=0 pairs included,
-    are kept for the report.  Undefined tests (all ties, constant
-    differences, too few double hits) leave the pair unordered with a
-    logged note.
+    magnitude test runs on the double hits of each pair.  The tests of
+    every pair, n=0 pairs included, are kept for the report.  Undefined
+    tests (all ties, constant differences, too few double hits) leave the
+    pair unordered with a logged note.
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
     runs = tuple(runs)
     methods = tuple(sorted({run.method for run in runs}))
     edges: list[tuple[str, str, str]] = []
-    annotations: dict[tuple[str, str], TestResult] = {}
     pair_tests: dict[tuple[str, str], PairTests] = {}
     for i, name_a in enumerate(methods):
         for name_b in methods[i + 1 :]:
@@ -308,50 +317,50 @@ def build_partial_ordering(
                 share = proportion_test(series, alpha)
             except AllTies:
                 share = None
-            pair_tests[(name_a, name_b)] = PairTests(len(series), ranked, share)
+            magnitude = None
             if len(series) == 0:
                 logger.info(
                     "%s vs %s on %s: no comparable pairs", name_a, name_b, metric
                 )
-                continue
-            edge = None
-            if ranked is not None and ranked.significant:
-                if ranked.statistic < 0:
-                    edge = (name_a, name_b, STRONG)
-                else:
-                    edge = (name_b, name_a, STRONG)
-            elif share is not None and share.significant:
-                if share.extras["proportion_a"] > 0.5:
-                    edge = (name_a, name_b, WEAK)
-                else:
-                    edge = (name_b, name_a, WEAK)
-            if edge is not None:
-                edges.append(edge)
             else:
-                logger.info(
-                    "%s vs %s on %s: no significant difference",
-                    name_a,
-                    name_b,
-                    metric,
+                edge = None
+                if ranked is not None and ranked.significant:
+                    if ranked.statistic < 0:
+                        edge = (name_a, name_b, STRONG)
+                    else:
+                        edge = (name_b, name_a, STRONG)
+                elif share is not None and share.significant:
+                    if share.extras["proportion_a"] > 0.5:
+                        edge = (name_a, name_b, WEAK)
+                    else:
+                        edge = (name_b, name_a, WEAK)
+                if edge is not None:
+                    edges.append(edge)
+                else:
+                    logger.info(
+                        "%s vs %s on %s: no significant difference",
+                        name_a,
+                        name_b,
+                        metric,
+                    )
+                hits = PairedSeries(
+                    tuple(p for p in series.pairs if p[0] != INF and p[1] != INF)
                 )
-            hits = PairedSeries(
-                tuple(p for p in series.pairs if p[0] != INF and p[1] != INF)
-            )
-            try:
-                annotations[(name_a, name_b)] = magnitude_test(hits, alpha)
-            except ValueError as exc:
-                logger.info(
-                    "%s vs %s on %s: magnitude test undefined (%s)",
-                    name_a,
-                    name_b,
-                    metric,
-                    exc,
-                )
+                try:
+                    magnitude = magnitude_test(hits, alpha)
+                except ValueError as exc:
+                    logger.info(
+                        "%s vs %s on %s: magnitude test undefined (%s)",
+                        name_a,
+                        name_b,
+                        metric,
+                        exc,
+                    )
+            pair_tests[(name_a, name_b)] = PairTests(len(series), ranked, share, magnitude)
     return PartialOrdering(
         methods=methods,
         metric=metric,
         edges=tuple(edges),
-        annotations=annotations,
         pair_tests=pair_tests,
         alpha=alpha,
     )

@@ -102,7 +102,6 @@ class NotDc:
 @dataclass(frozen=True)
 class ExecutionTrace:
     times: tuple[int, ...]
-    feasible: bool
     makespan: int
     decisions: tuple[tuple[int, tuple[int, ...]], ...]
 
@@ -458,7 +457,6 @@ def rte_execute(estnu: Estnu, sample: DurationSample) -> ExecutionTrace:
     ordered = tuple(times[tp] for tp in range(n))
     return ExecutionTrace(
         times=ordered,
-        feasible=True,
         makespan=max(ordered),
         decisions=tuple(decisions),
     )

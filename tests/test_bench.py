@@ -14,7 +14,7 @@ from srcpsp.bench import (
     CSV_HEADER,
     BenchConfig,
     ResultsTable,
-    assert_acyclic,
+    build_cells,
     derive_seed,
     feasibility_csv,
     feasibility_grid,
@@ -95,9 +95,10 @@ def test_config_defaults_from_minimal_mapping():
     assert cfg.epsilons == (1.0, 2.0)
     assert cfg.samples_per_instance == 10
     assert set(cfg.methods) == set(bench.DEFAULT_METHODS)
-    assert cfg.config_for(STNU).gamma == 1.0
-    assert cfg.config_for("proactive_saa").time_limit_offline == 300.0
-    assert cfg.config_for("reactive").time_limit_reschedule == 2.0
+    assert cfg.parallelism == 1
+    assert cfg.method_configs[STNU].gamma == 1.0
+    assert cfg.method_configs["proactive_saa"].time_limit_offline == 300.0
+    assert cfg.method_configs["reactive"].time_limit_reschedule == 2.0
 
 
 def test_config_merges_method_overrides():
@@ -110,11 +111,14 @@ def test_config_merges_method_overrides():
             },
         }
     )
-    assert cfg.config_for("stnu").gamma == 0.5
+    assert cfg.method_configs["stnu"].gamma == 0.5
     # untouched settings keep their defaults
-    assert cfg.config_for("stnu").time_limit_offline == 60.0
-    assert cfg.config_for("proactive_saa").saa_gammas == (0.5, 1.0)
-    assert cfg.config_for("proactive_q").gamma == 0.9
+    assert cfg.method_configs["stnu"].time_limit_offline == 60.0
+    assert cfg.method_configs["proactive_saa"].saa_gammas == (0.5, 1.0)
+    assert cfg.method_configs["proactive_q"].gamma == 0.9
+    # a config built directly is completed from the same defaults
+    direct = BenchConfig(instance_sets=(("s", ("*.sch",)),))
+    assert direct.method_configs == bench._default_method_configs()
 
 
 @pytest.mark.parametrize(
@@ -145,6 +149,7 @@ def test_config_merges_method_overrides():
         {"instance_sets": {"s": "*.sch"}, "output_dir": None},
         {"instance_sets": {"s": "*.sch"}, "method_configs": {"stnu": {"gamma": "0.9"}}},
         {"instance_sets": {"s": "*.sch"}, "method_configs": {"proactive_saa": {"saa_gammas": 0.5}}},
+        {"instance_sets": {"s": "*.sch"}, "parallelism": None},
     ],
 )
 def test_config_rejects_bad_mappings(mapping):
@@ -163,6 +168,7 @@ def test_config_rejects_bad_mappings(mapping):
             r"method_configs\['stnu'\]\.time_limit_offline must be a finite number",
         ),
         ({"method_configs": {"stnu": {"bogus": 1}}}, r"method_configs\['stnu'\]\.bogus"),
+        ({"parallelism": None}, "parallelism must be an integer, got None"),
     ],
 )
 def test_config_type_errors_name_the_key(setting, message):
@@ -185,25 +191,6 @@ def test_config_rejects_epsilons_that_print_alike():
     mapping = {"instance_sets": {"s": "*.sch"}, "epsilons": [1, 1.0000001]}
     with pytest.raises(ValueError, match=r"1\.0 and 1\.0000001 both print as 1,"):
         BenchConfig.from_mapping(mapping)
-
-
-def test_config_jobs_prefers_explicit_setting(monkeypatch):
-    monkeypatch.setenv(bench.ENV_PARALLELISM, "8")
-    cfg = BenchConfig.from_mapping(
-        {"instance_sets": {"s": "*.sch"}, "parallelism": 2}
-    )
-    assert cfg.jobs() == 2
-
-
-def test_config_jobs_reads_environment(monkeypatch):
-    cfg = BenchConfig.from_mapping({"instance_sets": {"s": "*.sch"}})
-    monkeypatch.delenv(bench.ENV_PARALLELISM, raising=False)
-    assert cfg.jobs() == 1
-    monkeypatch.setenv(bench.ENV_PARALLELISM, "4")
-    assert cfg.jobs() == 4
-    monkeypatch.setenv(bench.ENV_PARALLELISM, "many")
-    with pytest.raises(ValueError):
-        cfg.jobs()
 
 
 def test_config_from_json_reports_bad_documents(tmp_path):
@@ -334,8 +321,12 @@ def small_config(tmp_path, **overrides) -> BenchConfig:
     return BenchConfig.from_mapping(mapping)
 
 
+def run_config(config: BenchConfig, sink=None):
+    return run_bench(build_cells(config), config.parallelism, sink)
+
+
 def test_run_bench_produces_sorted_complete_table(tmp_path):
-    table, excluded = run_bench(small_config(tmp_path))
+    table, excluded = run_config(small_config(tmp_path))
     assert excluded == 0
     assert len(table) == 6  # 3 samples x 2 methods
     assert [sort_key(r) for r in table.rows] == sorted(
@@ -354,14 +345,14 @@ def test_run_bench_is_deterministic_modulo_wall_time(tmp_path):
             for row in table.rows
         ]
 
-    first, _ = run_bench(small_config(tmp_path))
-    second, _ = run_bench(small_config(tmp_path))
+    first, _ = run_config(small_config(tmp_path))
+    second, _ = run_config(small_config(tmp_path))
     assert stripped(first) == stripped(second)
 
 
 def test_run_bench_parallel_matches_serial(tmp_path):
-    serial, excluded_s = run_bench(small_config(tmp_path))
-    parallel, excluded_p = run_bench(small_config(tmp_path, parallelism=2))
+    serial, excluded_s = run_config(small_config(tmp_path))
+    parallel, excluded_p = run_config(small_config(tmp_path, parallelism=2))
     assert excluded_s == excluded_p
     strip = lambda t: [
         dataclasses.replace(r, time_offline=0.0, time_online=0.0)
@@ -372,7 +363,7 @@ def test_run_bench_parallel_matches_serial(tmp_path):
 
 def test_run_bench_sink_sees_every_row(tmp_path):
     seen = []
-    table, _ = run_bench(small_config(tmp_path), sink=seen.append)
+    table, _ = run_config(small_config(tmp_path), sink=seen.append)
     assert sorted(sort_key(r) for r in seen) == [sort_key(r) for r in table.rows]
 
 
@@ -380,7 +371,7 @@ def test_run_bench_excludes_inherently_infeasible_cells(tmp_path):
     path = tmp_path / "unsat.sch"
     path.write_text(serialize_psplib(UNSATISFIABLE), encoding="utf-8")
     cfg = small_config(tmp_path, instance_sets={"bad": str(path)})
-    table, excluded = run_bench(cfg)
+    table, excluded = run_config(cfg)
     assert excluded == 3
     assert len(table) == 0
 
@@ -388,7 +379,7 @@ def test_run_bench_excludes_inherently_infeasible_cells(tmp_path):
 def test_run_bench_rejects_empty_instance_sets(tmp_path):
     cfg = small_config(tmp_path, instance_sets={"ghost": str(tmp_path / "*.none")})
     with pytest.raises(ValueError, match="matched no files"):
-        run_bench(cfg)
+        run_config(cfg)
 
 
 def test_cli_bench_rejects_one_instance_id_in_two_sets(tmp_path, monkeypatch, capsys):
@@ -451,7 +442,7 @@ def test_cli_bench_rejects_mistyped_method_setting(tmp_path, capsys):
 
 
 def _run_bench_with(tmp_path, method):
-    run_bench(small_config(tmp_path, methods=[method]))
+    run_config(small_config(tmp_path, methods=[method]))
 
 
 def _simulate_with(tmp_path, method):
@@ -490,7 +481,6 @@ def test_ordering_to_dot_styles_edge_strengths():
         methods=("a", "b", "c"),
         metric="quality",
         edges=(("a", "b", STRONG), ("b", "c", WEAK)),
-        annotations={},
     )
     dot = ordering_to_dot(ordering)
     assert dot.startswith('digraph "quality" {')
@@ -498,24 +488,6 @@ def test_ordering_to_dot_styles_edge_strengths():
     assert '"b" -> "c" [style=dashed];' in dot
     assert '  "c";' in dot
     assert dot.rstrip().endswith("}")
-
-
-def test_assert_acyclic_accepts_dags_and_rejects_cycles():
-    good = PartialOrdering(
-        methods=("a", "b", "c"),
-        metric="quality",
-        edges=(("a", "b", STRONG), ("a", "c", WEAK), ("b", "c", STRONG)),
-        annotations={},
-    )
-    assert_acyclic(good)
-    bad = PartialOrdering(
-        methods=("a", "b", "c"),
-        metric="quality",
-        edges=(("a", "b", STRONG), ("b", "c", STRONG), ("c", "a", STRONG)),
-        annotations={},
-    )
-    with pytest.raises(ValueError, match="cycle"):
-        assert_acyclic(bad)
 
 
 # -- command line ----------------------------------------------------------
@@ -550,8 +522,18 @@ def test_cli_data_errors_exit_two(tmp_path, capsys):
 def test_cli_rejects_out_of_range_numerics(tmp_path, capsys):
     simulate = ["simulate", "--instance", str(EXAMPLE), "--method", "stnu"]
     assert bench.main([*simulate, "--epsilon", "1", "--samples", "0"]) == 2
-    assert bench.main([*simulate, "--epsilon", "-1"]) == 2
+    for epsilon in ("-1", "nan", "inf", "1e308"):
+        assert bench.main([*simulate, "--epsilon", epsilon]) == 2
     assert bench.main([*simulate, "--epsilon", "1", "--time-limit-offline", "nan"]) == 2
+    for limit in ("nan", "0"):
+        assert bench.main(["solve", str(EXAMPLE), "--time-limit", limit]) == 2
+    config = tmp_path / "cfg.json"
+    config.write_text(
+        json.dumps({"instance_sets": {"demo": str(EXAMPLE)}, "epsilons": [1e308],
+                    "output_dir": str(tmp_path / "out")}),
+        encoding="utf-8",
+    )
+    assert bench.main(["bench", "--config", str(config)]) == 2
     results = tmp_path / "results.csv"
     results.write_text(
         CSV_HEADER + "\n"
@@ -563,7 +545,12 @@ def test_cli_rejects_out_of_range_numerics(tmp_path, capsys):
     assert bench.main([*stats, "--alpha", "1.5"]) == 2
     err = capsys.readouterr().err
     assert "--samples" in err
+    assert "epsilon must be a finite number >= 0, got nan" in err
+    assert "epsilon must be a finite number >= 0, got inf" in err
+    # once from simulate, once from the bench config
+    assert err.count("epsilon 1e+308 gives activity") == 2
     assert "time_limit_offline must be a finite number, got nan" in err
+    assert err.count("--time-limit must be positive") == 2
     assert "--alpha" in err
 
 
@@ -605,6 +592,17 @@ def test_cli_simulate_appends_csv(tmp_path, capsys):
     assert all(",stnu," in line for line in lines[1:3])
     assert all(",proactive_q," in line for line in lines[3:])
     assert len(ResultsTable.from_csv("\n".join(lines))) == 4
+
+
+def test_cli_simulate_appends_after_an_unterminated_last_row(tmp_path):
+    out_file = tmp_path / "runs.csv"
+    argv = ["simulate", "--instance", str(EXAMPLE), "--epsilon", "1", "--samples", "1"]
+    argv += ["--out", str(out_file)]
+    assert bench.main([*argv, "--method", STNU]) == 0
+    out_file.write_text(out_file.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")
+    assert bench.main([*argv, "--method", PROACTIVE_Q]) == 0
+    table = ResultsTable.from_csv(out_file.read_text(encoding="utf-8"))
+    assert [row.method for row in table.rows] == [STNU, PROACTIVE_Q]
 
 
 def test_cli_simulate_refuses_to_append_a_row_twice(tmp_path, monkeypatch, capsys):

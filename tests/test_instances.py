@@ -120,6 +120,12 @@ def test_make_stochastic_zero_duration_real_activity():
 def test_make_stochastic_rejects_negative_epsilon(example_instance):
     with pytest.raises(ValueError):
         make_stochastic(example_instance, -1)
+    for epsilon in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon must be a finite number >= 0"):
+            make_stochastic(example_instance, epsilon)
+    # finite, but eps * sqrt(d) overflows from d = 4 on: activity 2 has d = 5
+    with pytest.raises(ValueError, match="epsilon 1e[+]308 gives activity 2 a non-finite"):
+        make_stochastic(example_instance, 1e308)
 
 
 def test_stochastic_invariants():

@@ -123,6 +123,10 @@ def test_method_config_rejects_bad_settings():
         MethodConfig(time_limit_offline=0)
     with pytest.raises(ValueError):
         MethodConfig(time_limit_reschedule=-1.0)
+    # nan is neither <= 0 nor > 0
+    for limit in ("time_limit_offline", "time_limit_reschedule"):
+        with pytest.raises(ValueError, match="time limits must be positive"):
+            MethodConfig(**{limit: float("nan")})
 
 
 def test_method_run_validates_its_fields():

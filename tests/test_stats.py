@@ -322,7 +322,7 @@ def test_ordering_identical_outcomes_has_no_edges():
     assert ordering.methods == ("alpha", "beta")
     assert ordering.edges == ()
     # constant zero differences leave the magnitude test undefined too
-    assert ordering.annotations == {}
+    assert ordering.pair_tests[("alpha", "beta")].magnitude is None
 
 
 def test_ordering_feasibility_dominance_is_strong_everywhere():
@@ -333,7 +333,7 @@ def test_ordering_feasibility_dominance_is_strong_everywhere():
     for metric in METRICS:
         ordering = build_partial_ordering(runs, metric)
         assert ordering.edges == (("alpha", "beta", STRONG),)
-        assert (("alpha", "beta") in ordering.annotations) is False
+        assert ordering.pair_tests[("alpha", "beta")].magnitude is None
 
 
 def test_ordering_weak_edge_when_ranks_disagree_with_counts():
@@ -365,10 +365,10 @@ def test_ordering_reproduces_a_total_quality_chain():
         for worse in tiers[i + 1 :]:
             expected.add((better, worse, STRONG))
     assert set(ordering.edges) == expected
-    # annotations exist for every pair and never order anything
-    assert len(ordering.annotations) == 6
-    for res in ordering.annotations.values():
-        assert res.n_pairs == 40
+    # magnitude tests exist for every pair and never order anything
+    assert len(ordering.pair_tests) == 6
+    for tests in ordering.pair_tests.values():
+        assert tests.magnitude.n_pairs == 40
 
 
 def test_ordering_time_metrics_use_run_walls():
@@ -391,3 +391,8 @@ def test_ordering_rejects_unknown_metric_and_bad_edges():
         PartialOrdering(methods=("a", "b"), metric=QUALITY, edges=(("a", "b", "solid"),))
     with pytest.raises(ValueError):
         PartialOrdering(methods=("a",), metric=QUALITY, edges=(("a", "c", STRONG),))
+    dag = (("a", "b", STRONG), ("a", "c", WEAK), ("b", "c", STRONG))
+    PartialOrdering(methods=("a", "b", "c"), metric=QUALITY, edges=dag)
+    cycle = (("a", "b", STRONG), ("b", "c", STRONG), ("c", "a", WEAK))
+    with pytest.raises(ValueError, match="method ordering on quality contains a cycle"):
+        PartialOrdering(methods=("a", "b", "c"), metric=QUALITY, edges=cycle)

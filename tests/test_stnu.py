@@ -178,13 +178,11 @@ def test_rte_golden_traces(dc_pos, uncertain):
     starts = [short.times[Stnu.start(j)] for j in range(1, 6)]
     assert starts == [0, 2, 5, 4, 7]
     assert short.times[FD] == 5
-    assert short.feasible
 
     long = rte_execute(res.estnu, DurationSample((0, 2, 5, 3, 2, 2, 0)))
     starts = [long.times[Stnu.start(j)] for j in range(1, 6)]
     assert starts == [0, 2, 6, 4, 7]
     assert long.times[FD] == 6
-    assert long.feasible
 
 
 def test_rte_rejects_duration_outside_link(dc_pos, uncertain):
@@ -298,7 +296,6 @@ def test_rte_honours_every_edge_on_random_networks():
             for a, c, low, high in stnu.contingent_links:
                 durations[c // 2] = rng.randint(low, high)
             trace = rte_execute(res.estnu, DurationSample(tuple(durations)))
-            assert trace.feasible
             for u, v, w in stnu.ordinary_edges:
                 assert trace.times[v] - trace.times[u] <= w
             for a, c, low, high in stnu.contingent_links:
