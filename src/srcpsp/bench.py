@@ -37,6 +37,7 @@ from .methods import (
     PROACTIVE_Q,
     PROACTIVE_SAA,
     REACTIVE,
+    SETTINGS_READ,
     STNU,
     MethodConfig,
     MethodRun,
@@ -61,12 +62,10 @@ DEFAULT_METHODS = (PROACTIVE_Q, PROACTIVE_SAA, REACTIVE, STNU)
 
 def _default_method_configs() -> dict[str, MethodConfig]:
     return {
-        PROACTIVE_Q: MethodConfig(gamma=0.9, time_limit_offline=60.0),
+        PROACTIVE_Q: MethodConfig(),
         PROACTIVE_SAA: MethodConfig(time_limit_offline=300.0),
-        REACTIVE: MethodConfig(
-            gamma=0.9, time_limit_offline=60.0, time_limit_reschedule=2.0
-        ),
-        STNU: MethodConfig(gamma=1.0, time_limit_offline=60.0),
+        REACTIVE: MethodConfig(),
+        STNU: MethodConfig(gamma=1.0),
     }
 
 
@@ -130,14 +129,21 @@ _METHOD_FIELDS = {
 }
 
 
+def _configured(method: str, overrides: Mapping[str, object], prefix: str = "") -> MethodConfig:
+    """``method``'s default config with ``overrides``, each a setting the method reads."""
+    if unread := sorted(set(overrides) & set(_METHOD_FIELDS) - set(SETTINGS_READ[method])):
+        raise ValueError(f"{method} does not read {', '.join(unread)}")
+    checked = _checked(_METHOD_FIELDS, overrides, prefix)
+    return dataclasses.replace(_default_method_configs()[method], **checked)
+
+
 def _method_configs(key: str, value: object) -> dict[str, MethodConfig]:
     merged = _default_method_configs()
     for name, overrides in _mapping(key, value).items():
         if name not in merged:
             raise ValueError(f"{key} for unknown method {name!r}")
         where = f"{key}[{name!r}]"
-        checked = _checked(_METHOD_FIELDS, _mapping(where, overrides), where + ".")
-        merged[name] = dataclasses.replace(merged[name], **checked)
+        merged[name] = _configured(name, _mapping(where, overrides), where + ".")
     return merged
 
 
@@ -578,40 +584,28 @@ def ordering_to_dot(ordering: PartialOrdering) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The reported tests: label, PairTests field, the value shown before p (from the
+# statistic and the extras), and whether a significant p is marked (ordering tests only).
+_REPORTED_TESTS = (
+    ("signed-rank", "signed_rank", "z={statistic:+.3f}", True),
+    ("win-share", "win_share", "{proportion_a:.3f}", True),
+    ("magnitude", "magnitude", "{normalized_mean_a:.3f}/{normalized_mean_b:.3f}", False),
+)
+
+
 def ordering_report(ordering: PartialOrdering) -> str:
     """Readable pairwise test table plus the resulting edges."""
-    lines = [
-        f"pairwise tests, metric={ordering.metric}, "
-        f"alpha={_format_number(ordering.alpha)}"
-    ]
+    lines = [f"pairwise tests, metric={ordering.metric}, alpha={_format_number(ordering.alpha)}"]
     for (name_a, name_b), tests in ordering.pair_tests.items():
         parts = [f"{name_a} vs {name_b} (n={tests.n_pairs})"]
-        ranked = tests.signed_rank
-        if ranked is None:
-            parts.append("signed-rank n/a")
-        else:
-            flag = "*" if ranked.significant else ""
-            parts.append(
-                f"signed-rank z={ranked.statistic:+.3f} p={ranked.p_value:.4f}{flag}"
-            )
-        share = tests.win_share
-        if share is None:
-            parts.append("win-share n/a")
-        else:
-            flag = "*" if share.significant else ""
-            parts.append(
-                f"win-share {share.extras['proportion_a']:.3f} "
-                f"p={share.p_value:.4f}{flag}"
-            )
-        magnitude = tests.magnitude
-        if magnitude is None:
-            parts.append("magnitude n/a")
-        else:
-            parts.append(
-                f"magnitude {magnitude.extras['normalized_mean_a']:.3f}"
-                f"/{magnitude.extras['normalized_mean_b']:.3f}"
-                f" p={magnitude.p_value:.4f}"
-            )
+        for label, name, shown, marked in _REPORTED_TESTS:
+            result = getattr(tests, name)
+            if result is None:
+                parts.append(f"{label} n/a")
+            else:
+                flag = "*" if marked and result.significant else ""
+                value = shown.format(statistic=result.statistic, **result.extras)
+                parts.append(f"{label} {value} p={result.p_value:.4f}{flag}")
         lines.append("  " + "; ".join(parts))
     if ordering.edges:
         lines.append("edges (better -> worse):")
@@ -699,9 +693,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             overrides["saa_gammas"] = [float(part) for part in args.saa_gammas.split(",")]
         except ValueError:
             raise ValueError("--saa-gammas must be a comma-separated list of numbers") from None
-    config = dataclasses.replace(
-        _default_method_configs()[args.method], **_checked(_METHOD_FIELDS, overrides)
-    )
+    config = _configured(args.method, overrides)
     path = None if args.out is None else Path(args.out)
     kept = "" if path is None or not path.exists() else path.read_text(encoding="utf-8")
     if kept and kept.partition("\n")[0].rstrip("\r") != CSV_HEADER:

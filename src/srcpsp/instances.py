@@ -255,8 +255,10 @@ def make_stochastic(inst: ProjectInstance, epsilon: float) -> StochasticInstance
             bounds.append((0, 0))
             continue
         spread = epsilon * math.sqrt(d)
-        if not math.isfinite(d + spread):
-            raise ValueError(f"epsilon {epsilon!r} gives activity {j} a non-finite duration bound")
+        if not d + spread < 2**63:  # sample_durations draws int64 values below 2**63
+            raise ValueError(
+                f"epsilon {epsilon!r} gives activity {j} a non-finite or beyond-int64 duration bound"
+            )
         lb = max(1, _round_half_away(d - spread))
         ub = max(lb, _round_half_away(d + spread))
         bounds.append((lb, ub))

@@ -35,11 +35,7 @@ FAIL_EXECUTION = "execution_violation"
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """Tuning knobs shared by the methods.
-
-    gamma drives the duration estimate of the single-scenario methods; the
-    usual settings are 0.9 for proactive_q and reactive and 1 for stnu.
-    """
+    """Tuning knobs of the methods; ``SETTINGS_READ`` lists the ones each method reads."""
 
     gamma: float | Fraction = 0.9
     saa_gammas: tuple[float | Fraction, ...] = (0.25, 0.5, 0.75, 0.9)
@@ -249,6 +245,16 @@ def run_stnu(
     online = time.perf_counter() - t1
     starts = tuple(trace.times[Stnu.start(j)] for j in range(inst.n_activities))
     return _record(STNU, sample, offline, online, None, starts, trace.makespan)
+
+
+# The MethodConfig fields each runner reads; a setting of any other field
+# would have no effect, so bench and simulate reject it.
+SETTINGS_READ = {
+    PROACTIVE_Q: ("gamma", "time_limit_offline"),
+    PROACTIVE_SAA: ("saa_gammas", "time_limit_offline"),
+    REACTIVE: ("gamma", "time_limit_offline", "time_limit_reschedule"),
+    STNU: ("gamma", "time_limit_offline"),
+}
 
 
 def perfect_information_feasible(

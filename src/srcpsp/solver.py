@@ -77,7 +77,6 @@ class SolveOutcome:
     status: SolveStatus
     schedule: Schedule | None
     nodes_explored: int
-    wall_time: float
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,6 @@ class SaaOutcome:
     starts: tuple[int, ...] | None
     objective: float | None
     nodes_explored: int
-    wall_time: float
 
 
 def check_schedule(
@@ -296,15 +294,14 @@ def _search(
         for edge in reversed(_branch_edges(subset, durations)):
             stack.append((dist, added + (edge,)))
 
-    wall = time.monotonic() - t0
     if best_starts is None:
         status = SolveStatus.INFEASIBLE if exhausted else SolveStatus.UNKNOWN
-        return SaaOutcome(status, None, None, nodes, wall)
+        return SaaOutcome(status, None, None, nodes)
     for durations in scenarios:
         sched = Schedule.from_starts(best_starts, durations)
         assert check_schedule(inst, durations, sched).feasible
     status = SolveStatus.OPTIMAL if exhausted else SolveStatus.FEASIBLE
-    return SaaOutcome(status, best_starts, best / len(scenarios), nodes, wall)
+    return SaaOutcome(status, best_starts, best / len(scenarios), nodes)
 
 
 def solve(
@@ -327,7 +324,7 @@ def solve(
     incumbent = _validated_warm_start(inst, durations, warm_start, fixed)
     out = _search(inst, [durations], fixed, incumbent, time_limit, node_limit)
     schedule = None if out.starts is None else Schedule.from_starts(out.starts, durations)
-    return SolveOutcome(out.status, schedule, out.nodes_explored, out.wall_time)
+    return SolveOutcome(out.status, schedule, out.nodes_explored)
 
 
 def solve_saa(

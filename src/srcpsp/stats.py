@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
 
@@ -30,15 +31,19 @@ STRONG = "strong"
 WEAK = "weak"
 
 
-class NoNonzeroDifferences(ValueError):
+class UndefinedTest(ValueError):
+    """The test has no value on this series, so it cannot order the pair."""
+
+
+class NoNonzeroDifferences(UndefinedTest):
     """Every matched pair is tied, so the signed-rank test is undefined."""
 
 
-class AllTies(ValueError):
+class AllTies(UndefinedTest):
     """No pair has a winner, so the win-share test is undefined."""
 
 
-class ZeroVariance(ValueError):
+class ZeroVariance(UndefinedTest):
     """Normalized differences are constant, so the t statistic is undefined."""
 
 
@@ -83,20 +88,21 @@ class PairedSeries:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of one paired test; ``significant`` always means p_value < alpha."""
+    """Outcome of one paired test at significance level ``alpha``."""
 
     n_pairs: int
     statistic: float
     p_value: float
-    significant: bool
     alpha: float
     extras: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p value {self.p_value} outside [0, 1]")
-        if self.significant != (self.p_value < self.alpha):
-            raise ValueError("significance flag contradicts the p value")
+
+    @property
+    def significant(self) -> bool:
+        return self.p_value < self.alpha
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,7 @@ class PartialOrdering:
     alpha: float = 0.05
 
     def __post_init__(self) -> None:
+        order: TopologicalSorter[str] = TopologicalSorter()
         for better, worse, strength in self.edges:
             if better == worse:
                 raise ValueError("self-edges are not allowed")
@@ -137,8 +144,6 @@ class PartialOrdering:
                 raise ValueError(f"unknown edge strength {strength!r}")
             if better not in self.methods or worse not in self.methods:
                 raise ValueError("edge endpoint not in methods")
-        order: TopologicalSorter[str] = TopologicalSorter()
-        for better, worse, _ in self.edges:
             order.add(worse, better)
         try:
             order.prepare()
@@ -167,10 +172,7 @@ def wilcoxon_pratt(series: PairedSeries, alpha: float = 0.05) -> TestResult:
     worse_b = float(sum(r for r, d in zip(ranks, diffs) if d < 0))
     mean = (n * (n + 1) - zeros * (zeros + 1)) / 4.0
     var = (n * (n + 1) * (2 * n + 1) - zeros * (zeros + 1) * (2 * zeros + 1)) / 24.0
-    groups: dict[float, int] = {}
-    for r, d in zip(ranks, diffs):
-        if d != 0:
-            groups[r] = groups.get(r, 0) + 1
+    groups = Counter(r for r, d in zip(ranks, diffs) if d != 0)
     var -= sum(t**3 - t for t in groups.values()) / 48.0
     shift = worse_a - mean
     z = 0.0 if shift == 0 else (shift - math.copysign(0.5, shift)) / math.sqrt(var)
@@ -179,7 +181,6 @@ def wilcoxon_pratt(series: PairedSeries, alpha: float = 0.05) -> TestResult:
         n_pairs=n,
         statistic=z,
         p_value=p,
-        significant=p < alpha,
         alpha=alpha,
         extras={"rank_sum_worse_a": worse_a, "rank_sum_worse_b": worse_b},
     )
@@ -207,7 +208,6 @@ def proportion_test(series: PairedSeries, alpha: float = 0.05) -> TestResult:
         n_pairs=len(series),
         statistic=z,
         p_value=p,
-        significant=p < alpha,
         alpha=alpha,
         extras={"proportion_a": share, "decided_pairs": float(n)},
     )
@@ -224,7 +224,7 @@ def magnitude_test(series: PairedSeries, alpha: float = 0.05) -> TestResult:
         raise ValueError("magnitude comparisons need both values finite")
     n = len(series.pairs)
     if n < 2:
-        raise ValueError("need at least two double hits")
+        raise UndefinedTest("need at least two double hits")
     norm_a: list[float] = []
     norm_b: list[float] = []
     for a, b in series.pairs:
@@ -247,7 +247,6 @@ def magnitude_test(series: PairedSeries, alpha: float = 0.05) -> TestResult:
         n_pairs=n,
         statistic=t,
         p_value=min(p, 1.0),
-        significant=min(p, 1.0) < alpha,
         alpha=alpha,
         extras={
             "normalized_mean_a": math.fsum(norm_a) / n,
@@ -266,26 +265,40 @@ def _metric_value(run: MethodRun, metric: str) -> float:
     return run.time_online
 
 
+_Index = dict[str, dict[tuple[str, int | None], float]]
+
+
+def _index(runs: Iterable[MethodRun], metric: str) -> _Index:
+    """Each method's value on ``metric`` per (instance, seed); later runs of a key win."""
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}")
+    index: _Index = {}
+    for run in runs:
+        index.setdefault(run.method, {})[(run.instance, run.seed)] = _metric_value(run, metric)
+    return index
+
+
+def _paired(index: _Index, method_a: str, method_b: str) -> PairedSeries:
+    by_a, by_b = index.get(method_a, {}), index.get(method_b, {})
+    return PairedSeries(tuple((value, by_b[key]) for key, value in by_a.items() if key in by_b))
+
+
 def method_pair_series(
     runs: Iterable[MethodRun], method_a: str, method_b: str, metric: str
 ) -> PairedSeries:
     """Series for one method pair on one metric, matched on (instance, seed)."""
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    by_a: dict[tuple[str, int | None], MethodRun] = {}
-    by_b: dict[tuple[str, int | None], MethodRun] = {}
-    for run in runs:
-        if run.method == method_a:
-            by_a[(run.instance, run.seed)] = run
-        elif run.method == method_b:
-            by_b[(run.instance, run.seed)] = run
-    return PairedSeries(
-        tuple(
-            (_metric_value(by_a[key], metric), _metric_value(by_b[key], metric))
-            for key in by_a
-            if key in by_b
-        )
-    )
+    return _paired(_index(runs, metric), method_a, method_b)
+
+
+def _defined(
+    test: Callable[..., TestResult], series: PairedSeries, alpha: float, pair: str
+) -> TestResult | None:
+    """``test`` on ``series``, or None with a logged note where it is undefined."""
+    try:
+        return test(series, alpha)
+    except UndefinedTest as exc:
+        logger.info("%s: %s undefined (%s)", pair, test.__name__, exc)
+        return None
 
 
 def build_partial_ordering(
@@ -296,71 +309,29 @@ def build_partial_ordering(
     A significant signed-rank test yields a strong edge from its winner;
     otherwise a significant win-share test yields a weak edge.  The
     magnitude test runs on the double hits of each pair.  The tests of
-    every pair, n=0 pairs included, are kept for the report.  Undefined
-    tests (all ties, constant differences, too few double hits) leave the
-    pair unordered with a logged note.
+    every pair, n=0 pairs included, are kept for the report; a test that
+    is undefined on its series (all ties, constant differences, too few
+    double hits) is kept as None and leaves the pair unordered on it.
     """
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    runs = tuple(runs)
-    methods = tuple(sorted({run.method for run in runs}))
+    index = _index(runs, metric)
+    methods = tuple(sorted(index))
     edges: list[tuple[str, str, str]] = []
     pair_tests: dict[tuple[str, str], PairTests] = {}
     for i, name_a in enumerate(methods):
         for name_b in methods[i + 1 :]:
-            series = method_pair_series(runs, name_a, name_b, metric)
-            try:
-                ranked = wilcoxon_pratt(series, alpha)
-            except NoNonzeroDifferences:
-                ranked = None
-            try:
-                share = proportion_test(series, alpha)
-            except AllTies:
-                share = None
-            magnitude = None
-            if len(series) == 0:
-                logger.info(
-                    "%s vs %s on %s: no comparable pairs", name_a, name_b, metric
-                )
+            series = _paired(index, name_a, name_b)
+            pair = f"{name_a} vs {name_b} on {metric}"
+            ranked = _defined(wilcoxon_pratt, series, alpha, pair)
+            share = _defined(proportion_test, series, alpha, pair)
+            hits = PairedSeries(tuple(p for p in series.pairs if INF not in p))
+            magnitude = _defined(magnitude_test, hits, alpha, pair)
+            if ranked is not None and ranked.significant:
+                a_wins, strength = ranked.statistic < 0, STRONG
+            elif share is not None and share.significant:
+                a_wins, strength = share.extras["proportion_a"] > 0.5, WEAK
             else:
-                edge = None
-                if ranked is not None and ranked.significant:
-                    if ranked.statistic < 0:
-                        edge = (name_a, name_b, STRONG)
-                    else:
-                        edge = (name_b, name_a, STRONG)
-                elif share is not None and share.significant:
-                    if share.extras["proportion_a"] > 0.5:
-                        edge = (name_a, name_b, WEAK)
-                    else:
-                        edge = (name_b, name_a, WEAK)
-                if edge is not None:
-                    edges.append(edge)
-                else:
-                    logger.info(
-                        "%s vs %s on %s: no significant difference",
-                        name_a,
-                        name_b,
-                        metric,
-                    )
-                hits = PairedSeries(
-                    tuple(p for p in series.pairs if p[0] != INF and p[1] != INF)
-                )
-                try:
-                    magnitude = magnitude_test(hits, alpha)
-                except ValueError as exc:
-                    logger.info(
-                        "%s vs %s on %s: magnitude test undefined (%s)",
-                        name_a,
-                        name_b,
-                        metric,
-                        exc,
-                    )
+                strength = ""
+            if strength:
+                edges.append((name_a, name_b, strength) if a_wins else (name_b, name_a, strength))
             pair_tests[(name_a, name_b)] = PairTests(len(series), ranked, share, magnitude)
-    return PartialOrdering(
-        methods=methods,
-        metric=metric,
-        edges=tuple(edges),
-        pair_tests=pair_tests,
-        alpha=alpha,
-    )
+    return PartialOrdering(methods, metric, tuple(edges), pair_tests, alpha)

@@ -108,12 +108,11 @@ def _search(
         for edge in reversed(_branch_edges(subset, durations)):
             stack.append(added + (edge,))
 
-    wall = time.monotonic() - t0
     if best_starts is None:
         status = SolveStatus.INFEASIBLE if exhausted else SolveStatus.UNKNOWN
-        return SaaOutcome(status, None, None, nodes, wall)
+        return SaaOutcome(status, None, None, nodes)
     for durations in scenarios:
         sched = Schedule.from_starts(best_starts, durations)
         assert check_schedule(inst, durations, sched).feasible
     status = SolveStatus.OPTIMAL if exhausted else SolveStatus.FEASIBLE
-    return SaaOutcome(status, best_starts, best / len(scenarios), nodes, wall)
+    return SaaOutcome(status, best_starts, best / len(scenarios), nodes)

@@ -150,6 +150,11 @@ def test_config_merges_method_overrides():
         {"instance_sets": {"s": "*.sch"}, "method_configs": {"stnu": {"gamma": "0.9"}}},
         {"instance_sets": {"s": "*.sch"}, "method_configs": {"proactive_saa": {"saa_gammas": 0.5}}},
         {"instance_sets": {"s": "*.sch"}, "parallelism": None},
+        # settings the method never reads
+        {"instance_sets": {"s": "*.sch"}, "method_configs": {"proactive_saa": {"gamma": 0.5}}},
+        {"instance_sets": {"s": "*.sch"}, "method_configs": {"stnu": {"saa_gammas": [0.5]}}},
+        {"instance_sets": {"s": "*.sch"}, "method_configs": {"proactive_q": {"time_limit_reschedule": 1}}},
+        {"instance_sets": {"s": "*.sch"}, "method_configs": {"reactive": {"saa_gammas": [0.5]}}},
     ],
 )
 def test_config_rejects_bad_mappings(mapping):
@@ -169,6 +174,10 @@ def test_config_rejects_bad_mappings(mapping):
         ),
         ({"method_configs": {"stnu": {"bogus": 1}}}, r"method_configs\['stnu'\]\.bogus"),
         ({"parallelism": None}, "parallelism must be an integer, got None"),
+        (
+            {"method_configs": {"proactive_saa": {"gamma": 0.5, "time_limit_reschedule": 1}}},
+            "proactive_saa does not read gamma, time_limit_reschedule",
+        ),
     ],
 )
 def test_config_type_errors_name_the_key(setting, message):
@@ -401,7 +410,7 @@ def test_cli_bench_rejects_one_instance_id_in_two_sets(tmp_path, monkeypatch, ca
     assert f"{twin} in set 'b'" in err
 
 
-@pytest.mark.parametrize("fault", ["id_clash", "parse_error"])
+@pytest.mark.parametrize("fault", ["id_clash", "parse_error", "int64_epsilon"])
 def test_cli_bench_rejected_config_keeps_previous_results(tmp_path, capsys, fault):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -420,6 +429,9 @@ def test_cli_bench_rejected_config_keeps_previous_results(tmp_path, capsys, faul
         "instance_sets": {"a": str(EXAMPLE), "b": str(other)},
         "output_dir": str(out_dir),
     }
+    if fault == "int64_epsilon":
+        # bounds within float range but beyond what a sample can draw
+        config = {**config, "instance_sets": {"a": str(EXAMPLE)}, "epsilons": [1e300]}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
     assert bench.main(["bench", "--config", str(cfg_path)]) == 2
@@ -522,7 +534,7 @@ def test_cli_data_errors_exit_two(tmp_path, capsys):
 def test_cli_rejects_out_of_range_numerics(tmp_path, capsys):
     simulate = ["simulate", "--instance", str(EXAMPLE), "--method", "stnu"]
     assert bench.main([*simulate, "--epsilon", "1", "--samples", "0"]) == 2
-    for epsilon in ("-1", "nan", "inf", "1e308"):
+    for epsilon in ("-1", "nan", "inf", "1e308", "1e300"):
         assert bench.main([*simulate, "--epsilon", epsilon]) == 2
     assert bench.main([*simulate, "--epsilon", "1", "--time-limit-offline", "nan"]) == 2
     for limit in ("nan", "0"):
@@ -549,9 +561,19 @@ def test_cli_rejects_out_of_range_numerics(tmp_path, capsys):
     assert "epsilon must be a finite number >= 0, got inf" in err
     # once from simulate, once from the bench config
     assert err.count("epsilon 1e+308 gives activity") == 2
+    assert "epsilon 1e+300 gives activity 1 a non-finite or beyond-int64 duration bound" in err
     assert "time_limit_offline must be a finite number, got nan" in err
     assert err.count("--time-limit must be positive") == 2
     assert "--alpha" in err
+
+
+def test_cli_simulate_rejects_settings_the_method_does_not_read(capsys):
+    argv = ["simulate", "--instance", str(EXAMPLE), "--epsilon", "1", "--samples", "1"]
+    unread = ["--gamma", "0.1", "--time-limit-reschedule", "5"]
+    assert bench.main([*argv, "--method", "proactive_saa", *unread]) == 2
+    assert "proactive_saa does not read gamma, time_limit_reschedule" in capsys.readouterr().err
+    assert bench.main([*argv, "--method", "stnu", "--saa-gammas", "0.5"]) == 2
+    assert "stnu does not read saa_gammas" in capsys.readouterr().err
 
 
 def test_cli_solve_prints_schedule(capsys):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -123,9 +124,12 @@ def test_make_stochastic_rejects_negative_epsilon(example_instance):
     for epsilon in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="epsilon must be a finite number >= 0"):
             make_stochastic(example_instance, epsilon)
-    # finite, but eps * sqrt(d) overflows from d = 4 on: activity 2 has d = 5
-    with pytest.raises(ValueError, match="epsilon 1e[+]308 gives activity 2 a non-finite"):
-        make_stochastic(example_instance, 1e308)
+    # finite, but d + eps * sqrt(d) passes int64 from activity 1 on (d = 2); at
+    # 1e308 it overflows to infinity from d = 4 on
+    for epsilon in (1e300, 1e308):
+        message = re.escape(f"epsilon {epsilon!r} gives activity 1 a non-finite")
+        with pytest.raises(ValueError, match=message):
+            make_stochastic(example_instance, epsilon)
 
 
 def test_stochastic_invariants():

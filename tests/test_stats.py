@@ -10,6 +10,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from stats_oracle import exact_two_sided_p
+from srcpsp import stats
 from srcpsp.methods import MethodRun
 from srcpsp.stats import (
     INF,
@@ -24,6 +25,7 @@ from srcpsp.stats import (
     PairedSeries,
     PartialOrdering,
     TestResult as PairTestResult,
+    UndefinedTest,
     ZeroVariance,
     build_partial_ordering,
     magnitude_test,
@@ -68,14 +70,13 @@ def test_paired_series_rejects_bad_values():
 
 
 def test_result_rejects_inconsistent_flag():
+    # significance is derived from p, so only an out-of-range p can contradict it
     with pytest.raises(ValueError):
-        PairTestResult(
-            n_pairs=3, statistic=0.0, p_value=0.5, significant=True, alpha=0.05
-        )
+        PairTestResult(n_pairs=3, statistic=0.0, p_value=1.5, alpha=0.05)
     with pytest.raises(ValueError):
-        PairTestResult(
-            n_pairs=3, statistic=0.0, p_value=1.5, significant=False, alpha=0.05
-        )
+        PairTestResult(n_pairs=3, statistic=0.0, p_value=-0.1, alpha=0.05)
+    assert PairTestResult(n_pairs=3, statistic=0.0, p_value=0.04, alpha=0.05).significant
+    assert not PairTestResult(n_pairs=3, statistic=0.0, p_value=0.05, alpha=0.05).significant
 
 
 def test_wilcoxon_symmetric_differences_wash_out():
@@ -233,9 +234,11 @@ def test_magnitude_matches_paired_t_reference():
 
 
 def test_magnitude_contract_violations():
-    with pytest.raises(ValueError):
+    # an infinite value breaks the contract; too few double hits leave it undefined
+    with pytest.raises(ValueError) as violation:
         magnitude_test(PairedSeries(((1.0, INF), (2.0, 3.0))))
-    with pytest.raises(ValueError):
+    assert not isinstance(violation.value, UndefinedTest)
+    with pytest.raises(UndefinedTest):
         magnitude_test(PairedSeries(((1.0, 2.0),)))
     with pytest.raises(ZeroVariance):
         # every pair normalizes to the same (2/3, 4/3) split
@@ -369,6 +372,21 @@ def test_ordering_reproduces_a_total_quality_chain():
     assert len(ordering.pair_tests) == 6
     for tests in ordering.pair_tests.values():
         assert tests.magnitude.n_pairs == 40
+
+
+def test_ordering_raises_contract_violations_of_a_test(monkeypatch):
+    # only an undefined test becomes n/a; any other ValueError is a fault
+    def broken(series, alpha):
+        raise ValueError("contract violated")
+
+    monkeypatch.setattr(stats, "magnitude_test", broken)
+    runs = [
+        feasible_run(method, f"i{k}", k, 10 + k % 3 + (method == "beta"))
+        for k in range(20)
+        for method in ("alpha", "beta")
+    ]
+    with pytest.raises(ValueError, match="contract violated"):
+        build_partial_ordering(runs, QUALITY)
 
 
 def test_ordering_time_metrics_use_run_walls():
