@@ -17,12 +17,13 @@ import json
 import logging
 import math
 import sys
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, TextIO
 
 from .instances import (
     DurationSample,
@@ -70,7 +71,7 @@ def _default_method_configs() -> dict[str, MethodConfig]:
 
 
 def _format_number(value: float) -> str:
-    """Canonical text for seeds and epsilons: integral floats print as ints."""
+    """Canonical text for epsilons and alphas: integral floats print as ints."""
     return f"{value:g}"
 
 
@@ -121,11 +122,10 @@ def _checked(fields: Mapping[str, _Check], data: Mapping[str, Any], prefix: str 
     return {key: fields[key](prefix + key, value) for key, value in data.items()}
 
 
+# a tuple-valued setting is a list of numbers, any other setting one number
 _METHOD_FIELDS = {
-    "gamma": _number,
-    "saa_gammas": _list_of(_number),
-    "time_limit_offline": _number,
-    "time_limit_reschedule": _number,
+    f.name: _list_of(_number) if isinstance(f.default, tuple) else _number
+    for f in dataclasses.fields(MethodConfig)
 }
 
 
@@ -195,7 +195,7 @@ class BenchConfig:
         if not self.instance_sets:
             raise ValueError("config needs at least one instance set")
         for name, patterns in self.instance_sets:
-            if not name or not patterns:
+            if not patterns:
                 raise ValueError(f"instance set {name!r} has no patterns")
         if self.instances_per_set < 1:
             raise ValueError("instances_per_set must be at least 1")
@@ -261,6 +261,11 @@ def _finite(text: str) -> float:
     return value
 
 
+def _printed(epsilon: float) -> float:
+    """``epsilon`` as a results file prints it and reads it back."""
+    return _finite(_format_number(epsilon))
+
+
 def _ms_as_seconds(text: str) -> float:
     return _finite(text) / 1000.0
 
@@ -290,8 +295,17 @@ _COLUMNS: tuple[tuple[str, str, Callable[[Any], str], Callable[[str], Any]], ...
 CSV_HEADER = ",".join(header for header, _, _, _ in _COLUMNS)
 
 
-def _csv_fields(run: MethodRun) -> list[str]:
-    return [to_text(getattr(run, name)) for _, name, to_text, _ in _COLUMNS]
+def _csv_sink(handle: TextIO, header: bool) -> Callable[[MethodRun], None]:
+    """Row writer onto ``handle``, after the header if asked; each row is flushed."""
+    if header:
+        handle.write(CSV_HEADER + "\n")
+    writer = csv.writer(handle, lineterminator="\n")
+
+    def sink(run: MethodRun) -> None:
+        writer.writerow([to_text(getattr(run, name)) for _, name, to_text, _ in _COLUMNS])
+        handle.flush()
+
+    return sink
 
 
 def sort_key(run: MethodRun) -> tuple:
@@ -322,10 +336,9 @@ class ResultsTable:
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        out.write(CSV_HEADER + "\n")
-        writer = csv.writer(out, lineterminator="\n")
+        sink = _csv_sink(out, header=True)
         for row in self.rows:
-            writer.writerow(_csv_fields(row))
+            sink(row)
         return out.getvalue()
 
     @classmethod
@@ -398,28 +411,6 @@ class _Cell:
     configs: dict[str, MethodConfig]
 
 
-def _instance_cells(
-    instance_set: str,
-    instance: str,
-    stochastic: StochasticInstance,
-    samples: int,
-    master_seed: int,
-    configs: dict[str, MethodConfig],
-) -> list[_Cell]:
-    """One instance's cells at one epsilon, seeded so every method is paired."""
-    return [
-        _Cell(
-            instance_set=instance_set,
-            instance=instance,
-            stochastic=stochastic,
-            sample=sample,
-            seed=derive_seed(master_seed, instance, stochastic.epsilon, sample),
-            configs=configs,
-        )
-        for sample in range(samples)
-    ]
-
-
 def _method_row(cell: _Cell, method: str, sample: DurationSample) -> MethodRun:
     """Run one method on the cell's realized sample, audit it, and stamp the cell."""
     run = _RUNNERS[method](cell.stochastic, cell.configs[method], sample)
@@ -489,14 +480,11 @@ def build_cells(config: BenchConfig) -> list[_Cell]:
     for set_name, instance_id, path in _resolve_instances(config):
         base = parse_psplib(path.read_text(encoding="utf-8"))
         for epsilon in config.epsilons:
-            cells += _instance_cells(
-                set_name,
-                instance_id,
-                make_stochastic(base, epsilon),
-                config.samples_per_instance,
-                config.master_seed,
-                configs,
-            )
+            stochastic = make_stochastic(base, epsilon)
+            # one seed per cell, shared by all its methods so their runs are paired
+            for sample in range(config.samples_per_instance):
+                seed = derive_seed(config.master_seed, instance_id, stochastic.epsilon, sample)
+                cells.append(_Cell(set_name, instance_id, stochastic, sample, seed, configs))
     return cells
 
 
@@ -513,14 +501,8 @@ def run_bench(
     """
     rows: list[MethodRun] = []
     excluded = 0
-    executor: ProcessPoolExecutor | None = None
-    if workers > 1:
-        executor = ProcessPoolExecutor(max_workers=workers)
-        produced: Iterable[list[MethodRun] | None] = executor.map(_run_cell, cells)
-    else:
-        produced = map(_run_cell, cells)
-    try:
-        for cell_rows in produced:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for cell_rows in map(_run_cell, cells) if pool is None else pool.map(_run_cell, cells):
             if cell_rows is None:
                 excluded += 1
                 continue
@@ -528,9 +510,6 @@ def run_bench(
                 if sink is not None:
                     sink(row)
                 rows.append(row)
-    finally:
-        if executor is not None:
-            executor.shutdown()
     rows.sort(key=sort_key)
     return ResultsTable(rows=tuple(rows)), excluded
 
@@ -638,12 +617,22 @@ def _parse_int_list(text: str, expected: int, label: str) -> tuple[int, ...]:
     return values
 
 
+def _numbers(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}") from None
+
+
 def _instance_and_durations(args: argparse.Namespace) -> tuple[ProjectInstance, tuple[int, ...]]:
     """The ``--instance`` file and its durations, or the ``--durations`` override."""
     base = parse_psplib(Path(args.instance).read_text(encoding="utf-8"))
     if args.durations is None:
         return base, base.durations
-    return base, _parse_int_list(args.durations, len(base.durations), "--durations")
+    durations = _parse_int_list(args.durations, len(base.durations), "--durations")
+    if min(durations) < 0:
+        raise ValueError("--durations must be nonnegative")
+    return base, durations
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -680,70 +669,56 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
-    base = parse_psplib(Path(args.instance).read_text(encoding="utf-8"))
-    instance_id = Path(args.instance).stem
-    stochastic = make_stochastic(base, args.epsilon)
-    overrides: dict[str, object] = {
-        key: getattr(args, key)
-        for key in ("gamma", "time_limit_offline", "time_limit_reschedule")
-        if getattr(args, key) is not None
-    }
-    if args.saa_gammas is not None:
-        try:
-            overrides["saa_gammas"] = [float(part) for part in args.saa_gammas.split(",")]
-        except ValueError:
-            raise ValueError("--saa-gammas must be a comma-separated list of numbers") from None
-    config = _configured(args.method, overrides)
+    overrides = {key: value for key in _METHOD_FIELDS if (value := getattr(args, key)) is not None}
+    # the cells of a one-instance bench, run without its perfect-information filter
+    config = BenchConfig(
+        instance_sets=((args.set, (globlib.escape(args.instance),)),),
+        epsilons=(args.epsilon,),
+        samples_per_instance=args.samples,
+        methods=(args.method,),
+        method_configs={args.method: _configured(args.method, overrides)},
+        master_seed=args.seed,
+    )
+    cells = build_cells(config)
     path = None if args.out is None else Path(args.out)
     kept = "" if path is None or not path.exists() else path.read_text(encoding="utf-8")
-    if kept and kept.partition("\n")[0].rstrip("\r") != CSV_HEADER:
-        raise ValueError(f"{path} is not a results CSV; not appending to it")
-    taken = {_row_key(row) for row in ResultsTable.from_csv(kept).rows} if kept else set()
-    epsilon = _finite(_format_number(args.epsilon))  # as the file reads it back
-    for sample in range(args.samples):
-        if (key := (args.method, instance_id, epsilon, sample)) in taken:
+    try:
+        taken = {_row_key(row) for row in ResultsTable.from_csv(kept).rows} if kept else set()
+    except ValueError as exc:
+        raise ValueError(f"{path} is not a results CSV ({exc}); not appending to it") from None
+    for cell in cells:
+        if (key := (args.method, cell.instance, _printed(args.epsilon), cell.sample)) in taken:
             raise ValueError(f"{path} already holds a row for {key}; not appending to it")
-    cells = _instance_cells(
-        args.set, instance_id, stochastic, args.samples, args.seed, {args.method: config}
-    )
     rows = [
-        _method_row(cell, args.method, sample_durations(stochastic, cell.seed))
+        _method_row(cell, args.method, sample_durations(cell.stochastic, cell.seed))
         for cell in cells
     ]
-    text = ResultsTable(rows=tuple(rows)).to_csv()
-    if path is None:
-        print(text, end="")
-    else:
-        if kept:  # no second header, and no row glued onto an unterminated last line
-            text = ("" if kept.endswith("\n") else "\n") + text.partition("\n")[2]
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(text)
-        feasible_count = sum(row.feasible for row in rows)
-        print(f"appended {len(rows)} rows ({feasible_count} feasible) to {path}")
+    with nullcontext(sys.stdout) if path is None else path.open("a", encoding="utf-8") as out:
+        if kept and not kept.endswith("\n"):  # no row glued onto an unterminated line
+            out.write("\n")
+        sink = _csv_sink(out, header=not kept)
+        for row in rows:
+            sink(row)
+    if path is not None:
+        print(f"appended {len(rows)} rows ({sum(row.feasible for row in rows)} feasible) to {path}")
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     config = BenchConfig.from_json(args.config)
     # building the cells resolves and parses every instance, so a config
-    # rejected there leaves the previous results file alone
+    # rejected there leaves the previous results files alone
     cells = build_cells(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
-    # rows stream to disk in completion order so an aborted run keeps its
-    # partial results; a successful run rewrites the file in sorted order
-    with results_path.open("w", encoding="utf-8") as handle:
-        handle.write(CSV_HEADER + "\n")
-        writer = csv.writer(handle, lineterminator="\n")
-
-        def sink(row: MethodRun) -> None:
-            writer.writerow(_csv_fields(row))
-            handle.flush()
-
-        table, excluded = run_bench(cells, config.parallelism, sink)
-    results_path.write_text(table.to_csv(), encoding="utf-8")
     feasibility_path = out_dir / "feasibility.csv"
+    # rows stream to disk in completion order so an aborted run keeps its partial
+    # results (and no earlier feasibility table); a success rewrites them sorted
+    feasibility_path.unlink(missing_ok=True)
+    with results_path.open("w", encoding="utf-8") as handle:
+        table, excluded = run_bench(cells, config.parallelism, _csv_sink(handle, header=True))
+    results_path.write_text(table.to_csv(), encoding="utf-8")
     feasibility_path.write_text(feasibility_csv(table), encoding="utf-8")
     print(
         f"{len(table)} rows over {len(table.methods())} methods "
@@ -759,7 +734,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("--alpha must lie strictly between 0 and 1")
     table = ResultsTable.from_csv(Path(args.results).read_text(encoding="utf-8"))
-    runs = table.to_method_runs(epsilon=args.epsilon, instance_set=args.set)
+    epsilon = None if args.epsilon is None else _printed(args.epsilon)
+    runs = table.to_method_runs(epsilon=epsilon, instance_set=args.set)
     if not runs:
         raise ValueError("no rows match the requested filters")
     ordering = build_partial_ordering(runs, args.metric, args.alpha)
@@ -804,10 +780,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--samples", type=int, default=10)
     p_sim.add_argument("--seed", type=int, default=1)
     p_sim.add_argument("--set", default="adhoc", help="instance-set label for the rows")
-    p_sim.add_argument("--gamma", type=float)
-    p_sim.add_argument("--saa-gammas", help="comma-separated quantile levels")
-    p_sim.add_argument("--time-limit-offline", type=float)
-    p_sim.add_argument("--time-limit-reschedule", type=float)
+    for name, check in _METHOD_FIELDS.items():
+        flag = "--" + name.replace("_", "-")
+        if check is _number:
+            p_sim.add_argument(flag, type=float)
+        else:
+            p_sim.add_argument(flag, type=_numbers, help="comma-separated numbers")
     p_sim.add_argument("--out", help="CSV file to append rows to (default: stdout)")
     p_sim.set_defaults(handler=_cmd_simulate)
 

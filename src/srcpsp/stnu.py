@@ -277,12 +277,8 @@ def _witness(*derivations: _Derivation) -> NotDc:
 def _allmax_witness(prop: _Propagator) -> NotDc | None:
     """Negative cycle in the all-max projection (waits read as hard bounds)."""
     n = prop.stnu.n_timepoints
-    tight: dict[tuple[int, int], tuple[int, _Derivation]] = {}
-    for (u, v), w in prop.ord.items():
-        if u == v:
-            continue
-        if (u, v) not in tight or w < tight[(u, v)][0]:
-            tight[(u, v)] = (w, prop.ord_how[(u, v)])
+    # the derived ordinary edges hold no self-loop (put_ord drops or rejects them)
+    tight = {key: (w, prop.ord_how[key]) for key, w in prop.ord.items()}
     for (u, c), w in prop.uc.items():
         v = prop.activation[c]
         if u == v:
@@ -311,9 +307,7 @@ def dc_check(stnu: Stnu) -> Controllable | NotDc:
     cycle = _allmax_witness(prop)
     if cycle is not None:
         return cycle
-    ordinary = tuple(
-        sorted((u, v, w) for (u, v), w in prop.ord.items() if u != v)
-    )
+    ordinary = tuple(sorted((u, v, w) for (u, v), w in prop.ord.items()))
     waits = tuple(
         sorted(
             (u, prop.activation[c], w, c)

@@ -24,7 +24,7 @@ from srcpsp.bench import (
     sort_key,
 )
 from srcpsp.instances import ProjectInstance, serialize_psplib
-from srcpsp.methods import PROACTIVE_Q, STNU, MethodRun
+from srcpsp.methods import PROACTIVE_Q, STNU, MethodConfig, MethodRun
 from srcpsp.stats import STRONG, WEAK, PartialOrdering
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -193,6 +193,13 @@ def test_readme_bench_example_shows_the_defaults():
     assert set(example) == {f.name for f in dataclasses.fields(BenchConfig)}
     for key in set(example) - {"instance_sets"}:
         assert getattr(shown, key) == getattr(defaults, key), key
+
+
+def test_readme_names_a_simulate_flag_for_every_method_setting():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    simulate = readme.split("### simulate\n", 1)[1].split("\n### ", 1)[0]
+    for setting in dataclasses.fields(MethodConfig):
+        assert f"`--{setting.name.replace('_', '-')}`" in simulate, setting.name
 
 
 def test_config_rejects_epsilons_that_print_alike():
@@ -419,6 +426,9 @@ def test_cli_bench_rejected_config_keeps_previous_results(tmp_path, capsys, faul
         ResultsTable(rows=(make_row(), make_row(sample=1))).to_csv(), encoding="utf-8"
     )
     before = previous.read_bytes()
+    shares = out_dir / "feasibility.csv"
+    shares.write_text("epsilon,instance_set,method,feasible_ratio\n1,j10,stnu,1\n", encoding="utf-8")
+    shares_before = shares.read_bytes()
     other = tmp_path / "example.sch"
     if fault == "id_clash":
         other.write_text(EXAMPLE.read_text(encoding="utf-8"), encoding="utf-8")
@@ -437,6 +447,37 @@ def test_cli_bench_rejected_config_keeps_previous_results(tmp_path, capsys, faul
     assert bench.main(["bench", "--config", str(cfg_path)]) == 2
     assert "error" in capsys.readouterr().err
     assert previous.read_bytes() == before
+    assert shares.read_bytes() == shares_before
+
+
+def test_cli_bench_aborted_run_leaves_no_stale_feasibility(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def failing_on_second_call(stoch, cfg, sample):
+        calls.append(sample.seed)
+        if len(calls) == 2:
+            raise ValueError("second run fails")
+        return bench.run_proactive_quantile(stoch, cfg, sample)
+
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "feasibility.csv").write_text("from an earlier run\n", encoding="utf-8")
+    monkeypatch.setitem(bench._RUNNERS, PROACTIVE_Q, failing_on_second_call)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "instance_sets": {"demo": str(EXAMPLE)},
+        "epsilons": [1],
+        "samples_per_instance": 3,
+        "methods": [PROACTIVE_Q],
+        "output_dir": str(out_dir),
+    }), encoding="utf-8")
+    assert bench.main(["bench", "--config", str(cfg_path)]) == 2
+    assert "second run fails" in capsys.readouterr().err
+    assert len(calls) == 2
+    # the first run's row streamed to disk; no earlier run's shares sit beside it
+    partial = ResultsTable.from_csv((out_dir / "results.csv").read_text(encoding="utf-8"))
+    assert [(row.method, row.sample) for row in partial.rows] == [(PROACTIVE_Q, 0)]
+    assert not (out_dir / "feasibility.csv").exists()
 
 
 def test_cli_bench_rejects_mistyped_method_setting(tmp_path, capsys):
@@ -514,6 +555,12 @@ def test_cli_usage_errors_exit_one(capsys):
     assert info.value.code == 1
     err = capsys.readouterr().err
     assert "usage" in err
+    simulate = ["simulate", "--instance", str(EXAMPLE), "--epsilon", "1"]
+    for setting in (["--gamma", "x"], ["--saa-gammas", "0.5,x"]):
+        with pytest.raises(SystemExit) as info:
+            bench.main([*simulate, "--method", "proactive_saa", *setting])
+        assert info.value.code == 1
+    assert "argument --saa-gammas: not a comma-separated list of numbers" in capsys.readouterr().err
 
 
 def test_cli_data_errors_exit_two(tmp_path, capsys):
@@ -529,6 +576,13 @@ def test_cli_data_errors_exit_two(tmp_path, capsys):
     )
     err = capsys.readouterr().err
     assert "error" in err
+    # a negative duration is rejected by check as it is by solve
+    negative = ["--durations", "0,-2,5,3,2,2,0"]
+    check = ["check", "--instance", str(EXAMPLE), "--schedule", "0,1,3,5,0,3,7"]
+    assert bench.main([*check, *negative]) == 2
+    assert bench.main(["solve", str(EXAMPLE), *negative]) == 2
+    err = capsys.readouterr().err
+    assert err.count("--durations must be nonnegative") == 2
 
 
 def test_cli_rejects_out_of_range_numerics(tmp_path, capsys):
@@ -658,6 +712,28 @@ def test_cli_simulate_refuses_to_append_to_a_foreign_csv(tmp_path, monkeypatch, 
     assert foreign.read_bytes() == before
 
 
+def test_cli_simulate_rows_equal_a_one_instance_bench(tmp_path):
+    # simulate runs the cells of a one-instance bench (master_seed = --seed),
+    # so its rows are that bench's rows of the method, wall times apart
+    def stripped(rows):
+        return [dataclasses.replace(r, time_offline=0.0, time_online=0.0) for r in rows]
+
+    config = small_config(
+        tmp_path, instance_sets={"x": str(EXAMPLE)}, epsilons=[1.5], master_seed=9
+    )
+    table, excluded = run_config(config)
+    assert excluded == 0
+    benched = ResultsTable.from_csv(table.to_csv()).rows  # epsilons as the file prints them
+    for method in config.methods:
+        out_file = tmp_path / f"{method}.csv"
+        argv = ["simulate", "--instance", str(EXAMPLE), "--method", method, "--epsilon", "1.5"]
+        argv += ["--samples", "3", "--seed", "9", "--set", "x", "--out", str(out_file)]
+        assert bench.main(argv) == 0
+        simulated = ResultsTable.from_csv(out_file.read_text(encoding="utf-8")).rows
+        assert len(simulated) == 3
+        assert stripped(simulated) == stripped(r for r in benched if r.method == method)
+
+
 def test_cli_simulate_prints_csv_without_out(capsys):
     argv = [
         "simulate",
@@ -670,6 +746,9 @@ def test_cli_simulate_prints_csv_without_out(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == CSV_HEADER
     assert out[1].split(",")[4] == "proactive_q"
+    # an empty set label is a label like any other
+    assert bench.main([*argv, "--set", ""]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith(",example,0,0,proactive_q,")
 
 
 def test_cli_bench_writes_results_and_feasibility(tmp_path, capsys):
@@ -763,6 +842,24 @@ def test_cli_stats_report_text_is_pinned(tmp_path, capsys):
     argv = ["stats", "--results", str(csv_path), "--metric", "quality", "--alpha", "0.02"]
     assert bench.main(argv) == 0
     assert capsys.readouterr().out == STATS_GOLDEN
+
+
+def test_cli_stats_epsilon_matches_the_printed_value(tmp_path, capsys):
+    # epsilon 1.2345678 is written as 1.23457; the filter must find it either way
+    rows = []
+    for k in range(10):
+        key = dict(instance=f"i{k:02d}", seed=k, epsilon=1.2345678)
+        rows.append(make_row(method="alpha", makespan=10, **key))
+        rows.append(make_row(method="beta", makespan=20 + k, **key))
+    csv_path = tmp_path / "results.csv"
+    csv_path.write_text(ResultsTable(rows=tuple(rows)).to_csv(), encoding="utf-8")
+    argv = ["stats", "--results", str(csv_path), "--metric", "quality"]
+    reports = []
+    for epsilon in ("1.2345678", "1.23457"):
+        assert bench.main([*argv, "--epsilon", epsilon]) == 0
+        reports.append(capsys.readouterr().out)
+    assert "alpha vs beta (n=10)" in reports[0]
+    assert reports[0] == reports[1]
 
 
 def test_cli_stats_rejects_empty_selection(tmp_path, capsys):
