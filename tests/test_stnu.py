@@ -388,3 +388,48 @@ def test_dc_check_pinned(group):
             closures.append((res.estnu.base.ordinary_edges, res.estnu.wait_edges))
     got = (len(closures), len(witnesses), _digest(witnesses), _digest(closures))
     assert got == DC_CHECK_GOLDEN[group]
+
+
+def _rte_cases(group: str):
+    """(network, sample) pairs: closures of the golden networks, or raw ones."""
+    rng = random.Random(0x47E)
+    source = "random" + group[-1] if group.startswith("raw") else group
+    for stnu in _golden_networks(source):
+        if group.startswith("raw"):
+            estnu = Estnu(base=stnu, wait_edges=())
+        else:
+            res = dc_check(stnu)
+            if not isinstance(res, Controllable):
+                continue
+            estnu = res.estnu
+        for _ in range(3):
+            durations = [0] * stnu.n_activities
+            for _, c, low, high in stnu.contingent_links:
+                durations[c // 2] = rng.randint(low, high)
+            yield estnu, DurationSample(tuple(durations))
+
+
+# (traces, RteErrors, digest of every trace or error in order), recorded from
+# the dispatcher that scans every group at each decision
+RTE_GOLDEN = {
+    "random3": (696, 0, "1af3a9d0570e7b62"),
+    "random5": (744, 0, "993b0d853c446189"),
+    "raw3": (691, 209, "677b3335a234d770"),
+    "raw5": (741, 159, "9e9a2e00fe5ccabb"),
+    "j10": (144, 0, "a9d53f7308a733c6"),
+}
+
+
+@pytest.mark.parametrize("group", sorted(RTE_GOLDEN))
+def test_rte_execute_pinned(group):
+    outcomes = []
+    for estnu, sample in _rte_cases(group):
+        try:
+            trace = rte_execute(estnu, sample)
+        except RteError as err:
+            outcomes.append(("RteError", str(err)))
+        else:
+            outcomes.append((trace.times, trace.makespan, trace.decisions))
+    errors = sum(out[0] == "RteError" for out in outcomes)
+    got = (len(outcomes) - errors, errors, _digest(outcomes))
+    assert got == RTE_GOLDEN[group]
