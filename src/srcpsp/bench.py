@@ -414,13 +414,20 @@ class _Cell:
 def _method_row(cell: _Cell, method: str, sample: DurationSample) -> MethodRun:
     """Run one method on the cell's realized sample, audit it, and stamp the cell."""
     run = _RUNNERS[method](cell.stochastic, cell.configs[method], sample)
-    # replay every claimed-feasible execution before it is persisted
+    # replay every claimed-feasible execution, and its makespan, before it is persisted
     if run.feasible:
+        if run.starts is None:
+            raise RuntimeError(f"audit failure: {method} reported no starts on {cell.instance}")
         schedule = Schedule.from_starts(run.starts, sample.durations)
         if not check_schedule(cell.stochastic.base, sample.durations, schedule).feasible:
             raise RuntimeError(
                 f"audit failure: {method} reported an infeasible execution "
                 f"as feasible on {cell.instance}"
+            )
+        if run.makespan != schedule.makespan:
+            raise RuntimeError(
+                f"audit failure: {method} reported makespan {run.makespan} on "
+                f"{cell.instance}, but its starts replay to {schedule.makespan}"
             )
     return dataclasses.replace(
         run,

@@ -70,8 +70,14 @@ class MethodRun:
     sample: int | None = None
 
     def __post_init__(self) -> None:
+        if self.feasible == (self.failure_reason is not None):
+            raise ValueError("a run is feasible exactly when it has no failure reason")
         if self.feasible and self.makespan is None:
             raise ValueError("feasible run must report a makespan")
+        if not self.feasible and self.makespan is not None:
+            raise ValueError("infeasible run must not report a makespan")
+        if self.makespan is not None and self.makespan < 0:
+            raise ValueError("makespan must be nonnegative")
         if self.time_offline < 0 or self.time_online < 0:
             raise ValueError("time components must be nonnegative")
 

@@ -75,15 +75,7 @@ class PairedSeries:
 
     def differences(self) -> tuple[float, ...]:
         """Per-pair a - b; an infinite side makes the difference +/- infinity."""
-        out = []
-        for a, b in self.pairs:
-            if a == INF:
-                out.append(INF)
-            elif b == INF:
-                out.append(-INF)
-            else:
-                out.append(a - b)
-        return tuple(out)
+        return tuple(a - b for a, b in self.pairs)
 
 
 @dataclass(frozen=True)

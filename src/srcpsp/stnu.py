@@ -17,7 +17,6 @@ closed edge set an executor can dispatch greedily.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .chaining import PartialOrderSchedule
@@ -312,7 +311,7 @@ def dc_check(stnu: Stnu) -> Controllable | NotDc:
         sorted(
             (u, prop.activation[c], w, c)
             for (u, c), w in prop.uc.items()
-            if w < -prop.low[c] and u != c and u != prop.activation[c]
+            if w < -prop.low[c] and u != c
         )
     )
     base = Stnu(
@@ -323,38 +322,19 @@ def dc_check(stnu: Stnu) -> Controllable | NotDc:
     return Controllable(estnu=Estnu(base=base, wait_edges=waits))
 
 
-class _Groups:
-    """Union-find over controllable timepoints rigidly tied by mutual 0-edges."""
-
-    def __init__(self, n: int, ord_pairs: dict[tuple[int, int], int], contingent: set[int]):
-        self.parent = list(range(n))
-        for (u, v), w in ord_pairs.items():
-            if w == 0 and ord_pairs.get((v, u)) == 0:
-                if u not in contingent and v not in contingent:
-                    self.union(u, v)
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def rte_execute(estnu: Estnu, sample: DurationSample) -> ExecutionTrace:
     """Dispatch the closure online, always executing the earliest-ready timepoints.
 
-    Contingent timepoints fire at activation + realized duration and are
-    observed before any controllable executes at the same instant.  A
+    Contingent timepoints fire at activation + realized duration.  A
     controllable is enabled once every nonpositive outgoing ordinary edge
-    points at an executed timepoint (mutually rigid groups move together)
-    and no wait is still undetermined; it then executes at the maximum of
-    its released bounds.  On a genuine DC closure this never violates an
-    edge; violations or deadlocks mean the input was not such a closure.
+    points at an executed timepoint and no wait is still undetermined; it
+    then executes at the maximum of its released bounds.  Controllables tied
+    by mutual 0-edges form a rigid group, keyed by its lowest member, that is
+    enabled and executes as one.  Each decision takes the earliest due entry:
+    at one instant, firings are observed before any group executes, and the
+    decision batches every due firing, or every ready group, at that time.
+    On a genuine DC closure this never violates an edge; violations or
+    deadlocks mean the input was not such a closure.
     """
     stnu = estnu.base
     n = stnu.n_timepoints
@@ -366,7 +346,6 @@ def rte_execute(estnu: Estnu, sample: DurationSample) -> ExecutionTrace:
                 f"realized duration {d} outside [{low}, {high}] for {stnu.label(c)}"
             )
         realized[c] = d
-    contingent = set(realized)
 
     out_edges: dict[int, list[tuple[int, int]]] = {u: [] for u in range(n)}
     pair: dict[tuple[int, int], int] = {}
@@ -380,11 +359,22 @@ def rte_execute(estnu: Estnu, sample: DurationSample) -> ExecutionTrace:
     for x, a, w, c in estnu.wait_edges:
         waits_by_source[x].append((a, w, c))
 
-    groups = _Groups(n, pair, contingent)
+    # union-find over the rigid pairs; every parent is lower, so a root is
+    # its group's lowest member
+    parent = list(range(n))
+    for (u, v), w in pair.items():
+        if w == 0 and pair.get((v, u)) == 0 and realized.keys().isdisjoint((u, v)):
+            roots = []
+            for x in (u, v):
+                while parent[x] != x:
+                    x = parent[x]
+                roots.append(x)
+            parent[max(roots)] = min(roots)
     members: dict[int, list[int]] = {}
     for tp in range(n):
-        if tp not in contingent:
-            members.setdefault(groups.find(tp), []).append(tp)
+        parent[tp] = parent[parent[tp]]  # lower entries already hold their root
+        if tp not in realized:
+            members.setdefault(parent[tp], []).append(tp)
 
     times: dict[int, int] = {}
     decisions: list[tuple[int, tuple[int, ...]]] = []
@@ -411,36 +401,25 @@ def rte_execute(estnu: Estnu, sample: DurationSample) -> ExecutionTrace:
         return bound
 
     while len(times) < n:
-        firings: dict[int, int] = {}
-        for a, c, _, _ in stnu.contingent_links:
-            if a in times and c not in times:
-                firings[c] = times[a] + realized[c]
-        ready: list[tuple[int, int]] = []  # (time, group root)
-        for root, group in members.items():
-            if any(tp in times for tp in group):
+        # (time, kind, members): kind 0 fires a contingent, kind 1 executes a group
+        due = [
+            (times[a] + realized[c], 0, [c])
+            for a, c, _, _ in stnu.contingent_links
+            if a in times and c not in times
+        ]
+        for group in members.values():
+            if group[0] in times:  # a group executes as one
                 continue
             bounds = [member_bound(tp, group) for tp in group]
-            if any(b is None for b in bounds):
-                continue
-            ready.append((max(now, max(bounds)), root))
-        if not firings and not ready:
+            if None not in bounds:
+                due.append((max(now, *bounds), 1, group))
+        if not due:
             raise RteError("execution deadlocked; input is not a dispatchable DC closure")
-        t_fire = min(firings.values()) if firings else math.inf
-        t_exec = min(t for t, _ in ready) if ready else math.inf
-        if t_fire <= t_exec:
-            batch = sorted(c for c, t in firings.items() if t == t_fire)
-            for c in batch:
-                times[c] = t_fire
-            decisions.append((t_fire, tuple(batch)))
-            now = t_fire
-        else:
-            batch = sorted(
-                tp for t, root in ready if t == t_exec for tp in members[root]
-            )
-            for tp in batch:
-                times[tp] = t_exec
-            decisions.append((t_exec, tuple(batch)))
-            now = t_exec
+        now, kind, _ = min(due)
+        batch = sorted(tp for t, k, group in due if t == now and k == kind for tp in group)
+        for tp in batch:
+            times[tp] = now
+        decisions.append((now, tuple(batch)))
 
     for (u, v), w in pair.items():
         if times[v] - times[u] > w:

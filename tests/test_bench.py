@@ -24,7 +24,7 @@ from srcpsp.bench import (
     sort_key,
 )
 from srcpsp.instances import ProjectInstance, serialize_psplib
-from srcpsp.methods import PROACTIVE_Q, STNU, MethodConfig, MethodRun
+from srcpsp.methods import PROACTIVE_Q, STNU, MethodConfig, MethodRun, run_proactive_quantile
 from srcpsp.stats import STRONG, WEAK, PartialOrdering
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -262,6 +262,15 @@ def test_results_csv_reports_offending_line():
     text = CSV_HEADER + "\n" + good + "j10,i,1,1,stnu,false,,-1.0,1.0,not_dc,6\n"
     with pytest.raises(ValueError, match="line 3: time components must be nonnegative"):
         ResultsTable.from_csv(text)
+    # a run is feasible exactly when it has a makespan and no failure tag
+    for bad, message in (
+        ("j10,i,1,1,stnu,false,12,1.0,1.0,,6", "exactly when it has no failure reason"),
+        ("j10,i,1,1,stnu,false,12,1.0,1.0,not_dc,6", "infeasible run must not report a makespan"),
+        ("j10,i,1,1,stnu,true,12,1.0,1.0,not_dc,6", "exactly when it has no failure reason"),
+        ("j10,i,1,1,stnu,true,-3,1.0,1.0,,6", "makespan must be nonnegative"),
+    ):
+        with pytest.raises(ValueError, match=f"line 3: .*{message}"):
+            ResultsTable.from_csv(CSV_HEADER + "\n" + good + bad + "\n")
     # non-finite numbers are not run records, and a row keyed nan would slip
     # past the duplicate-row check because nan != nan
     for bad in (
@@ -523,6 +532,25 @@ def test_audit_stops_methods_that_misreport_feasibility(tmp_path, monkeypatch, e
 
     monkeypatch.setitem(bench._RUNNERS, PROACTIVE_Q, lying_runner)
     with pytest.raises(RuntimeError, match="audit"):
+        entry(tmp_path, PROACTIVE_Q)
+
+    # a feasible execution that misstates its makespan, the quality metric
+    def short_runner(stoch, cfg, sample):
+        run = run_proactive_quantile(stoch, cfg, sample)
+        assert run.feasible
+        return dataclasses.replace(run, makespan=run.makespan - 1)
+
+    monkeypatch.setitem(bench._RUNNERS, PROACTIVE_Q, short_runner)
+    replayed = r"reported makespan \d+ on example, but its starts replay to \d+"
+    with pytest.raises(RuntimeError, match=replayed):
+        entry(tmp_path, PROACTIVE_Q)
+
+    # a feasible claim without starts cannot be replayed
+    def startless_runner(stoch, cfg, sample):
+        return dataclasses.replace(run_proactive_quantile(stoch, cfg, sample), starts=None)
+
+    monkeypatch.setitem(bench._RUNNERS, PROACTIVE_Q, startless_runner)
+    with pytest.raises(RuntimeError, match="audit failure: proactive_q reported no starts"):
         entry(tmp_path, PROACTIVE_Q)
 
 
