@@ -416,8 +416,10 @@ def _method_row(cell: _Cell, method: str, sample: DurationSample) -> MethodRun:
     run = _RUNNERS[method](cell.stochastic, cell.configs[method], sample)
     # replay every claimed-feasible execution, and its makespan, before it is persisted
     if run.feasible:
-        if run.starts is None:
-            raise RuntimeError(f"audit failure: {method} reported no starts on {cell.instance}")
+        if run.starts is None or len(run.starts) != len(sample.durations):
+            raise RuntimeError(
+                f"audit failure: {method} reported no start for every activity on {cell.instance}"
+            )
         schedule = Schedule.from_starts(run.starts, sample.durations)
         if not check_schedule(cell.stochastic.base, sample.durations, schedule).feasible:
             raise RuntimeError(

@@ -363,7 +363,7 @@ def rte_execute(estnu: Estnu, sample: DurationSample) -> ExecutionTrace:
     # its group's lowest member
     parent = list(range(n))
     for (u, v), w in pair.items():
-        if w == 0 and pair.get((v, u)) == 0 and realized.keys().isdisjoint((u, v)):
+        if w == 0 and pair.get((v, u)) == 0 and u not in realized and v not in realized:
             roots = []
             for x in (u, v):
                 while parent[x] != x:

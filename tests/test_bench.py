@@ -545,13 +545,16 @@ def test_audit_stops_methods_that_misreport_feasibility(tmp_path, monkeypatch, e
     with pytest.raises(RuntimeError, match=replayed):
         entry(tmp_path, PROACTIVE_Q)
 
-    # a feasible claim without starts cannot be replayed
-    def startless_runner(stoch, cfg, sample):
-        return dataclasses.replace(run_proactive_quantile(stoch, cfg, sample), starts=None)
+    # a feasible claim without a start for every activity cannot be replayed
+    for cut in (lambda starts: None, lambda starts: starts[:-1]):
 
-    monkeypatch.setitem(bench._RUNNERS, PROACTIVE_Q, startless_runner)
-    with pytest.raises(RuntimeError, match="audit failure: proactive_q reported no starts"):
-        entry(tmp_path, PROACTIVE_Q)
+        def startless_runner(stoch, cfg, sample, cut=cut):
+            run = run_proactive_quantile(stoch, cfg, sample)
+            return dataclasses.replace(run, starts=cut(run.starts))
+
+        monkeypatch.setitem(bench._RUNNERS, PROACTIVE_Q, startless_runner)
+        with pytest.raises(RuntimeError, match="proactive_q reported no start for every activity"):
+            entry(tmp_path, PROACTIVE_Q)
 
 
 # -- reporting -------------------------------------------------------------
