@@ -13,8 +13,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from graphlib import CycleError, TopologicalSorter
-
-from scipy import stats as _scipy_stats
+from itertools import groupby
 
 from .methods import MethodRun
 
@@ -158,7 +157,16 @@ def wilcoxon_pratt(series: PairedSeries, alpha: float = 0.05) -> TestResult:
     n = len(diffs)
     if n == 0 or all(d == 0 for d in diffs):
         raise NoNonzeroDifferences("every pair is tied")
-    ranks = _scipy_stats.rankdata([abs(d) for d in diffs])
+    magnitudes = [abs(d) for d in diffs]
+    order = sorted(range(n), key=magnitudes.__getitem__)
+    ranks = [0.0] * n
+    i = 0
+    for _, tied in groupby(order, key=magnitudes.__getitem__):
+        block = list(tied)
+        j = i + len(block) - 1
+        for k in block:
+            ranks[k] = (i + j + 2) / 2  # tie block i..j (0-based) shares its mean rank
+        i = j + 1
     zeros = sum(1 for d in diffs if d == 0)
     worse_a = float(sum(r for r, d in zip(ranks, diffs) if d > 0))
     worse_b = float(sum(r for r, d in zip(ranks, diffs) if d < 0))
@@ -234,7 +242,8 @@ def magnitude_test(series: PairedSeries, alpha: float = 0.05) -> TestResult:
         raise ZeroVariance("normalized differences are constant")
     spread = math.sqrt(scatter / (n - 1))
     t = mean_d / (spread / math.sqrt(n))
-    p = 2.0 * float(_scipy_stats.t.sf(abs(t), n - 1))
+    from scipy import stats as scipy_stats  # here only: importing it dominates startup
+    p = 2.0 * float(scipy_stats.t.sf(abs(t), n - 1))
     return TestResult(
         n_pairs=n,
         statistic=t,

@@ -17,6 +17,7 @@ closed edge set an executor can dispatch greedily.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .chaining import PartialOrderSchedule
@@ -73,16 +74,21 @@ class Estnu:
 
     A wait edge (x, a, w, c) with w < 0 reads: while contingent c is
     unobserved, x may not execute before t_a - w; observing c releases it.
+    Its activation a must be c's, as ``dc_check`` emits it.
     """
 
     base: Stnu
     wait_edges: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self) -> None:
-        contingent = {c for _, c, _, _ in self.base.contingent_links}
-        for _, _, _, c in self.wait_edges:
-            if c not in contingent:
+        activation = {c: a for a, c, _, _ in self.base.contingent_links}
+        for x, a, _, c in self.wait_edges:
+            if not 0 <= x < self.base.n_timepoints:
+                raise ValueError(f"wait edge source {x} out of range")
+            if c not in activation:
                 raise ValueError(f"wait edge labeled by non-contingent timepoint {c}")
+            if a != activation[c]:
+                raise ValueError(f"wait edge activation {a} is not {c}'s activation")
 
 
 @dataclass(frozen=True)
@@ -333,12 +339,27 @@ def rte_execute(estnu: Estnu, sample: DurationSample) -> ExecutionTrace:
     enabled and executes as one.  Each decision takes the earliest due entry:
     at one instant, firings are observed before any group executes, and the
     decision batches every due firing, or every ready group, at that time.
+
+    Dispatch is event-driven (RTE*, Hunsberger 2016): each group counts its
+    undetermined requirements (nonpositive edges to unexecuted timepoints
+    outside it, waits on unexecuted activations) and keeps an edge bound,
+    max t_v - w over executed heads, plus one wait bound t_a - w per
+    unfired label.  Executing a timepoint walks its incoming edges and the
+    waits it activates or labels once; ready groups sit in a heap keyed by
+    bound and stale entries are skipped.  A wait's bound is dropped when its
+    label fires: it then releases at min(t_c, t_a - w) <= now, which no
+    longer constrains anything, so group bounds can fall as well as rise.
     On a genuine DC closure this never violates an edge; violations or
     deadlocks mean the input was not such a closure.
     """
     stnu = estnu.base
     n = stnu.n_timepoints
+    if len(sample.durations) != stnu.n_activities:
+        raise ValueError(
+            f"sample has {len(sample.durations)} durations for {stnu.n_activities} activities"
+        )
     realized: dict[int, int] = {}
+    activates: dict[int, list[int]] = {tp: [] for tp in range(n)}
     for a, c, low, high in stnu.contingent_links:
         d = sample.durations[c // 2]
         if not low <= d <= high:
@@ -346,18 +367,13 @@ def rte_execute(estnu: Estnu, sample: DurationSample) -> ExecutionTrace:
                 f"realized duration {d} outside [{low}, {high}] for {stnu.label(c)}"
             )
         realized[c] = d
+        activates[a].append(c)
 
-    out_edges: dict[int, list[tuple[int, int]]] = {u: [] for u in range(n)}
     pair: dict[tuple[int, int], int] = {}
     for u, v, w in stnu.ordinary_edges:
         key = (u, v)
         if key not in pair or w < pair[key]:
             pair[key] = w
-    for (u, v), w in pair.items():
-        out_edges[u].append((v, w))
-    waits_by_source: dict[int, list[tuple[int, int, int]]] = {u: [] for u in range(n)}
-    for x, a, w, c in estnu.wait_edges:
-        waits_by_source[x].append((a, w, c))
 
     # union-find over the rigid pairs; every parent is lower, so a root is
     # its group's lowest member
@@ -376,50 +392,72 @@ def rte_execute(estnu: Estnu, sample: DurationSample) -> ExecutionTrace:
         if tp not in realized:
             members.setdefault(parent[tp], []).append(tp)
 
+    # per group: undetermined requirements, edge bound, wait bound per label
+    pending = dict.fromkeys(members, 0)
+    edge_bound = dict.fromkeys(members, 0)
+    wait_bound: dict[int, dict[int, int]] = {g: {} for g in members}
+    into: dict[int, list[tuple[int, int]]] = {tp: [] for tp in range(n)}
+    for (u, v), w in pair.items():
+        if u not in realized and parent[v] != parent[u]:
+            into[v].append((parent[u], w))
+            pending[parent[u]] += w <= 0
+    labeled: dict[int, list[tuple[int, int]]] = {c: [] for c in realized}
+    for x, _, w, c in estnu.wait_edges:
+        if x not in realized:
+            labeled[c].append((parent[x], w))
+            pending[parent[x]] += 1
+
     times: dict[int, int] = {}
     decisions: list[tuple[int, tuple[int, ...]]] = []
     now = 0
-
-    def member_bound(tp: int, group: list[int]) -> int | None:
-        """Earliest allowed time, or None while some requirement is undetermined."""
-        bound = 0
-        for v, w in out_edges[tp]:
-            if v in times:
-                bound = max(bound, times[v] - w)
-            elif w <= 0 and v not in group:
-                return None
-        for a, w, c in waits_by_source[tp]:
-            if c in times:
-                release = times[c]
-                if a in times:
-                    release = min(release, times[a] - w)
-                bound = max(bound, release)
-            elif a in times:
-                bound = max(bound, times[a] - w)
-            else:
-                return None
-        return bound
-
-    while len(times) < n:
-        # (time, kind, members): kind 0 fires a contingent, kind 1 executes a group
-        due = [
-            (times[a] + realized[c], 0, [c])
-            for a, c, _, _ in stnu.contingent_links
-            if a in times and c not in times
-        ]
-        for group in members.values():
-            if group[0] in times:  # a group executes as one
-                continue
-            bounds = [member_bound(tp, group) for tp in group]
-            if None not in bounds:
-                due.append((max(now, *bounds), 1, group))
-        if not due:
+    firing: list[tuple[int, int]] = []  # (time, contingent)
+    ready: list[tuple[int, int]] = []  # (bound, group); stale unless bound[group] matches
+    bound: dict[int, int] = {}
+    touched = set(members)
+    while True:
+        for g in touched:
+            if g not in times and pending[g] == 0:
+                b = max(edge_bound[g], max(wait_bound[g].values(), default=0))
+                if bound.get(g) != b:
+                    bound[g] = b
+                    heapq.heappush(ready, (b, g))
+        if len(times) == n:
+            break
+        while ready and (ready[0][1] in times or bound[ready[0][1]] != ready[0][0]):
+            heapq.heappop(ready)
+        if not firing and not ready:
             raise RteError("execution deadlocked; input is not a dispatchable DC closure")
-        now, kind, _ = min(due)
-        batch = sorted(tp for t, k, group in due if t == now and k == kind for tp in group)
-        for tp in batch:
-            times[tp] = now
+        batch = []
+        if firing and (not ready or firing[0][0] <= max(now, ready[0][0])):
+            now = firing[0][0]
+            while firing and firing[0][0] == now:
+                batch.append(heapq.heappop(firing)[1])
+        else:
+            now = max(now, ready[0][0])
+            while ready and ready[0][0] <= now:
+                b, g = heapq.heappop(ready)
+                if g not in times and bound[g] == b:
+                    batch += members[g]
+                    times[g] = now  # taken: a duplicate entry of g is skipped
+        batch.sort()
+        times.update(dict.fromkeys(batch, now))
         decisions.append((now, tuple(batch)))
+        touched = set()
+        for tp in batch:
+            for g, w in into[tp]:
+                if g not in times:
+                    edge_bound[g] = max(edge_bound[g], now - w)  # only rises
+                    pending[g] -= w <= 0
+                    touched.add(g)
+            for c in activates[tp]:
+                heapq.heappush(firing, (now + realized[c], c))
+                for g, w in labeled[c]:
+                    pending[g] -= 1
+                    wait_bound[g][c] = max(wait_bound[g].get(c, now - w), now - w)
+                    touched.add(g)
+            for g, _ in labeled.get(tp, ()):
+                wait_bound[g].pop(tp, None)
+                touched.add(g)
 
     for (u, v), w in pair.items():
         if times[v] - times[u] > w:
@@ -433,4 +471,3 @@ def rte_execute(estnu: Estnu, sample: DurationSample) -> ExecutionTrace:
         makespan=max(ordered),
         decisions=tuple(decisions),
     )
-

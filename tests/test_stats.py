@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from scipy import stats as scipy_stats
@@ -414,3 +418,12 @@ def test_ordering_rejects_unknown_metric_and_bad_edges():
     cycle = (("a", "b", STRONG), ("b", "c", STRONG), ("c", "a", WEAK))
     with pytest.raises(ValueError, match="method ordering on quality contains a cycle"):
         PartialOrdering(methods=("a", "b", "c"), metric=QUALITY, edges=cycle)
+
+
+def test_bench_import_leaves_scipy_unloaded():
+    # scipy.stats costs most of a fresh process's start; only magnitude_test needs it
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = "import sys, srcpsp.bench; assert 'scipy' not in sys.modules, 'scipy loaded'"
+    subprocess.run(
+        [sys.executable, "-c", probe], check=True, env=dict(os.environ, PYTHONPATH=str(src))
+    )

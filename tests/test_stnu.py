@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib.util
 import random
 from pathlib import Path
 
 import pytest
 
+import reference_rte
 from game_oracle import game_controllable, random_stnu
 from srcpsp.chaining import chain
 from srcpsp.instances import (
@@ -17,6 +19,7 @@ from srcpsp.instances import (
     make_stochastic,
     parse_psplib,
     quantile_durations,
+    sample_durations,
 )
 from srcpsp.solver import Schedule, solve
 from srcpsp.stnu import (
@@ -44,7 +47,8 @@ SD, FD = 8, 9
 SE, FE = 10, 11
 S6, E6 = 12, 13
 
-J10 = Path(__file__).resolve().parent.parent / "data" / "j10"
+ROOT = Path(__file__).resolve().parent.parent
+J10 = ROOT / "data" / "j10"
 
 
 @pytest.fixture()
@@ -111,6 +115,11 @@ def test_stnu_validation():
     base = Stnu(n_activities=1, ordinary_edges=(), contingent_links=())
     with pytest.raises(ValueError, match="non-contingent"):
         Estnu(base=base, wait_edges=((0, 1, -2, 1),))
+    linked = Stnu(2, (), ((0, 1, 1, 3),))
+    with pytest.raises(ValueError, match="source 7 out of range"):
+        Estnu(linked, ((7, 0, -2, 1),))
+    with pytest.raises(ValueError, match="activation 3 is not 1's activation"):
+        Estnu(linked, ((2, 3, -2, 1),))
 
 
 def test_dc_check_controllable_on_safe_chains(dc_pos, uncertain):
@@ -189,6 +198,13 @@ def test_rte_rejects_duration_outside_link(dc_pos, uncertain):
     res = dc_check(build_stnu(dc_pos, uncertain))
     with pytest.raises(ValueError, match="outside"):
         rte_execute(res.estnu, DurationSample((0, 2, 5, 3, 3, 2, 0)))
+
+
+def test_rte_rejects_sample_of_wrong_length():
+    res = dc_check(Stnu(2, ((1, 2, 0),), ((0, 1, 1, 3),)))
+    for durations in ((2,), (2, 0, 5)):
+        with pytest.raises(ValueError, match=f"sample has {len(durations)} durations for 2"):
+            rte_execute(res.estnu, DurationSample(durations))
 
 
 def test_rte_single_fixed_activity():
@@ -433,3 +449,36 @@ def test_rte_execute_pinned(group):
     errors = sum(out[0] == "RteError" for out in outcomes)
     got = (len(outcomes) - errors, errors, _digest(outcomes))
     assert got == RTE_GOLDEN[group]
+
+
+def _gen_cases():
+    """Planted 30-activity networks of perfbench's generator, 10 samples each."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random(0xD1FF)
+    for seed in range(3):
+        inst, planted = gen.planted_instance(30, seed)
+        stoch = make_stochastic(inst, 1.0)
+        longest = quantile_durations(stoch, 1).durations
+        pos = chain(inst, longest, Schedule.from_starts(planted, longest))
+        res = dc_check(build_stnu(pos, stoch))
+        assert isinstance(res, Controllable)
+        for _ in range(10):
+            yield res.estnu, sample_durations(stoch, rng.getrandbits(63))
+
+
+def _outcome(execute, estnu, sample):
+    try:
+        trace = execute(estnu, sample)
+    except RteError as err:
+        return ("RteError", str(err))
+    return (trace.times, trace.makespan, trace.decisions)
+
+
+@pytest.mark.parametrize("group", sorted(RTE_GOLDEN) + ["gen30"])
+def test_rte_matches_reference(group):
+    cases = _gen_cases() if group == "gen30" else _rte_cases(group)
+    for estnu, sample in cases:
+        expected = _outcome(reference_rte.rte_execute, estnu, sample)
+        assert _outcome(rte_execute, estnu, sample) == expected
