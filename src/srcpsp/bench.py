@@ -61,13 +61,13 @@ _RUNNERS: dict[str, Callable[[StochasticInstance, MethodConfig, DurationSample],
 DEFAULT_METHODS = (PROACTIVE_Q, PROACTIVE_SAA, REACTIVE, STNU)
 
 
-def _default_method_configs() -> dict[str, MethodConfig]:
-    return {
-        PROACTIVE_Q: MethodConfig(),
-        PROACTIVE_SAA: MethodConfig(time_limit_offline=300.0),
-        REACTIVE: MethodConfig(),
-        STNU: MethodConfig(gamma=1.0),
-    }
+# each method's default config; BenchConfig completes method_configs from it
+DEFAULT_METHOD_CONFIGS = {
+    PROACTIVE_Q: MethodConfig(),
+    PROACTIVE_SAA: MethodConfig(time_limit_offline=300.0),
+    REACTIVE: MethodConfig(),
+    STNU: MethodConfig(gamma=1.0),
+}
 
 
 def _format_number(value: float) -> str:
@@ -134,17 +134,18 @@ def _configured(method: str, overrides: Mapping[str, object], prefix: str = "") 
     if unread := sorted(set(overrides) & set(_METHOD_FIELDS) - set(SETTINGS_READ[method])):
         raise ValueError(f"{method} does not read {', '.join(unread)}")
     checked = _checked(_METHOD_FIELDS, overrides, prefix)
-    return dataclasses.replace(_default_method_configs()[method], **checked)
+    return dataclasses.replace(DEFAULT_METHOD_CONFIGS[method], **checked)
 
 
 def _method_configs(key: str, value: object) -> dict[str, MethodConfig]:
-    merged = _default_method_configs()
+    """The configs of the methods ``value`` names; BenchConfig adds the rest."""
+    configs = {}
     for name, overrides in _mapping(key, value).items():
-        if name not in merged:
+        if name not in DEFAULT_METHOD_CONFIGS:
             raise ValueError(f"{key} for unknown method {name!r}")
         where = f"{key}[{name!r}]"
-        merged[name] = _configured(name, _mapping(where, overrides), where + ".")
-    return merged
+        configs[name] = _configured(name, _mapping(where, overrides), where + ".")
+    return configs
 
 
 def _instance_sets(key: str, value: object) -> tuple[tuple[str, tuple[str, ...]], ...]:
@@ -225,7 +226,7 @@ class BenchConfig:
         if unknown:
             raise ValueError(f"method_configs for unknown methods: {', '.join(unknown)}")
         object.__setattr__(
-            self, "method_configs", {**_default_method_configs(), **self.method_configs}
+            self, "method_configs", {**DEFAULT_METHOD_CONFIGS, **self.method_configs}
         )
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
@@ -616,21 +617,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_int_list(text: str, expected: int, label: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"{label} must be a comma-separated list of integers") from None
+def _comma_list(kind: type[int] | type[float]) -> Callable[[str], tuple]:
+    """An argparse type: comma-separated ``kind`` values, else a usage error."""
+    label = "integers" if kind is int else "numbers"
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(part) for part in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma-separated list of {label}: {text!r}") from None
+
+    return parse
+
+
+def _one_per_activity(values: tuple[int, ...], expected: int, label: str) -> tuple[int, ...]:
     if len(values) != expected:
         raise ValueError(f"{label} needs {expected} values, got {len(values)}")
     return values
-
-
-def _numbers(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated list of numbers: {text!r}") from None
 
 
 def _instance_and_durations(args: argparse.Namespace) -> tuple[ProjectInstance, tuple[int, ...]]:
@@ -638,7 +641,7 @@ def _instance_and_durations(args: argparse.Namespace) -> tuple[ProjectInstance, 
     base = parse_psplib(Path(args.instance).read_text(encoding="utf-8"))
     if args.durations is None:
         return base, base.durations
-    durations = _parse_int_list(args.durations, len(base.durations), "--durations")
+    durations = _one_per_activity(args.durations, len(base.durations), "--durations")
     if min(durations) < 0:
         raise ValueError("--durations must be nonnegative")
     return base, durations
@@ -659,7 +662,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     base, durations = _instance_and_durations(args)
-    starts = _parse_int_list(args.schedule, len(base.durations), "--schedule")
+    starts = _one_per_activity(args.schedule, len(base.durations), "--schedule")
     report = check_schedule(base, durations, Schedule.from_starts(starts, durations))
     if report.feasible:
         print("feasible")
@@ -765,20 +768,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="minimize the makespan of one instance")
     p_solve.add_argument("instance", help="instance file")
     p_solve.add_argument("--time-limit", type=float, default=60.0)
-    p_solve.add_argument(
-        "--durations", help="comma-separated duration override, one value per activity"
-    )
     p_solve.set_defaults(handler=_cmd_solve)
 
     p_check = sub.add_parser("check", help="audit a schedule against an instance")
     p_check.add_argument("--instance", required=True)
     p_check.add_argument(
-        "--schedule", required=True, help="comma-separated start times"
-    )
-    p_check.add_argument(
-        "--durations", help="comma-separated duration override, one value per activity"
+        "--schedule", required=True, type=_comma_list(int), help="comma-separated start times"
     )
     p_check.set_defaults(handler=_cmd_check)
+    for p in (p_solve, p_check):
+        p.add_argument(
+            "--durations",
+            type=_comma_list(int),
+            help="comma-separated duration override, one value per activity",
+        )
 
     p_sim = sub.add_parser(
         "simulate", help="run one method on sampled realizations of one instance"
@@ -794,7 +797,7 @@ def build_parser() -> argparse.ArgumentParser:
         if check is _number:
             p_sim.add_argument(flag, type=float)
         else:
-            p_sim.add_argument(flag, type=_numbers, help="comma-separated numbers")
+            p_sim.add_argument(flag, type=_comma_list(float), help="comma-separated numbers")
     p_sim.add_argument("--out", help="CSV file to append rows to (default: stdout)")
     p_sim.set_defaults(handler=_cmd_simulate)
 

@@ -14,9 +14,9 @@ scenarios.
 
 Each node costs only what is new at it.  The base graph, its root solution
 and each resource's users are built once per search; a child copies its
-parent's potentials and tightens forward from the head of its one new edge
-(``stn._tighten``), and conflicts are found by one sorted start/end sweep
-per resource.
+parent's potentials, adds its one new edge to the path's edges in the base
+adjacency and tightens forward from its head (``stn._tighten``), and
+conflicts are found by one sorted start/end sweep per resource.
 """
 
 from __future__ import annotations
@@ -250,8 +250,8 @@ def _search(
         if any(d < 0 for d in durations):
             raise ValueError("durations must be nonnegative")
     t0 = time.monotonic()
-    # The base system, its root solution and the resource users are fixed
-    # for the whole search; each node only adds its newest ordering edge.
+    # The root solution and the resource users are fixed for the whole
+    # search; each node only adds its newest ordering edge to ``succ``.
     root, succ = _incremental_root(
         DistanceGraph(node_count=total, edges=inst.temporal_constraints), fixed
     )
@@ -264,18 +264,23 @@ def _search(
     best_starts = None if incumbent is None else tuple(incumbent)
     best = None if incumbent is None else makespan_sum(incumbent)
 
-    # each entry: the parent's potentials (origin last) and the node's edges
-    stack: list[tuple[list[int] | None, tuple[tuple[int, int, int], ...]]] = [(root, ())]
+    # each entry: the parent's potentials (origin last) and depth, and the node's edge
+    stack: list[tuple[list[int] | None, int, tuple[int, int, int] | None]] = [(root, 0, None)]
+    path: list[int] = []  # the path edges' tails; each edge ends its tail's succ list
     nodes = 0
     exhausted = True
     while stack:
         if nodes >= node_limit or time.monotonic() - t0 > time_limit:
             exhausted = False
             break
-        dist, added = stack.pop()
+        dist, depth, edge = stack.pop()
         nodes += 1
-        if added:
-            dist = _tighten(succ, dist, added)
+        while len(path) > depth:  # drop abandoned branches' edges
+            succ[path.pop()].pop()
+        if edge is not None:
+            succ[edge[0]].append(edge[1:])
+            path.append(edge[0])
+            dist = _tighten(succ, dist, edge)
         if dist is None:
             continue
         bound = makespan_sum(dist)
@@ -292,7 +297,7 @@ def _search(
         t, r, active = conflict
         subset = _minimal_conflict_set(inst, r, active)
         for edge in reversed(_branch_edges(subset, durations)):
-            stack.append((dist, added + (edge,)))
+            stack.append((dist, len(path), edge))
 
     if best_starts is None:
         status = SolveStatus.INFEASIBLE if exhausted else SolveStatus.UNKNOWN

@@ -34,15 +34,6 @@ class DistanceGraph:
                 raise ValueError(f"edge ({i}, {j}) out of range for {self.node_count} nodes")
 
 
-def _tightest_edges(g: DistanceGraph) -> dict[tuple[int, int], int]:
-    best: dict[tuple[int, int], int] = {}
-    for i, j, w in g.edges:
-        key = (i, j)
-        if key not in best or w > best[key]:
-            best[key] = w
-    return best
-
-
 def _relax(
     node_count: int,
     edges: Sequence[tuple[int, int, int]],
@@ -84,29 +75,25 @@ def _relax(
 def _tighten(
     succ: Sequence[Sequence[tuple[int, int]]],
     dist: list[int],
-    added: Sequence[tuple[int, int, int]],
+    edge: tuple[int, int, int],
 ) -> list[int] | None:
-    """Longest paths once the last edge of ``added`` joins a consistent system.
+    """Longest paths once ``edge`` joins a consistent system.
 
-    ``succ[i]`` lists the ``(j, w)`` base edges out of node ``i``, and the
-    virtual origin is the last node; ``dist`` is the least solution of the
-    base edges plus all of ``added`` but its last edge, with the origin at 0.  Only what the new
-    edge ``(a, b, w)`` raises is recomputed: a FIFO queue tightens forward
-    from ``b`` (Cesta & Oddi, TIME 1996).  Any raise stems from the new
-    edge, so raising ``a`` or the origin closes a positive cycle, and the
-    result is None; a cycle through the origin would reach ``a`` as well,
-    the origin test only stops a contradicted pin sooner.  ``dist`` is
-    never modified; it is returned as is when the new edge already holds.
+    ``succ[i]`` lists the ``(j, w)`` edges out of node ``i``, ``edge`` among
+    them, with the virtual origin last; ``dist`` is the least solution
+    without ``edge``, origin at 0.  Only what the new edge ``(a, b, w)``
+    raises is recomputed: a FIFO queue tightens forward from ``b`` (Cesta &
+    Oddi, TIME 1996).  Any raise stems from the new edge, so raising ``a`` or
+    the origin closes a positive cycle: the result is None (the origin test
+    only stops a contradicted pin sooner).  ``dist`` is never modified; it
+    is returned as is when the new edge already holds.
     """
-    a, b, w = added[-1]
+    a, b, w = edge
     if dist[a] + w <= dist[b]:
         return dist
     origin = len(dist) - 1
     dist = dist.copy()
     dist[b] = dist[a] + w
-    extra: dict[int, list[tuple[int, int]]] = {}
-    for i, j, x in added:
-        extra.setdefault(i, []).append((j, x))
     queued = [False] * len(dist)
     queued[b] = True
     queue = deque((b,))
@@ -114,15 +101,14 @@ def _tighten(
         u = queue.popleft()
         queued[u] = False
         du = dist[u]
-        for edges in (succ[u], extra.get(u, ())):
-            for v, x in edges:
-                if du + x > dist[v]:
-                    if v == a or v == origin:
-                        return None
-                    dist[v] = du + x
-                    if not queued[v]:
-                        queued[v] = True
-                        queue.append(v)
+        for v, x in succ[u]:
+            if du + x > dist[v]:
+                if v == a or v == origin:
+                    return None
+                dist[v] = du + x
+                if not queued[v]:
+                    queued[v] = True
+                    queue.append(v)
     return dist
 
 
@@ -138,7 +124,10 @@ def _rooted_edges(
     """
     n = g.node_count
     origin = n
-    tight = _tightest_edges(g)
+    tight: dict[tuple[int, int], int] = {}
+    for i, j, w in g.edges:
+        if (i, j) not in tight or w > tight[(i, j)]:
+            tight[(i, j)] = w
     for v, t in (fixed or {}).items():
         if not 0 <= v < n:
             raise ValueError(f"fixed node {v} out of range")

@@ -19,6 +19,7 @@ from srcpsp.bench import (
     feasibility_csv,
     feasibility_grid,
     feasibility_shares,
+    ordering_report,
     ordering_to_dot,
     run_bench,
     sort_key,
@@ -118,7 +119,7 @@ def test_config_merges_method_overrides():
     assert cfg.method_configs["proactive_q"].gamma == 0.9
     # a config built directly is completed from the same defaults
     direct = BenchConfig(instance_sets=(("s", ("*.sch",)),))
-    assert direct.method_configs == bench._default_method_configs()
+    assert direct.method_configs == bench.DEFAULT_METHOD_CONFIGS
 
 
 @pytest.mark.parametrize(
@@ -232,6 +233,13 @@ def test_results_csv_round_trip():
     assert text.splitlines()[0] == CSV_HEADER
     again = ResultsTable.from_csv(text)
     assert again.rows == rows
+
+
+def test_results_csv_skips_blank_lines():
+    rows = (make_row(sample=0), make_row(sample=1))
+    header, first, second = ResultsTable(rows=rows).to_csv().splitlines()
+    text = "\n".join([header, "", first, "", second, ""]) + "\n"
+    assert ResultsTable.from_csv(text).rows == rows
 
 
 def test_results_table_rejects_duplicate_cells():
@@ -574,6 +582,15 @@ def test_ordering_to_dot_styles_edge_strengths():
     assert dot.rstrip().endswith("}")
 
 
+def test_ordering_report_without_edges_says_so():
+    ordering = PartialOrdering(methods=("a", "b"), metric="quality", edges=())
+    report = ordering_report(ordering)
+    assert report.splitlines() == [
+        "pairwise tests, metric=quality, alpha=0.05",
+        "edges: none (no significant differences)",
+    ]
+
+
 # -- command line ----------------------------------------------------------
 
 
@@ -592,6 +609,15 @@ def test_cli_usage_errors_exit_one(capsys):
             bench.main([*simulate, "--method", "proactive_saa", *setting])
         assert info.value.code == 1
     assert "argument --saa-gammas: not a comma-separated list of numbers" in capsys.readouterr().err
+    # a non-integer start or duration is a usage error, before the instance is read
+    check = ["check", "--instance", str(EXAMPLE), "--schedule", "0,1,x"]
+    for argv in (check, ["solve", str(EXAMPLE), "--durations", "0,x"]):
+        with pytest.raises(SystemExit) as info:
+            bench.main(argv)
+        assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert "argument --schedule: not a comma-separated list of integers: '0,1,x'" in err
+    assert "argument --durations: not a comma-separated list of integers: '0,x'" in err
 
 
 def test_cli_data_errors_exit_two(tmp_path, capsys):
@@ -667,6 +693,22 @@ def test_cli_solve_prints_schedule(capsys):
     assert "status: Optimal" in out
     assert "makespan: 8" in out
     assert "starts: 0,1,3,5,0,3,7" in out
+
+
+def test_cli_duration_override_changes_the_answer(capsys):
+    # README's example: activity d takes 2 instead of 1
+    assert bench.main(["solve", str(EXAMPLE), "--durations", "0,2,5,3,2,2,0"]) == 0
+    out = capsys.readouterr().out
+    assert "makespan: 9" in out
+    assert "starts: 0,0,2,6,4,7,9" in out
+    # the default optimum overloads the resource at time 1 once d runs longer
+    check = ["check", "--instance", str(EXAMPLE), "--schedule", "0,1,3,5,0,3,7"]
+    assert bench.main(check) == 0
+    assert capsys.readouterr().out == "feasible\n"
+    assert bench.main([*check, "--durations", "0,2,5,3,2,2,0"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("infeasible\n")
+    assert "resource 0 at time 1: usage 5 exceeds capacity 4" in out
 
 
 def test_cli_check_reports_both_verdicts(capsys):

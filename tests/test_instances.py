@@ -89,6 +89,89 @@ def test_instance_invariants_rejected():
         ProjectInstance(1, (0, 2, 0), ((0, 1, 0),), (1,), ((0, 5, 1),))
 
 
+# one real activity 1 (duration 4, demand 2) between source 0 and sink 2;
+# each case replaces one line (1-based, None for the whole text)
+ONE_ACTIVITY = [
+    "1 1 0 0",
+    "0 1 1 1 [0]",
+    "1 1 1 2 [0]",
+    "2 1 0",
+    "0 1 0 0",
+    "1 1 4 2",
+    "2 1 0 0",
+    "3",
+]
+
+
+@pytest.mark.parametrize(
+    "line, text, message",
+    [
+        (None, "", "line 1: empty input"),
+        (1, "1 0 0 0", "line 1: invalid header counts n=1 R=0"),
+        (2, "0 1", "line 2: precedence line needs id, mode and successor count"),
+        (3, "5 1 1 2 [0]", "line 3: activity id 5 out of range 0..2"),
+        (6, "7 1 4 2", "line 6: activity id 7 out of range 0..2"),
+        (3, "0 1 1 1 [0]", "line 3: duplicate precedence line for activity 0"),
+        (6, "0 1 0 0", "line 6: duplicate requirement line for activity 0"),
+        (3, "1 1 1 9 [0]", "line 3: successor 9 out of range 0..2"),
+        (6, "1 1 4", "line 6: requirement line needs 4 fields, got 3"),
+        (6, "1 1 -4 2", "line 6: negative duration -4"),
+        (5, "0 1 1 0", "line 5: source/sink must have zero duration and demand"),
+        (7, "2 1 0 1", "line 7: source/sink must have zero duration and demand"),
+        (8, "3 3", "line 8: expected 1 capacities, got 2"),
+        (8, "0", "line 8: capacities must be >= 1"),
+        (6, "1 1 4 -2", "line 6: negative demand -2"),
+    ],
+)
+def test_parse_errors_name_their_line(line, text, message):
+    if line is None:
+        source = text
+    else:
+        lines = ONE_ACTIVITY.copy()
+        lines[line - 1] = text
+        source = "\n".join(lines) + "\n"
+    with pytest.raises(ParseError) as info:
+        parse_psplib(source)
+    assert str(info.value) == message
+
+
+def test_parse_one_activity_table_base_is_valid():
+    inst = parse_psplib("\n".join(ONE_ACTIVITY) + "\n")
+    assert inst.durations == (0, 4, 0) and inst.demands == ((0, 2, 0),)
+
+
+@pytest.mark.parametrize(
+    "durations, demands, capacities, message",
+    [
+        ((0, 2), ((0, 1, 0),), (1,), "expected 3 durations, got 2"),
+        ((0, -1, 0), ((0, 1, 0),), (1,), "durations must be nonnegative"),
+        ((0, 2, 0), ((0, 1, 0),), (1, 2), "one demand row per resource required"),
+        ((0, 2, 0), ((0, 1),), (1,), "resource 0: expected 3 demands, got 2"),
+        ((0, 2, 0), ((0, 1, 1),), (2,), "source and sink must have zero demand"),
+        ((0, 2, 0), ((0, -1, 0),), (1,), "demands must be nonnegative"),
+        ((0, 2, 0), ((0, 2, 0),), (1,), "resource 0: demand exceeds capacity"),
+    ],
+)
+def test_project_instance_rejects_malformed_fields(durations, demands, capacities, message):
+    with pytest.raises(ValueError) as info:
+        ProjectInstance(1, durations, demands, capacities, ())
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        (((0, 0), (1, 2)), "expected 3 bound pairs, got 2"),
+        (((0, 0), (0, 2), (0, 0)), "activity 1: lower bound must be >= 1"),
+    ],
+)
+def test_stochastic_instance_rejects_malformed_bounds(bounds, message):
+    inst = ProjectInstance(1, (0, 2, 0), ((0, 1, 0),), (1,), ())
+    with pytest.raises(ValueError) as info:
+        StochasticInstance(inst, bounds, 1.0)
+    assert str(info.value) == message
+
+
 def test_make_stochastic_formula(example_instance):
     stoch = make_stochastic(example_instance, 1)
     # d=5 -> (3, 7); d=2 -> (1, 3); d=3 -> (1, 5); d=1 -> (1, 2)

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from oracles import random_instance
-from srcpsp.bench import _RUNNERS, _default_method_configs, derive_seed
+from srcpsp import methods
+from srcpsp.bench import _RUNNERS, DEFAULT_METHOD_CONFIGS, derive_seed
 from srcpsp.instances import (
     DurationSample,
     ProjectInstance,
@@ -215,6 +216,22 @@ def test_offline_infeasibility_is_tagged():
         assert run.makespan is None and run.starts is None
     saa = run_proactive_saa(stoch, MethodConfig(), sample)
     assert saa.failure_reason == FAIL_SOLVER_INFEASIBLE
+
+
+def test_offline_stop_before_any_incumbent_is_a_timeout(example_stoch, monkeypatch):
+    # node_limit=0 stops every offline search before its root node
+    for name in ("solve", "solve_saa"):
+        search = getattr(methods, name)
+        monkeypatch.setattr(
+            methods, name, lambda *args, search=search, **kw: search(*args, **kw, node_limit=0)
+        )
+    sample = DurationSample((0, 2, 5, 3, 2, 2, 0))
+    for method, runner in _RUNNERS.items():
+        run = runner(example_stoch, DEFAULT_METHOD_CONFIGS[method], sample)
+        assert run.method == method
+        assert not run.feasible
+        assert run.failure_reason == FAIL_SOLVER_TIMEOUT
+        assert run.makespan is None and run.starts is None
 
 
 def test_fixed_plan_overrun_is_an_execution_violation():
@@ -520,7 +537,7 @@ METHOD_RUNS_PINNED = {
 
 
 def test_method_runs_pinned_on_j10():
-    configs = _default_method_configs()
+    configs = DEFAULT_METHOD_CONFIGS
     for i in range(1, 13):
         name = f"j10_{i:02d}"
         stoch = make_stochastic(parse_psplib((J10 / f"{name}.sch").read_text()), 1)

@@ -140,6 +140,30 @@ def test_solve_invalid_warm_start_ignored(example_instance):
     assert out.schedule.makespan == 8
 
 
+def test_solve_ignores_warm_start_with_negative_start_or_broken_pin(example_instance):
+    inst = example_instance
+    d = inst.durations
+    # one tick earlier than the optimum: lag- and resource-feasible, but it
+    # starts before time 0, so taking it would report a makespan of 7
+    early = sched(inst, (-1, 0, 2, 4, -1, 2, 6))
+    assert check_schedule(inst, d, early).feasible
+    assert solve(inst, d, warm_start=early) == solve(inst, d)
+    # the unpinned optimum starts a at 1; with a pinned to 2 it is no incumbent
+    optimum = sched(inst, (0, 1, 3, 5, 0, 3, 7))
+    assert solve(inst, d, warm_start=optimum).nodes_explored < solve(inst, d).nodes_explored
+    pinned = solve(inst, d, fixed={A: 2})
+    assert pinned.schedule.makespan == 9
+    assert solve(inst, d, fixed={A: 2}, warm_start=optimum) == pinned
+
+
+def test_solve_saa_rejects_missing_or_misshaped_scenarios(example_instance):
+    inst = example_instance
+    with pytest.raises(ValueError, match="at least one scenario"):
+        solve_saa(inst, [])
+    with pytest.raises(ValueError, match="expected 7 durations, got 6"):
+        solve_saa(inst, [inst.durations, inst.durations[:-1]])
+
+
 def test_solve_node_limit_reports_honestly(example_instance):
     inst = example_instance
     out = solve(inst, inst.durations, node_limit=1)

@@ -169,8 +169,10 @@ def test_property_tighten_matches_full_relaxation():
         assert (None if dist is None else dist[:n]) == earliest_schedule(g, fixed)
         added = ()
         while dist is not None:
-            added += ((rng.randrange(n), rng.randrange(n), rng.randint(-3, 4)),)
-            dist = _tighten(succ, dist, added)
+            edge = (rng.randrange(n), rng.randrange(n), rng.randint(-3, 4))
+            added += (edge,)
+            succ[edge[0]].append(edge[1:])
+            dist = _tighten(succ, dist, edge)
             full = earliest_schedule(DistanceGraph(n, g.edges + added), fixed)
             assert (None if dist is None else dist[:n]) == full
             assert dist is None or dist[n] == 0

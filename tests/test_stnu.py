@@ -122,6 +122,11 @@ def test_stnu_validation():
         Estnu(linked, ((2, 3, -2, 1),))
 
 
+def test_stnu_rejects_contingent_link_onto_its_own_activation():
+    with pytest.raises(ValueError, match=r"bad contingent link \(1, 1\)"):
+        Stnu(n_activities=1, ordinary_edges=(), contingent_links=((1, 1, 1, 2),))
+
+
 def test_dc_check_controllable_on_safe_chains(dc_pos, uncertain):
     res = dc_check(build_stnu(dc_pos, uncertain))
     assert isinstance(res, Controllable)
