@@ -142,9 +142,6 @@ def build_stnu(pos: PartialOrderSchedule, stoch: StochasticInstance) -> Stnu:
     )
 
 
-_ORD = "ord"
-_UC = "uc"
-
 # A derivation is an original edge (from, to, weight) or a pair (first,
 # second) of earlier derivations whose walks run one after the other; pairs
 # share their parts, so storing one never copies a walk.
@@ -156,56 +153,55 @@ class _Inconsistent(Exception):
 
 
 class _Propagator:
-    """Edge-propagation state; derives the DC closure or raises _Inconsistent."""
+    """Edge-propagation state; derives the DC closure or raises _Inconsistent.
+
+    Each edge is one record (weight, derivation), in ``ord`` keyed by
+    (source, target) or in ``uc`` keyed by (source, contingent label).
+    """
 
     def __init__(self, stnu: Stnu) -> None:
         self.stnu = stnu
         self.low = {c: low for _, c, low, _ in stnu.contingent_links}
         self.activation = {c: a for a, c, _, _ in stnu.contingent_links}
-        self.ord: dict[tuple[int, int], int] = {}
-        self.ord_how: dict[tuple[int, int], _Derivation] = {}
-        self.uc: dict[tuple[int, int], int] = {}  # (source, contingent label) -> weight
-        self.uc_how: dict[tuple[int, int], _Derivation] = {}
-        self.ord_out: dict[int, set[int]] = {}
-        self.ord_in: dict[int, set[int]] = {}
-        self.uc_out: dict[int, set[int]] = {}
+        self.ord: dict[tuple[int, int], tuple[int, _Derivation]] = {}
+        self.uc: dict[tuple[int, int], tuple[int, _Derivation]] = {}
+        # adjacency by timepoint: ordinary successors, predecessors, upper-case labels
+        self.ord_out: list[set[int]] = [set() for _ in range(stnu.n_timepoints)]
+        self.ord_in: list[set[int]] = [set() for _ in range(stnu.n_timepoints)]
+        self.uc_out: list[set[int]] = [set() for _ in range(stnu.n_timepoints)]
         weights = [abs(w) for _, _, w in stnu.ordinary_edges]
         weights += [abs(low) + abs(high) for _, _, low, high in stnu.contingent_links]
         self.horizon = 1 + sum(weights)
-        self.queue: list[tuple[str, int, int, int]] = []
+        self.queue: list[tuple] = []  # (rule, store, x, y, w); stale once (x, y) is below w
 
     # -- storage with minimum-keeping and immediate inconsistency checks --
 
     def put_ord(self, u: int, v: int, w: int, how: _Derivation) -> None:
         if u == v and w >= 0:
             return  # vacuous self-loop
-        key = (u, v)
-        if key in self.ord:
-            if self.ord[key] <= w:
-                return
-        else:
-            self.ord_out.setdefault(u, set()).add(v)
-            self.ord_in.setdefault(v, set()).add(u)
-        self.ord[key] = w
-        self.ord_how[key] = how
+        old = self.ord.get((u, v))
+        if old is None:
+            self.ord_out[u].add(v)
+            self.ord_in[v].add(u)
+        elif old[0] <= w:
+            return
+        self.ord[(u, v)] = (w, how)
         if (u == v and w < 0) or w < -self.horizon:
             raise _Inconsistent(how)
-        self.queue.append((_ORD, u, v, w))
+        self.queue.append((self._from_ord, self.ord, u, v, w))
 
     def put_uc(self, u: int, c: int, w: int, how: _Derivation) -> None:
-        key = (u, c)
-        if key in self.uc:
-            if self.uc[key] <= w:
-                return
-        else:
-            self.uc_out.setdefault(u, set()).add(c)
-        self.uc[key] = w
-        self.uc_how[key] = how
+        old = self.uc.get((u, c))
+        if old is None:
+            self.uc_out[u].add(c)
+        elif old[0] <= w:
+            return
+        self.uc[(u, c)] = (w, how)
         if w < -self.horizon or (w < 0 and u == self.activation[c]):
             # past the horizon, or an activation waiting on its own link
             # (released strictly after itself)
             raise _Inconsistent(how)
-        self.queue.append((_UC, u, c, w))
+        self.queue.append((self._from_uc, self.uc, u, c, w))
         if w >= -self.low[c]:
             # wait expires no later than the link can fire: unconditional bound
             self.put_ord(u, self.activation[c], w, how)
@@ -220,30 +216,32 @@ class _Propagator:
             self.put_ord(c, a, -low, (c, a, -low))
             self.put_uc(c, c, -high, (c, a, -high))
         while self.queue:
-            kind, x, y, w = self.queue.pop()
-            if kind == _ORD:
-                if self.ord.get((x, y)) == w:
-                    self._from_ord(x, y, w)
-            elif self.uc.get((x, y)) == w:
-                self._from_uc(x, y, w)
+            rule, store, x, y, w = self.queue.pop()
+            if store[(x, y)][0] == w:
+                rule(x, y, w)
 
+    # stored edges are never self-loops (u != v), so no put grows the set a rule walks
     def _from_ord(self, u: int, v: int, w: int) -> None:
-        how = self.ord_how[(u, v)]
-        for y in list(self.ord_out.get(v, ())):  # (u -> v) + (v -> y)
-            self.put_ord(u, y, w + self.ord[(v, y)], (how, self.ord_how[(v, y)]))
-        for x in list(self.ord_in.get(u, ())):  # (x -> u) + (u -> v)
-            self.put_ord(x, v, self.ord[(x, u)] + w, (self.ord_how[(x, u)], how))
-        for c in list(self.uc_out.get(v, ())):  # upper-case rule: ordinary prefix
-            self.put_uc(u, c, w + self.uc[(v, c)], (how, self.uc_how[(v, c)]))
-        if w < 0 and u in self.low and v != u:
+        how = self.ord[(u, v)][1]
+        for y in self.ord_out[v]:  # (u -> v) + (v -> y)
+            w2, how2 = self.ord[(v, y)]
+            self.put_ord(u, y, w + w2, (how, how2))
+        for x in self.ord_in[u]:  # (x -> u) + (u -> v)
+            w1, how1 = self.ord[(x, u)]
+            self.put_ord(x, v, w1 + w, (how1, how))
+        for c in self.uc_out[v]:  # upper-case rule: ordinary prefix
+            w2, how2 = self.uc[(v, c)]
+            self.put_uc(u, c, w + w2, (how, how2))
+        if w < 0 and u in self.low:
             # lower-case rule: the link into u may fire at its minimum
             a, low = self.activation[u], self.low[u]
             self.put_ord(a, v, low + w, ((a, u, low), how))
 
     def _from_uc(self, u: int, c: int, w: int) -> None:
-        how = self.uc_how[(u, c)]
-        for x in list(self.ord_in.get(u, ())):
-            self.put_uc(x, c, self.ord[(x, u)] + w, (self.ord_how[(x, u)], how))
+        how = self.uc[(u, c)][1]
+        for x in self.ord_in[u]:
+            w1, how1 = self.ord[(x, u)]
+            self.put_uc(x, c, w1 + w, (how1, how))
         if w < 0 and u in self.low and u != c:
             # cross-case rule: another link's minimum firing precedes this wait
             a, low = self.activation[u], self.low[u]
@@ -283,13 +281,13 @@ def _allmax_witness(prop: _Propagator) -> NotDc | None:
     """Negative cycle in the all-max projection (waits read as hard bounds)."""
     n = prop.stnu.n_timepoints
     # the derived ordinary edges hold no self-loop (put_ord drops or rejects them)
-    tight = {key: (w, prop.ord_how[key]) for key, w in prop.ord.items()}
-    for (u, c), w in prop.uc.items():
+    tight = dict(prop.ord)
+    for (u, c), (w, how) in prop.uc.items():
         v = prop.activation[c]
         if u == v:
             continue
         if (u, v) not in tight or w < tight[(u, v)][0]:
-            tight[(u, v)] = (w, prop.uc_how[(u, c)])
+            tight[(u, v)] = (w, how)
     # upper-bound edge (u, v, w) is the lower-bound edge (v, u, -w); no edge
     # enters the origin n, so a positive cycle never passes through it
     edges = [(n, v, 0) for v in range(n)]
@@ -312,11 +310,11 @@ def dc_check(stnu: Stnu) -> Controllable | NotDc:
     cycle = _allmax_witness(prop)
     if cycle is not None:
         return cycle
-    ordinary = tuple(sorted((u, v, w) for (u, v), w in prop.ord.items()))
+    ordinary = tuple(sorted((u, v, w) for (u, v), (w, _) in prop.ord.items()))
     waits = tuple(
         sorted(
             (u, prop.activation[c], w, c)
-            for (u, c), w in prop.uc.items()
+            for (u, c), (w, _) in prop.uc.items()
             if w < -prop.low[c] and u != c
         )
     )

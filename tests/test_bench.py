@@ -156,6 +156,8 @@ def test_config_merges_method_overrides():
         {"instance_sets": {"s": "*.sch"}, "method_configs": {"stnu": {"saa_gammas": [0.5]}}},
         {"instance_sets": {"s": "*.sch"}, "method_configs": {"proactive_q": {"time_limit_reschedule": 1}}},
         {"instance_sets": {"s": "*.sch"}, "method_configs": {"reactive": {"saa_gammas": [0.5]}}},
+        # a set with no patterns
+        {"instance_sets": {"s": []}},
     ],
 )
 def test_config_rejects_bad_mappings(mapping):
@@ -184,6 +186,12 @@ def test_config_rejects_bad_mappings(mapping):
 def test_config_type_errors_name_the_key(setting, message):
     with pytest.raises(ValueError, match=message):
         BenchConfig.from_mapping({"instance_sets": {"s": "*.sch"}, **setting})
+
+
+def test_config_built_directly_rejects_unknown_method_configs():
+    # from_mapping rejects such a key before the dataclass sees it
+    with pytest.raises(ValueError, match="method_configs for unknown methods: bogus"):
+        BenchConfig(instance_sets=(("s", ("x",)),), method_configs={"bogus": MethodConfig()})
 
 
 def test_readme_bench_example_shows_the_defaults():

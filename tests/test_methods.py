@@ -266,8 +266,8 @@ def test_saa_plan_is_feasible_for_every_scenario(example_stoch):
         assert replay(example_stoch.base, run, scenario)
 
 
-def test_saa_needs_at_least_one_scenario(example_stoch):
-    with pytest.raises(ValueError):
+def test_saa_config_needs_at_least_one_gamma(example_stoch):
+    with pytest.raises(ValueError, match="saa_gammas must be nonempty"):
         run_proactive_saa(
             example_stoch,
             MethodConfig(saa_gammas=()),

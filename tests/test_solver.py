@@ -79,6 +79,17 @@ def test_check_schedule_size_mismatch(example_instance):
         check_schedule(example_instance, (0, 1), sched(example_instance, (0,) * 7))
 
 
+def test_check_schedule_rejects_start_vector_of_wrong_length(example_instance):
+    short = Schedule(starts=(0,) * 6, makespan=0)
+    with pytest.raises(ValueError, match="expected 7 starts, got 6"):
+        check_schedule(example_instance, example_instance.durations, short)
+
+
+def test_from_starts_rejects_fewer_starts_than_durations():
+    with pytest.raises(ValueError, match="starts and durations must have equal length"):
+        Schedule.from_starts((0, 1), (1, 2, 3))
+
+
 def test_solve_example_optimal(example_instance):
     out = solve(example_instance, example_instance.durations, time_limit=60)
     assert out.status is SolveStatus.OPTIMAL

@@ -28,6 +28,7 @@ from srcpsp.stnu import (
     NotDc,
     RteError,
     Stnu,
+    _Inconsistent,
     _Propagator,
     build_stnu,
     dc_check,
@@ -409,6 +410,18 @@ def test_dc_check_pinned(group):
             closures.append((res.estnu.base.ordinary_edges, res.estnu.wait_edges))
     got = (len(closures), len(witnesses), _digest(witnesses), _digest(closures))
     assert got == DC_CHECK_GOLDEN[group]
+
+
+@pytest.mark.parametrize("group", sorted(DC_CHECK_GOLDEN))
+def test_propagated_closure_holds_no_self_loop(group):
+    # the rules walk their adjacency sets without copies; that relies on it
+    for stnu in _golden_networks(group):
+        prop = _Propagator(stnu)
+        try:
+            prop.run()
+        except _Inconsistent:
+            continue
+        assert not [u for u, v in prop.ord if u == v]
 
 
 def _rte_cases(group: str):

@@ -1,0 +1,58 @@
+"""perfbench's tracer must find every name it wraps in the package.
+
+``Tracer.patched`` skips an (owner, attribute) pair it cannot find, so a
+refactor that moves one of those lookups would silently stop a metric from
+being measured.  These tests load ``perfbench/tracing.py`` without changing
+it and check that every pair resolves and that the metered spans appear.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from srcpsp import bench
+from srcpsp.instances import make_stochastic, parse_psplib, sample_durations
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture()
+def tracing(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while being built
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves(tracing):
+    for owner, attr, name in tracing.TRACED:
+        found = attr in owner if isinstance(owner, dict) else hasattr(owner, attr)
+        assert found, f"{name}: {owner!r} has no {attr!r}"
+
+
+def test_metered_runs_record_every_span(tracing):
+    inst = parse_psplib((ROOT / "data" / "j10" / "j10_01.sch").read_text())
+    stoch = make_stochastic(inst, 1.0)
+    sample = sample_durations(stoch, 1)
+    tracer = tracing.Tracer()
+    with tracer.patched(traced=False):
+        for method in tracing.METHODS:
+            bench._RUNNERS[method](stoch, bench.DEFAULT_METHOD_CONFIGS[method], sample)
+    recorded = {span.name for span in tracer.spans}
+    expected = {
+        "solver.solve",
+        "solver.solve_saa",
+        "chaining.chain",
+        "stnu.dc_check",
+        "stnu.rte_execute",
+        *(f"methods.{m}" for m in tracing.METHODS),
+    }
+    assert expected <= recorded
