@@ -17,11 +17,12 @@ import json
 import logging
 import math
 import sys
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Any, TextIO
 
@@ -43,6 +44,7 @@ from .methods import (
     MethodConfig,
     MethodRun,
     perfect_information_feasible,
+    reusing_plans,
     run_proactive_quantile,
     run_proactive_saa,
     run_reactive,
@@ -452,6 +454,28 @@ def _run_cell(cell: _Cell) -> list[MethodRun] | None:
     return [_method_row(cell, method, sample) for method in cell.configs]
 
 
+def _groups(cells: list[_Cell]) -> list[list[_Cell]]:
+    """The cells cut into contiguous runs of one (set, instance, epsilon), in order."""
+    return [
+        list(group)
+        for _, group in groupby(cells, lambda c: (c.instance_set, c.instance, c.stochastic.epsilon))
+    ]
+
+
+def _group_rows(group: list[_Cell]) -> Iterator[list[MethodRun] | None]:
+    """Each cell's ``_run_cell`` result as it finishes, every plan made once per group."""
+    plans: dict = {}
+    for cell in group:
+        with reusing_plans(plans):
+            cell_rows = _run_cell(cell)
+        yield cell_rows
+
+
+def _run_group(group: list[_Cell]) -> list[list[MethodRun] | None]:
+    """A worker's unit: one whole group, so a parallel run also plans once per group."""
+    return list(_group_rows(group))
+
+
 def _resolve_instances(config: BenchConfig) -> list[tuple[str, str, Path]]:
     """(set name, instance id, path) triples in deterministic order.
 
@@ -506,13 +530,17 @@ def run_bench(
     Returns the sorted results table plus the number of cells excluded by
     the perfect-information filter.  ``sink`` receives rows as they are
     produced (completion order), which lets callers keep partial results
-    when a later cell raises.  Because cells are independent and the table
-    is sorted at the end, serial and parallel runs produce identical tables.
+    when a later cell raises.  Each (instance, epsilon) group of cells plans
+    once and runs in one process.  Because plans and cells are independent
+    of the process running them and the table is sorted at the end, serial
+    and parallel runs produce identical tables.
     """
     rows: list[MethodRun] = []
     excluded = 0
+    groups = _groups(cells)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for cell_rows in map(_run_cell, cells) if pool is None else pool.map(_run_cell, cells):
+        per_group = map(_group_rows, groups) if pool is None else pool.map(_run_group, groups)
+        for cell_rows in chain.from_iterable(per_group):
             if cell_rows is None:
                 excluded += 1
                 continue
@@ -701,10 +729,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     for cell in cells:
         if (key := (args.method, cell.instance, _printed(args.epsilon), cell.sample)) in taken:
             raise ValueError(f"{path} already holds a row for {key}; not appending to it")
-    rows = [
-        _method_row(cell, args.method, sample_durations(cell.stochastic, cell.seed))
-        for cell in cells
-    ]
+    with reusing_plans({}):  # one instance and epsilon: one plan for every sample
+        rows = [
+            _method_row(cell, args.method, sample_durations(cell.stochastic, cell.seed))
+            for cell in cells
+        ]
     with nullcontext(sys.stdout) if path is None else path.open("a", encoding="utf-8") as out:
         if kept and not kept.endswith("\n"):  # no row glued onto an unterminated line
             out.write("\n")

@@ -5,6 +5,16 @@ phase against one realized duration sample, and reports a MethodRun record
 with feasibility, makespan and the offline/online computation walls.  The
 online clock is logical: simulated event times are integers, while the
 reported time_online measures only the online computation.
+
+Each runner is a plan step and an execute step.  A plan depends only on the
+instance, epsilon and the settings it reads, so inside ``reusing_plans`` it
+is made once and reused for every sample; bench and simulate plan once per
+(instance, epsilon) that way.  ``proactive_q`` and ``reactive`` share the
+gamma-quantile plan (``stnu`` too when its gamma is the same), and a reused
+plan's time_offline is the one measured cost of making it.  A plan stopped
+by a wall-clock limit is shared the same way, so under a binding
+time_limit_offline all samples of a group get the one stopped plan.
+Outside ``reusing_plans`` every call plans afresh.
 """
 
 from __future__ import annotations
@@ -12,13 +22,25 @@ from __future__ import annotations
 import dataclasses
 import logging
 import time
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Any
 
 from .chaining import chain
 from .instances import DurationSample, StochasticInstance, quantile_durations
-from .solver import Schedule, SolveOutcome, SolveStatus, check_schedule, solve, solve_saa
-from .stnu import Controllable, Stnu, build_stnu, dc_check, rte_execute
+from .solver import (
+    SaaOutcome,
+    Schedule,
+    SolveOutcome,
+    SolveStatus,
+    check_schedule,
+    solve,
+    solve_saa,
+)
+from .stnu import Controllable, Estnu, Stnu, build_stnu, dc_check, rte_execute
 
 logger = logging.getLogger(__name__)
 
@@ -113,13 +135,72 @@ def _offline_tag(status: SolveStatus) -> str | None:
     return None
 
 
+# The plans of the bench group being run: plan key -> (plan, seconds).  Unset
+# outside ``reusing_plans``, where every plan step plans afresh.
+_PLANS: ContextVar[dict[tuple, tuple[Any, float]]] = ContextVar("plans")
+
+
+@contextmanager
+def reusing_plans(plans: dict[tuple, tuple[Any, float]]) -> Iterator[None]:
+    """Inside the block, each plan step plans once per key and reuses ``plans``.
+
+    A plan depends only on the instance and the settings in its key, never on
+    the sample, so bench and simulate hand in one dict per (instance,
+    epsilon) group and drop it with the group: no plan outlives its group.
+    """
+    token = _PLANS.set(plans)
+    try:
+        yield
+    finally:
+        _PLANS.reset(token)
+
+
+def _planned(key: tuple, step: Callable[[], Any]) -> tuple[Any, float]:
+    """``step()`` and the seconds it took, or the group's earlier result for ``key``."""
+    plans = _PLANS.get({})  # outside reusing_plans, a memo of this call alone
+    if key not in plans:
+        t0 = time.perf_counter()
+        plan = step()
+        plans[key] = plan, time.perf_counter() - t0
+    return plans[key]
+
+
 def _quantile_plan(
     stoch: StochasticInstance, cfg: MethodConfig
-) -> tuple[DurationSample, SolveOutcome]:
+) -> tuple[tuple[DurationSample, SolveOutcome], float]:
     """The gamma-quantile duration estimate and the plan solved against it."""
-    estimate = quantile_durations(stoch, cfg.gamma)
-    out = solve(stoch.base, estimate.durations, time_limit=cfg.time_limit_offline)
-    return estimate, out
+
+    def step() -> tuple[DurationSample, SolveOutcome]:
+        estimate = quantile_durations(stoch, cfg.gamma)
+        return estimate, solve(stoch.base, estimate.durations, time_limit=cfg.time_limit_offline)
+
+    return _planned((stoch, "quantile", cfg.gamma, cfg.time_limit_offline), step)
+
+
+def _saa_plan(stoch: StochasticInstance, cfg: MethodConfig) -> tuple[SaaOutcome, float]:
+    """The SAA solve over the ``saa_gammas`` quantile scenarios."""
+
+    def step() -> SaaOutcome:
+        scenarios = [quantile_durations(stoch, g).durations for g in cfg.saa_gammas]
+        return solve_saa(stoch.base, scenarios, time_limit=cfg.time_limit_offline)
+
+    return _planned((stoch, "saa", cfg.saa_gammas, cfg.time_limit_offline), step)
+
+
+def _stnu_plan(stoch: StochasticInstance, cfg: MethodConfig) -> tuple[Estnu | str, float]:
+    """The chained quantile plan's DC closure, or the failure tag of why there is none."""
+    (estimate, out), quantile_s = _quantile_plan(stoch, cfg)
+
+    def step() -> Estnu | str:
+        tag = _offline_tag(out.status)
+        if tag is not None:
+            return tag
+        pos = chain(stoch.base, estimate.durations, out.schedule)
+        verdict = dc_check(build_stnu(pos, stoch))
+        return verdict.estnu if isinstance(verdict, Controllable) else FAIL_NOT_DC
+
+    plan, seconds = _planned((stoch, STNU, cfg.gamma, cfg.time_limit_offline), step)
+    return plan, quantile_s + seconds
 
 
 def _execute_fixed(
@@ -147,9 +228,7 @@ def run_proactive_quantile(
     stoch: StochasticInstance, cfg: MethodConfig, sample: DurationSample
 ) -> MethodRun:
     """Solve once against the gamma-quantile durations, then never adapt."""
-    t0 = time.perf_counter()
-    _, out = _quantile_plan(stoch, cfg)
-    offline = time.perf_counter() - t0
+    (_, out), offline = _quantile_plan(stoch, cfg)
     starts = None if out.schedule is None else out.schedule.starts
     return _execute_fixed(PROACTIVE_Q, stoch, sample, offline, out.status, starts)
 
@@ -158,10 +237,7 @@ def run_proactive_saa(
     stoch: StochasticInstance, cfg: MethodConfig, sample: DurationSample
 ) -> MethodRun:
     """One start vector feasible for every quantile scenario, minimizing the mean makespan."""
-    t0 = time.perf_counter()
-    scenarios = [quantile_durations(stoch, g).durations for g in cfg.saa_gammas]
-    out = solve_saa(stoch.base, scenarios, time_limit=cfg.time_limit_offline)
-    offline = time.perf_counter() - t0
+    out, offline = _saa_plan(stoch, cfg)
     return _execute_fixed(PROACTIVE_SAA, stoch, sample, offline, out.status, out.starts)
 
 
@@ -180,13 +256,12 @@ def run_reactive(
     inst = stoch.base
     realized = sample.durations
     n = inst.n_activities
-    t0 = time.perf_counter()
-    estimate, out = _quantile_plan(stoch, cfg)
-    offline = time.perf_counter() - t0
+    (estimate, out), offline = _quantile_plan(stoch, cfg)
     tag = _offline_tag(out.status)
     if tag is not None:
         return _record(REACTIVE, sample, offline, failure=tag)
     assert out.schedule is not None
+    # the plan may be shared with other samples, so re-solves edit copies
     plan = list(out.schedule.starts)
     current = list(estimate.durations)
     done: set[int] = set()
@@ -235,21 +310,13 @@ def run_stnu(
     stoch: StochasticInstance, cfg: MethodConfig, sample: DurationSample
 ) -> MethodRun:
     """Chain a quantile-estimate schedule, check controllability, execute online."""
-    inst = stoch.base
-    t0 = time.perf_counter()
-    estimate, out = _quantile_plan(stoch, cfg)
-    tag = _offline_tag(out.status)
-    if tag is not None:
-        return _record(STNU, sample, time.perf_counter() - t0, failure=tag)
-    pos = chain(inst, estimate.durations, out.schedule)
-    verdict = dc_check(build_stnu(pos, stoch))
-    offline = time.perf_counter() - t0
-    if not isinstance(verdict, Controllable):
-        return _record(STNU, sample, offline, failure=FAIL_NOT_DC)
+    estnu, offline = _stnu_plan(stoch, cfg)
+    if not isinstance(estnu, Estnu):
+        return _record(STNU, sample, offline, failure=estnu)
     t1 = time.perf_counter()
-    trace = rte_execute(verdict.estnu, sample)
+    trace = rte_execute(estnu, sample)
     online = time.perf_counter() - t1
-    starts = tuple(trace.times[Stnu.start(j)] for j in range(inst.n_activities))
+    starts = tuple(trace.times[Stnu.start(j)] for j in range(stoch.base.n_activities))
     return _record(STNU, sample, offline, online, None, starts, trace.makespan)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from srcpsp import bench
+from srcpsp import bench, methods
 from srcpsp.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -25,8 +25,15 @@ from srcpsp.bench import (
     sort_key,
 )
 from srcpsp.instances import ProjectInstance, serialize_psplib
-from srcpsp.methods import PROACTIVE_Q, STNU, MethodConfig, MethodRun, run_proactive_quantile
-from srcpsp.stats import STRONG, WEAK, PartialOrdering
+from srcpsp.methods import (
+    PROACTIVE_Q,
+    REACTIVE,
+    STNU,
+    MethodConfig,
+    MethodRun,
+    run_proactive_quantile,
+)
+from srcpsp.stats import STRONG, WEAK, PartialOrdering, build_partial_ordering
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -415,6 +422,76 @@ def test_run_bench_excludes_inherently_infeasible_cells(tmp_path):
     table, excluded = run_config(cfg)
     assert excluded == 3
     assert len(table) == 0
+
+
+def test_groups_cut_cells_into_contiguous_runs_in_order(tmp_path):
+    cells = build_cells(
+        small_config(
+            tmp_path,
+            instance_sets={"a": str(EXAMPLE), "b": str(DATA / "j10" / "j10_01.sch")},
+            epsilons=[1, 2],
+            samples_per_instance=2,
+        )
+    )
+    key = lambda c: (c.instance_set, c.instance, c.stochastic.epsilon)
+    groups = bench._groups(cells)
+    assert [cell for group in groups for cell in group] == cells
+    assert [key(group[0]) for group in groups] == [
+        ("a", "example", 1.0), ("a", "example", 2.0), ("b", "j10_01", 1.0), ("b", "j10_01", 2.0)
+    ]
+    assert all(len({key(c) for c in group}) == 1 for group in groups)
+    # contiguous: a key that comes back after another starts a group of its own
+    shuffled = [cells[0], cells[2], cells[1]]
+    assert bench._groups(shuffled) == [[cells[0]], [cells[2]], [cells[1]]]
+    assert bench._groups([]) == []
+
+
+def test_bench_plans_once_per_instance_and_epsilon(tmp_path, monkeypatch):
+    calls = dict.fromkeys(("solve", "solve_saa", "dc_check"), 0)
+
+    def count(name):
+        original = getattr(methods, name)
+
+        def counted(*args, **kwargs):
+            if kwargs.get("warm_start") is None:  # a reactive re-solve is online work
+                calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(methods, name, counted)
+
+    for name in calls:
+        count(name)
+    # the filter solves each sample, which is no plan
+    monkeypatch.setattr(bench, "perfect_information_feasible", lambda *args: True)
+    config = small_config(
+        tmp_path,
+        instance_sets={"j10": str(DATA / "j10" / "j10_01.sch")},
+        methods=list(bench.DEFAULT_METHODS),
+    )
+    table, _ = run_config(config)
+    assert len(table) == 3 * 4
+    # gamma 0.9 shared by proactive_q and reactive, gamma 1.0 for stnu
+    assert calls == {"solve": 2, "solve_saa": 1, "dc_check": 1}
+    run_config(config)
+    assert calls == {"solve": 4, "solve_saa": 2, "dc_check": 2}
+    cell = build_cells(config)[0]
+    sample = bench.sample_durations(cell.stochastic, cell.seed)
+    for _ in range(2):
+        run_proactive_quantile(cell.stochastic, cell.configs[PROACTIVE_Q], sample)
+    assert calls["solve"] == 6
+
+
+def test_shared_plan_leaves_offline_time_pair_unordered(tmp_path):
+    config = small_config(tmp_path, methods=[PROACTIVE_Q, REACTIVE], samples_per_instance=4)
+    table, _ = run_config(config)
+    offline = {(row.method, row.sample): row.time_offline for row in table.rows}
+    assert len(set(offline.values())) == 1  # one measured plan for the group
+    ordering = build_partial_ordering(table.to_method_runs(), "time_offline")
+    assert ordering.edges == ()
+    tests = ordering.pair_tests[(PROACTIVE_Q, REACTIVE)]
+    assert tests.n_pairs == 4
+    assert tests.signed_rank is None and tests.win_share is None
+    assert "signed-rank n/a; win-share n/a" in ordering_report(ordering)
 
 
 def test_run_bench_rejects_empty_instance_sets(tmp_path):

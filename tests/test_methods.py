@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import random
 from pathlib import Path
@@ -27,6 +28,7 @@ from srcpsp.methods import (
     FAIL_SOLVER_TIMEOUT,
     PROACTIVE_Q,
     PROACTIVE_SAA,
+    REACTIVE,
     STNU,
     MethodConfig,
     MethodRun,
@@ -411,6 +413,24 @@ def test_reactive_online_cost_exceeds_proactive_sweep():
     assert pro.feasible and rea.feasible
     # one re-solve costs strictly more than the proactive feasibility sweep
     assert rea.time_online > pro.time_online
+
+
+def test_reactive_on_a_reused_plan_equals_a_fresh_plan():
+    cfg = DEFAULT_METHOD_CONFIGS[REACTIVE]
+    timeless = lambda run: dataclasses.replace(run, time_offline=0.0, time_online=0.0)
+    for name in ("j10_01", "j10_03", "j10_08"):
+        stoch = make_stochastic(parse_psplib((J10 / f"{name}.sch").read_text()), 1)
+        samples = [sample_durations(stoch, derive_seed(1, name, 1.0, k)) for k in range(3)]
+        plans: dict = {}
+        with methods.reusing_plans(plans):
+            reused = [run_reactive(stoch, cfg, s) for s in samples + samples]
+        fresh = [run_reactive(stoch, cfg, s) for s in samples + samples]
+        assert any(run.time_online > 0 for run in reused)  # it re-solved
+        assert [timeless(run) for run in reused] == [timeless(run) for run in fresh]
+        # the one shared plan, with its one measured cost, came out unchanged
+        ((plan, seconds),) = plans.values()
+        assert plan == methods._quantile_plan(stoch, cfg)[0]
+        assert {run.time_offline for run in reused} == {seconds}
 
 
 def test_perfect_information_filter(example_stoch, example_instance):

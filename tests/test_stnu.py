@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import importlib.util
+import itertools
 import random
 from pathlib import Path
 
@@ -371,6 +372,24 @@ def _j10_plan_stnus():
                 out = solve(inst, estimate.durations, time_limit=60)
                 pos = chain(inst, estimate.durations, out.schedule)
                 yield build_stnu(pos, stoch)
+
+
+def test_rte_execute_leaves_its_closure_unchanged():
+    # a plan's closure executes every sample of its group, so no run may alter it
+    rng = random.Random(0x5A3E)
+    for stnu in itertools.islice(_j10_plan_stnus(), 8):
+        shared = dc_check(stnu).estnu
+        samples = []
+        for _ in range(3):
+            durations = [0] * stnu.n_activities
+            for _, c, low, high in stnu.contingent_links:
+                durations[c // 2] = rng.randint(low, high)
+            samples.append(DurationSample(tuple(durations)))
+        reused = [rte_execute(shared, sample) for sample in samples + samples]
+        fresh = [rte_execute(dc_check(stnu).estnu, sample) for sample in samples + samples]
+        assert reused == fresh
+        assert len({trace.times for trace in reused}) > 1
+        assert shared == dc_check(stnu).estnu
 
 
 def _golden_networks(group: str):
