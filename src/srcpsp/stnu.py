@@ -18,7 +18,8 @@ closed edge set an executor can dispatch greedily.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .chaining import PartialOrderSchedule
 from .instances import DurationSample, StochasticInstance
@@ -68,6 +69,17 @@ class Stnu:
         return f"{'s' if tp % 2 == 0 else 'f'}{tp // 2}"
 
 
+class _Dispatch(NamedTuple):
+    """A closure's sample-independent dispatch indexes; all but the first and last by timepoint."""
+    groups: tuple[int, ...]  # rigid-group roots: each group's lowest member
+    members: tuple[tuple[int, ...], ...]  # at a root, its group's controllables
+    into: tuple[tuple[tuple[int, int], ...], ...]  # (group, w) of edges from other groups
+    activates: tuple[tuple[int, ...], ...]  # the contingents a timepoint activates
+    labeled: tuple[tuple[tuple[int, int], ...], ...]  # (group, w) of a label's waits
+    pending: tuple[int, ...]  # a group's undetermined requirements at the start
+    edges: tuple[tuple[int, int, int], ...]  # the de-duplicated closure, for the sweep
+
+
 @dataclass(frozen=True)
 class Estnu:
     """DC closure ready for execution: tightened ordinary edges plus waits.
@@ -79,6 +91,7 @@ class Estnu:
 
     base: Stnu
     wait_edges: tuple[tuple[int, int, int, int], ...]
+    _dispatch: _Dispatch = field(init=False, repr=False, compare=False)  # for rte_execute
 
     def __post_init__(self) -> None:
         activation = {c: a for a, c, _, _ in self.base.contingent_links}
@@ -89,6 +102,7 @@ class Estnu:
                 raise ValueError(f"wait edge labeled by non-contingent timepoint {c}")
             if a != activation[c]:
                 raise ValueError(f"wait edge activation {a} is not {c}'s activation")
+        object.__setattr__(self, "_dispatch", _compile(self.base, self.wait_edges))
 
 
 @dataclass(frozen=True)
@@ -326,6 +340,48 @@ def dc_check(stnu: Stnu) -> Controllable | NotDc:
     return Controllable(estnu=Estnu(base=base, wait_edges=waits))
 
 
+def _compile(stnu: Stnu, wait_edges: tuple[tuple[int, int, int, int], ...]) -> _Dispatch:
+    """The dispatch indexes of a closure: everything ``rte_execute`` needs but the sample."""
+    n = stnu.n_timepoints
+    contingent = {c for _, c, _, _ in stnu.contingent_links}
+    activates: list[list[int]] = [[] for _ in range(n)]
+    for a, c, _, _ in stnu.contingent_links:
+        activates[a].append(c)
+    pair: dict[tuple[int, int], int] = {}
+    for u, v, w in stnu.ordinary_edges:
+        pair[u, v] = min(w, pair.get((u, v), w))
+    # union-find over the rigid pairs; every parent is lower, so a root is
+    # its group's lowest member
+    parent = list(range(n))
+    for (u, v), w in pair.items():
+        if w == 0 and pair.get((v, u)) == 0 and u not in contingent and v not in contingent:
+            roots = []
+            for x in (u, v):
+                while parent[x] != x:
+                    x = parent[x]
+                roots.append(x)
+            parent[max(roots)] = min(roots)
+    members: list[list[int]] = [[] for _ in range(n)]
+    for tp in range(n):
+        parent[tp] = parent[parent[tp]]  # lower entries already hold their root
+        if tp not in contingent:
+            members[parent[tp]].append(tp)
+    pending = [0] * n
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v), w in pair.items():
+        if u not in contingent and parent[v] != parent[u]:
+            into[v].append((parent[u], w))
+            pending[parent[u]] += w <= 0
+    labeled: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for x, _, w, c in wait_edges:
+        if x not in contingent:
+            labeled[c].append((parent[x], w))
+            pending[parent[x]] += 1
+    groups = tuple(g for g in range(n) if members[g])
+    indexes = (tuple(map(tuple, index)) for index in (members, into, activates, labeled))
+    return _Dispatch(groups, *indexes, tuple(pending), tuple((*e, w) for e, w in pair.items()))
+
+
 def rte_execute(estnu: Estnu, sample: DurationSample) -> ExecutionTrace:
     """Dispatch the closure online, always executing the earliest-ready timepoints.
 
@@ -349,6 +405,10 @@ def rte_execute(estnu: Estnu, sample: DurationSample) -> ExecutionTrace:
     longer constrains anything, so group bounds can fall as well as rise.
     On a genuine DC closure this never violates an edge; violations or
     deadlocks mean the input was not such a closure.
+
+    The dispatcher is compiled once per closure, when ``dc_check`` (offline)
+    builds the ``Estnu``; a call validates the sample, copies the counts, and
+    dispatches and sweeps, so online time is the dispatch alone.
     """
     stnu = estnu.base
     n = stnu.n_timepoints
@@ -356,72 +416,37 @@ def rte_execute(estnu: Estnu, sample: DurationSample) -> ExecutionTrace:
         raise ValueError(
             f"sample has {len(sample.durations)} durations for {stnu.n_activities} activities"
         )
-    realized: dict[int, int] = {}
-    activates: dict[int, list[int]] = {tp: [] for tp in range(n)}
-    for a, c, low, high in stnu.contingent_links:
+    realized = [0] * n
+    for _, c, low, high in stnu.contingent_links:
         d = sample.durations[c // 2]
         if not low <= d <= high:
             raise ValueError(
                 f"realized duration {d} outside [{low}, {high}] for {stnu.label(c)}"
             )
         realized[c] = d
-        activates[a].append(c)
-
-    pair: dict[tuple[int, int], int] = {}
-    for u, v, w in stnu.ordinary_edges:
-        key = (u, v)
-        if key not in pair or w < pair[key]:
-            pair[key] = w
-
-    # union-find over the rigid pairs; every parent is lower, so a root is
-    # its group's lowest member
-    parent = list(range(n))
-    for (u, v), w in pair.items():
-        if w == 0 and pair.get((v, u)) == 0 and u not in realized and v not in realized:
-            roots = []
-            for x in (u, v):
-                while parent[x] != x:
-                    x = parent[x]
-                roots.append(x)
-            parent[max(roots)] = min(roots)
-    members: dict[int, list[int]] = {}
-    for tp in range(n):
-        parent[tp] = parent[parent[tp]]  # lower entries already hold their root
-        if tp not in realized:
-            members.setdefault(parent[tp], []).append(tp)
-
+    groups, members, into, activates, labeled, pending_at_start, edges = estnu._dispatch
     # per group: undetermined requirements, edge bound, wait bound per label
-    pending = dict.fromkeys(members, 0)
-    edge_bound = dict.fromkeys(members, 0)
-    wait_bound: dict[int, dict[int, int]] = {g: {} for g in members}
-    into: dict[int, list[tuple[int, int]]] = {tp: [] for tp in range(n)}
-    for (u, v), w in pair.items():
-        if u not in realized and parent[v] != parent[u]:
-            into[v].append((parent[u], w))
-            pending[parent[u]] += w <= 0
-    labeled: dict[int, list[tuple[int, int]]] = {c: [] for c in realized}
-    for x, _, w, c in estnu.wait_edges:
-        if x not in realized:
-            labeled[c].append((parent[x], w))
-            pending[parent[x]] += 1
-
-    times: dict[int, int] = {}
+    pending = list(pending_at_start)
+    edge_bound = [0] * n
+    wait_bound: list[dict[int, int]] = [{} for _ in range(n)]
+    times: list[int | None] = [None] * n
+    executed = 0
     decisions: list[tuple[int, tuple[int, ...]]] = []
     now = 0
     firing: list[tuple[int, int]] = []  # (time, contingent)
     ready: list[tuple[int, int]] = []  # (bound, group); stale unless bound[group] matches
-    bound: dict[int, int] = {}
-    touched = set(members)
+    bound: list[int | None] = [None] * n
+    touched = groups
     while True:
         for g in touched:
-            if g not in times and pending[g] == 0:
+            if times[g] is None and pending[g] == 0:
                 b = max(edge_bound[g], max(wait_bound[g].values(), default=0))
-                if bound.get(g) != b:
+                if bound[g] != b:
                     bound[g] = b
                     heapq.heappush(ready, (b, g))
-        if len(times) == n:
+        if executed == n:
             break
-        while ready and (ready[0][1] in times or bound[ready[0][1]] != ready[0][0]):
+        while ready and (times[ready[0][1]] is not None or bound[ready[0][1]] != ready[0][0]):
             heapq.heappop(ready)
         if not firing and not ready:
             raise RteError("execution deadlocked; input is not a dispatchable DC closure")
@@ -434,38 +459,38 @@ def rte_execute(estnu: Estnu, sample: DurationSample) -> ExecutionTrace:
             now = max(now, ready[0][0])
             while ready and ready[0][0] <= now:
                 b, g = heapq.heappop(ready)
-                if g not in times and bound[g] == b:
+                if times[g] is None and bound[g] == b:
                     batch += members[g]
                     times[g] = now  # taken: a duplicate entry of g is skipped
         batch.sort()
-        times.update(dict.fromkeys(batch, now))
+        for tp in batch:
+            times[tp] = now
+        executed += len(batch)
         decisions.append((now, tuple(batch)))
         touched = set()
         for tp in batch:
             for g, w in into[tp]:
-                if g not in times:
-                    edge_bound[g] = max(edge_bound[g], now - w)  # only rises
+                if times[g] is None:
+                    if now - w > edge_bound[g]:
+                        edge_bound[g] = now - w  # only rises
                     pending[g] -= w <= 0
-                    touched.add(g)
+                    if not pending[g]:  # a group still waiting needs no bound yet
+                        touched.add(g)
             for c in activates[tp]:
                 heapq.heappush(firing, (now + realized[c], c))
                 for g, w in labeled[c]:
                     pending[g] -= 1
                     wait_bound[g][c] = max(wait_bound[g].get(c, now - w), now - w)
-                    touched.add(g)
-            for g, _ in labeled.get(tp, ()):
+                    if not pending[g]:
+                        touched.add(g)
+            for g, _ in labeled[tp]:
                 wait_bound[g].pop(tp, None)
                 touched.add(g)
 
-    for (u, v), w in pair.items():
+    for u, v, w in edges:
         if times[v] - times[u] > w:
             raise RteError(
                 f"edge {stnu.label(u)} -> {stnu.label(v)} <= {w} violated; "
                 "input is not a dispatchable DC closure"
             )
-    ordered = tuple(times[tp] for tp in range(n))
-    return ExecutionTrace(
-        times=ordered,
-        makespan=max(ordered),
-        decisions=tuple(decisions),
-    )
+    return ExecutionTrace(times=tuple(times), makespan=max(times), decisions=tuple(decisions))

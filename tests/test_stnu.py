@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import importlib.util
 import itertools
+import pickle
 import random
 from pathlib import Path
 
@@ -519,3 +521,88 @@ def test_rte_matches_reference(group):
     for estnu, sample in cases:
         expected = _outcome(reference_rte.rte_execute, estnu, sample)
         assert _outcome(rte_execute, estnu, sample) == expected
+
+
+def _any_outcome(estnu, sample):
+    """A run's trace, or the type and text of the error it raised."""
+    try:
+        return _outcome(rte_execute, estnu, sample)
+    except ValueError as err:
+        return ("ValueError", str(err))
+
+
+def _sample_sequence(stnu, rng):
+    """Good samples interleaved with a wrong-length one and, given a link, an out-of-range one."""
+    good = []
+    for _ in range(3):
+        durations = [0] * stnu.n_activities
+        for _, c, low, high in stnu.contingent_links:
+            durations[c // 2] = rng.randint(low, high)
+        good.append(DurationSample(tuple(durations)))
+    bad = [DurationSample(good[0].durations + (0,))]
+    if stnu.contingent_links:
+        _, c, _, high = stnu.contingent_links[0]
+        durations = list(good[1].durations)
+        durations[c // 2] = high + 1
+        bad.append(DurationSample(tuple(durations)))
+    return [good[0], bad[0], good[1], *bad[1:], good[2], good[0]]
+
+
+def test_shared_closure_runs_like_a_fresh_one_whatever_ran_before():
+    # the dispatch indexes are built once per Estnu; no run, good or failed,
+    # may leave state behind that a later run on the same Estnu sees
+    rng = random.Random(0xC0DE)
+    shared = []
+    for stnu in itertools.islice(_golden_networks("random3"), 120):
+        res = dc_check(stnu)
+        if isinstance(res, Controllable):
+            shared.append(res.estnu)
+        shared.append(Estnu(base=stnu, wait_edges=()))  # raw, as in raw3: may raise RteError
+    shared += [dc_check(stnu).estnu for stnu in itertools.islice(_j10_plan_stnus(), 2)]
+    compiled = [copy.deepcopy(estnu._dispatch) for estnu in shared]
+    sequences = [_sample_sequence(estnu.base, rng) for estnu in shared]
+    kinds = set()
+    for step in range(max(map(len, sequences))):  # every network's run k, then run k + 1
+        for estnu, sequence in zip(shared, sequences):
+            if step < len(sequence):
+                fresh = Estnu(base=estnu.base, wait_edges=estnu.wait_edges)
+                got = _any_outcome(estnu, sequence[step])
+                assert got == _any_outcome(fresh, sequence[step])
+                kinds.add(got[0] if isinstance(got[0], str) else "trace")
+    assert sorted(kinds) == ["RteError", "ValueError", "trace"]
+    assert [estnu._dispatch for estnu in shared] == compiled
+
+
+def test_compiled_dispatch_is_invisible_and_rebuilt():
+    rng = random.Random(0xD15)
+    checked = 0
+    for stnu in itertools.chain(_golden_networks("random5"), _golden_networks("random3")):
+        res = dc_check(stnu)
+        if not isinstance(res, Controllable):
+            continue
+        estnu = res.estnu
+        contingent = {c for _, c, _, _ in stnu.contingent_links}
+        kept = [wait for wait in estnu.wait_edges if wait[0] not in contingent]
+        if not kept:
+            continue  # no wait the dispatcher reads
+        emptied = Estnu(base=estnu.base, wait_edges=estnu.wait_edges)
+        object.__setattr__(emptied, "_dispatch", None)
+        # ==, hash and repr read the fields alone
+        assert emptied == estnu and hash(emptied) == hash(estnu)
+        assert repr(emptied) == repr(estnu) and "_dispatch" not in repr(estnu)
+
+        fewer = tuple(wait for wait in estnu.wait_edges if wait != kept[0])
+        replaced = dataclasses.replace(estnu, wait_edges=fewer)
+        thawed = pickle.loads(pickle.dumps(estnu))
+        fresh = Estnu(base=estnu.base, wait_edges=estnu.wait_edges)
+        fresh_fewer = Estnu(base=estnu.base, wait_edges=fewer)
+        # a wait fewer: rebuilt, not copied
+        assert replaced._dispatch == fresh_fewer._dispatch != estnu._dispatch
+        assert thawed == fresh and thawed._dispatch == fresh._dispatch
+        for sample in _sample_sequence(stnu, rng):
+            assert _any_outcome(replaced, sample) == _any_outcome(fresh_fewer, sample)
+            assert _any_outcome(thawed, sample) == _any_outcome(fresh, sample)
+        checked += 1
+        if checked == 20:
+            break
+    assert checked == 20
