@@ -12,12 +12,16 @@ strictly negative second legs, and label removal once a wait is covered by
 the link's lower bound.  Propagation to quiescence either derives a negative
 ordinary self-loop / an inconsistent all-max projection (not DC; the
 witness is expanded from shared edge derivations only then) or yields the
-closed edge set an executor can dispatch greedily.
+closed edge set an executor can dispatch greedily.  The worklist is drained
+first in, first out, so each stored edge is processed about once.  The order
+decides some weights and witnesses (label removal fires only while a wait is
+loose); no verdict or edge key in the tests depends on it.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -186,7 +190,7 @@ class _Propagator:
         weights = [abs(w) for _, _, w in stnu.ordinary_edges]
         weights += [abs(low) + abs(high) for _, _, low, high in stnu.contingent_links]
         self.horizon = 1 + sum(weights)
-        self.queue: list[tuple] = []  # (rule, store, x, y, w); stale once (x, y) is below w
+        self.queue: deque[tuple] = deque()  # (rule, store, x, y, w); stale once (x, y) is below w
 
     # -- storage with minimum-keeping and immediate inconsistency checks --
 
@@ -229,20 +233,26 @@ class _Propagator:
             self.put_ord(a, c, high, (a, c, high))
             self.put_ord(c, a, -low, (c, a, -low))
             self.put_uc(c, c, -high, (c, a, -high))
-        while self.queue:
-            rule, store, x, y, w = self.queue.pop()
+        while self.queue:  # first in, first out
+            rule, store, x, y, w = self.queue.popleft()
             if store[(x, y)][0] == w:
                 rule(x, y, w)
 
-    # stored edges are never self-loops (u != v), so no put grows the set a rule walks
+    # stored edges are never self-loops (u != v), so no put grows the set a rule walks;
+    # a composition whose edge is stored no looser is skipped before building its derivation
     def _from_ord(self, u: int, v: int, w: int) -> None:
-        how = self.ord[(u, v)][1]
+        stored = self.ord
+        how = stored[(u, v)][1]
         for y in self.ord_out[v]:  # (u -> v) + (v -> y)
-            w2, how2 = self.ord[(v, y)]
-            self.put_ord(u, y, w + w2, (how, how2))
+            w2, how2 = stored[(v, y)]
+            old = stored.get((u, y))
+            if old is None or w + w2 < old[0]:
+                self.put_ord(u, y, w + w2, (how, how2))
         for x in self.ord_in[u]:  # (x -> u) + (u -> v)
-            w1, how1 = self.ord[(x, u)]
-            self.put_ord(x, v, w1 + w, (how1, how))
+            w1, how1 = stored[(x, u)]
+            old = stored.get((x, v))
+            if old is None or w1 + w < old[0]:
+                self.put_ord(x, v, w1 + w, (how1, how))
         for c in self.uc_out[v]:  # upper-case rule: ordinary prefix
             w2, how2 = self.uc[(v, c)]
             self.put_uc(u, c, w + w2, (how, how2))
@@ -255,7 +265,9 @@ class _Propagator:
         how = self.uc[(u, c)][1]
         for x in self.ord_in[u]:
             w1, how1 = self.ord[(x, u)]
-            self.put_uc(x, c, w1 + w, (how1, how))
+            old = self.uc.get((x, c))
+            if old is None or w1 + w < old[0]:
+                self.put_uc(x, c, w1 + w, (how1, how))
         if w < 0 and u in self.low and u != c:
             # cross-case rule: another link's minimum firing precedes this wait
             a, low = self.activation[u], self.low[u]
@@ -332,6 +344,7 @@ def dc_check(stnu: Stnu) -> Controllable | NotDc:
             if w < -prop.low[c] and u != c
         )
     )
+    del prop  # free the derivations before the dispatcher is compiled
     base = Stnu(
         n_activities=stnu.n_activities,
         ordinary_edges=ordinary,
@@ -347,9 +360,11 @@ def _compile(stnu: Stnu, wait_edges: tuple[tuple[int, int, int, int], ...]) -> _
     activates: list[list[int]] = [[] for _ in range(n)]
     for a, c, _, _ in stnu.contingent_links:
         activates[a].append(c)
+    # each weight becomes a new int (+ 0) laid out with the indexes: the closure's
+    # own ints lie scattered over the checker's heap, which slows every dispatch
     pair: dict[tuple[int, int], int] = {}
     for u, v, w in stnu.ordinary_edges:
-        pair[u, v] = min(w, pair.get((u, v), w))
+        pair[u, v] = min(w, pair.get((u, v), w)) + 0
     # union-find over the rigid pairs; every parent is lower, so a root is
     # its group's lowest member
     parent = list(range(n))
@@ -375,7 +390,7 @@ def _compile(stnu: Stnu, wait_edges: tuple[tuple[int, int, int, int], ...]) -> _
     labeled: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for x, _, w, c in wait_edges:
         if x not in contingent:
-            labeled[c].append((parent[x], w))
+            labeled[c].append((parent[x], w + 0))
             pending[parent[x]] += 1
     groups = tuple(g for g in range(n) if members[g])
     indexes = (tuple(map(tuple, index)) for index in (members, into, activates, labeled))

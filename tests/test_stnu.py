@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import reference_dc
 import reference_rte
 from game_oracle import game_controllable, random_stnu
 from srcpsp.chaining import chain
@@ -348,7 +349,8 @@ def test_dc_check_allmax_projection_catches_crossed_waits():
     # the two bounds form a negative cycle that edge propagation alone misses.
     crossed = Stnu(2, ((0, 3, 6), (2, 1, 6)), ((0, 1, 1, 10), (2, 3, 1, 10)))
     _Propagator(crossed).run()  # returns: edge propagation finds no contradiction
-    assert dc_check(crossed) == NotDc(nodes=(3, 2), total=-9)
+    assert dc_check(crossed) == NotDc(nodes=(2, 1, 0, 3), total=-8)
+    assert reference_dc.dc_check(crossed) == NotDc(nodes=(3, 2), total=-9)
     assert not game_controllable(crossed, horizon=24)
 
     loose = Stnu(2, ((0, 3, 12), (2, 1, 12)), ((0, 1, 1, 10), (2, 3, 1, 10)))
@@ -411,8 +413,16 @@ def _digest(items) -> str:
 
 
 # (controllable, not DC, digest of every witness, digest of every closure
-# with its waits), recorded from the edge propagator with flattened walks
+# with its waits), recorded from the first-in, first-out propagator
 DC_CHECK_GOLDEN = {
+    "random3": (232, 68, "98ec9f1144e03bfa", "3b279214493caf5f"),
+    "random5": (248, 52, "a0fecb19f1da0b9e", "2ea772b6d9e6ab43"),
+    "crossed": (89, 111, "bd5cfef27d6adc7d", "24d69d6932b6b61a"),
+    "j10": (48, 0, "4f53cda18c2baa0c", "fc8afc16e19d14b8"),
+}
+
+# the same, recorded from the last-in, first-out propagator with flattened walks
+REFERENCE_DC_GOLDEN = {
     "random3": (232, 68, "106fc2f268b2861a", "3b279214493caf5f"),
     "random5": (248, 52, "f309145ab9ec881c", "2ea772b6d9e6ab43"),
     "crossed": (89, 111, "97be009b133d9946", "bd25193d7787033a"),
@@ -420,17 +430,137 @@ DC_CHECK_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("group", sorted(DC_CHECK_GOLDEN))
-def test_dc_check_pinned(group):
+def _dc_digests(check, group: str):
     witnesses, closures = [], []
     for stnu in _golden_networks(group):
-        res = dc_check(stnu)
+        res = check(stnu)
         if isinstance(res, NotDc):
             witnesses.append((res.nodes, res.total))
         else:
             closures.append((res.estnu.base.ordinary_edges, res.estnu.wait_edges))
-    got = (len(closures), len(witnesses), _digest(witnesses), _digest(closures))
-    assert got == DC_CHECK_GOLDEN[group]
+    return (len(closures), len(witnesses), _digest(witnesses), _digest(closures))
+
+
+@pytest.mark.parametrize("group", sorted(DC_CHECK_GOLDEN))
+def test_dc_check_pinned(group):
+    assert _dc_digests(dc_check, group) == DC_CHECK_GOLDEN[group]
+
+
+@pytest.mark.parametrize("group", sorted(REFERENCE_DC_GOLDEN))
+def test_reference_dc_check_pinned(group):
+    assert _dc_digests(reference_dc.dc_check, group) == REFERENCE_DC_GOLDEN[group]
+
+
+def _gen30_networks():
+    """Planted 30-activity networks of perfbench's generator, chained at the longest durations."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for seed in range(3):
+        inst, planted = gen.planted_instance(30, seed)
+        stoch = make_stochastic(inst, 1.0)
+        longest = quantile_durations(stoch, 1).durations
+        pos = chain(inst, longest, Schedule.from_starts(planted, longest))
+        yield build_stnu(pos, stoch), stoch
+
+
+def _differential_networks(group: str):
+    if group == "gen30":
+        yield from (stnu for stnu, _ in _gen30_networks())
+    elif group == "game":  # the networks of test_dc_check_agrees_with_game_oracle
+        rng = random.Random(0x0AC1E)
+        for _ in range(100):
+            yield random_stnu(rng)
+    else:
+        yield from _golden_networks(group)
+
+
+def _propagated_keys(propagator):
+    """The ord and uc key sets of a finished propagation, or None on a contradiction."""
+    try:
+        propagator.run()
+    except _Inconsistent:
+        return None
+    return set(propagator.ord), set(propagator.uc)
+
+
+@pytest.mark.parametrize("group", sorted(DC_CHECK_GOLDEN) + ["gen30", "game"])
+def test_dc_check_matches_reference(group):
+    # the order changes weights and witnesses, never the verdict, the edge
+    # keys or how the closure executes
+    rng = random.Random(0xFCF0)
+    controllable = 0
+    for stnu in _differential_networks(group):
+        res, ref = dc_check(stnu), reference_dc.dc_check(stnu)
+        assert isinstance(res, Controllable) == isinstance(ref, Controllable)
+        keys = _propagated_keys(_Propagator(stnu))
+        ref_keys = _propagated_keys(reference_dc.LifoPropagator(stnu))
+        if keys is not None and ref_keys is not None:
+            assert keys == ref_keys
+        if not isinstance(res, Controllable):
+            continue
+        controllable += 1
+        assert keys is not None and ref_keys is not None
+        for _ in range(3):
+            durations = [0] * stnu.n_activities
+            for _, c, low, high in stnu.contingent_links:
+                durations[c // 2] = rng.randint(low, high)
+            sample = DurationSample(tuple(durations))
+            expected = _outcome(rte_execute, ref.estnu, sample)
+            assert _outcome(rte_execute, res.estnu, sample) == expected
+    assert controllable > 0
+
+
+def _labeled_edges(stnu: Stnu) -> dict[tuple[int, int], set[int]]:
+    """The weights of the input's labeled-graph edges, by (from, to)."""
+    edges = list(stnu.ordinary_edges)
+    for a, c, low, high in stnu.contingent_links:
+        edges += [(a, c, high), (c, a, -low), (c, a, -high), (a, c, low)]
+    weights: dict[tuple[int, int], set[int]] = {}
+    for u, v, w in edges:
+        weights.setdefault((u, v), set()).add(w)
+    return weights
+
+
+@pytest.mark.parametrize("check", [dc_check, reference_dc.dc_check], ids=["fifo", "reference"])
+@pytest.mark.parametrize("group", ["random3", "random5", "crossed"])
+def test_not_dc_witness_is_a_negative_walk_of_the_input(check, group):
+    witnesses = 0
+    for stnu in _golden_networks(group):
+        res = check(stnu)
+        if not isinstance(res, NotDc):
+            continue
+        witnesses += 1
+        assert res.total < 0
+        weights = _labeled_edges(stnu)
+        totals = {0}  # every total some choice of parallel edges gives the closed walk
+        for hop in zip(res.nodes, res.nodes[1:] + res.nodes[:1]):
+            assert hop in weights, f"{hop} is no edge of {stnu}"
+            totals = {t + w for t in totals for w in weights[hop]}
+        assert res.total in totals
+    assert witnesses > 0
+
+
+def test_propagation_applies_about_one_rule_per_stored_record():
+    stnu, _ = next(_gen30_networks())
+    applied = {}
+    for propagator in (_Propagator(stnu), reference_dc.LifoPropagator(stnu)):
+        rules = 0
+
+        def counting(rule):
+            def count(*edge):
+                nonlocal rules
+                rules += 1
+                rule(*edge)
+            return count
+
+        # put_ord and put_uc queue the instance's rules, so wrapping these counts every application
+        propagator._from_ord = counting(propagator._from_ord)
+        propagator._from_uc = counting(propagator._from_uc)
+        propagator.run()
+        applied[type(propagator)] = rules / (len(propagator.ord) + len(propagator.uc))
+    assert applied[_Propagator] <= 1.5
+    assert applied[reference_dc.LifoPropagator] > 3  # 4.5 here, about 9 at 50 activities
 
 
 @pytest.mark.parametrize("group", sorted(DC_CHECK_GOLDEN))
@@ -492,16 +622,9 @@ def test_rte_execute_pinned(group):
 
 def _gen_cases():
     """Planted 30-activity networks of perfbench's generator, 10 samples each."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
     rng = random.Random(0xD1FF)
-    for seed in range(3):
-        inst, planted = gen.planted_instance(30, seed)
-        stoch = make_stochastic(inst, 1.0)
-        longest = quantile_durations(stoch, 1).durations
-        pos = chain(inst, longest, Schedule.from_starts(planted, longest))
-        res = dc_check(build_stnu(pos, stoch))
+    for stnu, stoch in _gen30_networks():
+        res = dc_check(stnu)
         assert isinstance(res, Controllable)
         for _ in range(10):
             yield res.estnu, sample_durations(stoch, rng.getrandbits(63))
