@@ -12,10 +12,11 @@ strictly negative second legs, and label removal once a wait is covered by
 the link's lower bound.  Propagation to quiescence either derives a negative
 ordinary self-loop / an inconsistent all-max projection (not DC; the
 witness is expanded from shared edge derivations only then) or yields the
-closed edge set an executor can dispatch greedily.  The worklist is drained
-first in, first out, so each stored edge is processed about once.  The order
-decides some weights and witnesses (label removal fires only while a wait is
-loose); no verdict or edge key in the tests depends on it.
+closed edge set an executor can dispatch greedily.  Each edge is one record
+(weight, derivation) in dense rows indexed by source timepoint, then by
+target or contingent label.  The worklist is drained first in, first out,
+so each stored edge is processed about once; the order decides some weights
+and witnesses (label removal fires only while a wait is loose).
 """
 
 from __future__ import annotations
@@ -164,6 +165,7 @@ def build_stnu(pos: PartialOrderSchedule, stoch: StochasticInstance) -> Stnu:
 # second) of earlier derivations whose walks run one after the other; pairs
 # share their parts, so storing one never copies a walk.
 _Derivation = tuple
+_ABSENT = float("inf")  # the weight of a record not stored: looser than any weight
 
 
 class _Inconsistent(Exception):
@@ -173,53 +175,67 @@ class _Inconsistent(Exception):
 class _Propagator:
     """Edge-propagation state; derives the DC closure or raises _Inconsistent.
 
-    Each edge is one record (weight, derivation), in ``ord`` keyed by
-    (source, target) or in ``uc`` keyed by (source, contingent label).
+    Records are dense rows indexed by timepoint: an ordinary edge (u, v)
+    has weight ``ow[u][v]`` and derivation ``oh[u][v]``, an upper-case edge
+    (u, c) labeled by contingent c has ``uw[u][c]`` and ``uh[u][c]``; an
+    absent record weighs ``_ABSENT``.  ``ord_keys`` and ``uc_keys`` list the
+    records in first-store order, the order the all-max projection reads.
     """
 
     def __init__(self, stnu: Stnu) -> None:
         self.stnu = stnu
+        n = stnu.n_timepoints
         self.low = {c: low for _, c, low, _ in stnu.contingent_links}
         self.activation = {c: a for a, c, _, _ in stnu.contingent_links}
-        self.ord: dict[tuple[int, int], tuple[int, _Derivation]] = {}
-        self.uc: dict[tuple[int, int], tuple[int, _Derivation]] = {}
+        self.ow: list[list[int | float]] = [[_ABSENT] * n for _ in range(n)]
+        self.oh: list[list[_Derivation | None]] = [[None] * n for _ in range(n)]
+        self.uw: list[list[int | float]] = [[_ABSENT] * n for _ in range(n)]
+        self.uh: list[list[_Derivation | None]] = [[None] * n for _ in range(n)]
+        self.ord_keys: list[tuple[int, int]] = []  # each store's keys, in first-store order
+        self.uc_keys: list[tuple[int, int]] = []
         # adjacency by timepoint: ordinary successors, predecessors, upper-case labels
-        self.ord_out: list[set[int]] = [set() for _ in range(stnu.n_timepoints)]
-        self.ord_in: list[set[int]] = [set() for _ in range(stnu.n_timepoints)]
-        self.uc_out: list[set[int]] = [set() for _ in range(stnu.n_timepoints)]
+        self.ord_out: list[set[int]] = [set() for _ in range(n)]
+        self.ord_in: list[set[int]] = [set() for _ in range(n)]
+        self.uc_out: list[set[int]] = [set() for _ in range(n)]
         weights = [abs(w) for _, _, w in stnu.ordinary_edges]
         weights += [abs(low) + abs(high) for _, _, low, high in stnu.contingent_links]
         self.horizon = 1 + sum(weights)
-        self.queue: deque[tuple] = deque()  # (rule, store, x, y, w); stale once (x, y) is below w
+        self.queue: deque[tuple] = deque()  # (is_ord, x, y, w); stale once (x, y) is below w
 
     # -- storage with minimum-keeping and immediate inconsistency checks --
 
     def put_ord(self, u: int, v: int, w: int, how: _Derivation) -> None:
         if u == v and w >= 0:
             return  # vacuous self-loop
-        old = self.ord.get((u, v))
-        if old is None:
+        row = self.ow[u]
+        old = row[v]
+        if old <= w:
+            return
+        if old is _ABSENT:
             self.ord_out[u].add(v)
             self.ord_in[v].add(u)
-        elif old[0] <= w:
-            return
-        self.ord[(u, v)] = (w, how)
+            self.ord_keys.append((u, v))
+        row[v] = w
+        self.oh[u][v] = how
         if (u == v and w < 0) or w < -self.horizon:
             raise _Inconsistent(how)
-        self.queue.append((self._from_ord, self.ord, u, v, w))
+        self.queue.append((True, u, v, w))
 
     def put_uc(self, u: int, c: int, w: int, how: _Derivation) -> None:
-        old = self.uc.get((u, c))
-        if old is None:
-            self.uc_out[u].add(c)
-        elif old[0] <= w:
+        row = self.uw[u]
+        old = row[c]
+        if old <= w:
             return
-        self.uc[(u, c)] = (w, how)
+        if old is _ABSENT:
+            self.uc_out[u].add(c)
+            self.uc_keys.append((u, c))
+        row[c] = w
+        self.uh[u][c] = how
         if w < -self.horizon or (w < 0 and u == self.activation[c]):
             # past the horizon, or an activation waiting on its own link
             # (released strictly after itself)
             raise _Inconsistent(how)
-        self.queue.append((self._from_uc, self.uc, u, c, w))
+        self.queue.append((False, u, c, w))
         if w >= -self.low[c]:
             # wait expires no later than the link can fire: unconditional bound
             self.put_ord(u, self.activation[c], w, how)
@@ -234,40 +250,39 @@ class _Propagator:
             self.put_ord(c, a, -low, (c, a, -low))
             self.put_uc(c, c, -high, (c, a, -high))
         while self.queue:  # first in, first out
-            rule, store, x, y, w = self.queue.popleft()
-            if store[(x, y)][0] == w:
-                rule(x, y, w)
+            is_ord, x, y, w = self.queue.popleft()
+            if (self.ow if is_ord else self.uw)[x][y] == w:
+                (self._from_ord if is_ord else self._from_uc)(x, y, w)
 
     # stored edges are never self-loops (u != v), so no put grows the set a rule walks;
     # a composition whose edge is stored no looser is skipped before building its derivation
     def _from_ord(self, u: int, v: int, w: int) -> None:
-        stored = self.ord
-        how = stored[(u, v)][1]
+        ow, oh = self.ow, self.oh
+        ru, rv, hv = ow[u], ow[v], oh[v]
+        how = oh[u][v]
         for y in self.ord_out[v]:  # (u -> v) + (v -> y)
-            w2, how2 = stored[(v, y)]
-            old = stored.get((u, y))
-            if old is None or w + w2 < old[0]:
-                self.put_ord(u, y, w + w2, (how, how2))
+            if w + rv[y] < ru[y]:
+                self.put_ord(u, y, w + rv[y], (how, hv[y]))
         for x in self.ord_in[u]:  # (x -> u) + (u -> v)
-            w1, how1 = stored[(x, u)]
-            old = stored.get((x, v))
-            if old is None or w1 + w < old[0]:
-                self.put_ord(x, v, w1 + w, (how1, how))
+            rx = ow[x]
+            if rx[u] + w < rx[v]:
+                self.put_ord(x, v, rx[u] + w, (oh[x][u], how))
+        uu, uv, uhv = self.uw[u], self.uw[v], self.uh[v]
         for c in self.uc_out[v]:  # upper-case rule: ordinary prefix
-            w2, how2 = self.uc[(v, c)]
-            self.put_uc(u, c, w + w2, (how, how2))
+            if w + uv[c] < uu[c]:
+                self.put_uc(u, c, w + uv[c], (how, uhv[c]))
         if w < 0 and u in self.low:
             # lower-case rule: the link into u may fire at its minimum
             a, low = self.activation[u], self.low[u]
             self.put_ord(a, v, low + w, ((a, u, low), how))
 
     def _from_uc(self, u: int, c: int, w: int) -> None:
-        how = self.uc[(u, c)][1]
+        ow, oh, uw = self.ow, self.oh, self.uw
+        how = self.uh[u][c]
         for x in self.ord_in[u]:
-            w1, how1 = self.ord[(x, u)]
-            old = self.uc.get((x, c))
-            if old is None or w1 + w < old[0]:
-                self.put_uc(x, c, w1 + w, (how1, how))
+            w1 = ow[x][u]
+            if w1 + w < uw[x][c]:
+                self.put_uc(x, c, w1 + w, (oh[x][u], how))
         if w < 0 and u in self.low and u != c:
             # cross-case rule: another link's minimum firing precedes this wait
             a, low = self.activation[u], self.low[u]
@@ -306,14 +321,12 @@ def _witness(*derivations: _Derivation) -> NotDc:
 def _allmax_witness(prop: _Propagator) -> NotDc | None:
     """Negative cycle in the all-max projection (waits read as hard bounds)."""
     n = prop.stnu.n_timepoints
-    # the derived ordinary edges hold no self-loop (put_ord drops or rejects them)
-    tight = dict(prop.ord)
-    for (u, c), (w, how) in prop.uc.items():
-        v = prop.activation[c]
-        if u == v:
-            continue
-        if (u, v) not in tight or w < tight[(u, v)][0]:
-            tight[(u, v)] = (w, how)
+    # ordinary records (never self-loops) in first-store order, then each tighter wait
+    tight = {(u, v): (prop.ow[u][v], prop.oh[u][v]) for u, v in prop.ord_keys}
+    for u, c in prop.uc_keys:
+        v, w = prop.activation[c], prop.uw[u][c]
+        if u != v and w < tight.get((u, v), (_ABSENT,))[0]:
+            tight[(u, v)] = (w, prop.uh[u][c])
     # upper-bound edge (u, v, w) is the lower-bound edge (v, u, -w); no edge
     # enters the origin n, so a positive cycle never passes through it
     edges = [(n, v, 0) for v in range(n)]
@@ -336,12 +349,14 @@ def dc_check(stnu: Stnu) -> Controllable | NotDc:
     cycle = _allmax_witness(prop)
     if cycle is not None:
         return cycle
-    ordinary = tuple(sorted((u, v, w) for (u, v), (w, _) in prop.ord.items()))
+    rows = range(stnu.n_timepoints)
+    ordinary = tuple((u, v, prop.ow[u][v]) for u in rows for v in sorted(prop.ord_out[u]))
     waits = tuple(
         sorted(
-            (u, prop.activation[c], w, c)
-            for (u, c), (w, _) in prop.uc.items()
-            if w < -prop.low[c] and u != c
+            (u, prop.activation[c], prop.uw[u][c], c)
+            for u in rows
+            for c in prop.uc_out[u]
+            if prop.uw[u][c] < -prop.low[c] and u != c
         )
     )
     del prop  # free the derivations before the dispatcher is compiled

@@ -237,6 +237,19 @@ def test_magnitude_matches_paired_t_reference():
         assert res.p_value == pytest.approx(float(ref.pvalue), abs=1e-10)
 
 
+def test_magnitude_p_value_equals_scipy_t_survival():
+    # magnitude_test takes the t tail from scipy.special, not scipy.stats: same numbers
+    rng = random.Random(0x57D7)
+    for _ in range(500):
+        n = rng.randint(2, 40)
+        series = PairedSeries(
+            tuple((rng.uniform(0.0, 50.0), rng.uniform(0.0, 50.0)) for _ in range(n))
+        )
+        res = magnitude_test(series)
+        tail = float(scipy_stats.t.sf(abs(res.statistic), n - 1))
+        assert res.p_value == min(2.0 * tail, 1.0)
+
+
 def test_magnitude_contract_violations():
     # an infinite value breaks the contract; too few double hits leave it undefined
     with pytest.raises(ValueError) as violation:
@@ -418,6 +431,20 @@ def test_ordering_rejects_unknown_metric_and_bad_edges():
     cycle = (("a", "b", STRONG), ("b", "c", STRONG), ("c", "a", WEAK))
     with pytest.raises(ValueError, match="method ordering on quality contains a cycle"):
         PartialOrdering(methods=("a", "b", "c"), metric=QUALITY, edges=cycle)
+
+
+def test_magnitude_test_leaves_scipy_stats_unloaded():
+    # srcpsp stats pays for the modules a magnitude test imports on every call
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys; from srcpsp.stats import PairedSeries, magnitude_test; "
+        "magnitude_test(PairedSeries(((1.0, 2.0), (3.0, 3.5), (2.0, 1.0)))); "
+        "assert 'scipy.special' in sys.modules; "
+        "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'"
+    )
+    subprocess.run(
+        [sys.executable, "-c", probe], check=True, env=dict(os.environ, PYTHONPATH=str(src))
+    )
 
 
 def test_bench_import_leaves_scipy_unloaded():
