@@ -36,40 +36,20 @@ from .instances import (
     sample_durations,
 )
 from .methods import (
-    PROACTIVE_Q,
-    PROACTIVE_SAA,
-    REACTIVE,
-    SETTINGS_READ,
-    STNU,
+    METHODS,
     MethodConfig,
     MethodRun,
     perfect_information_feasible,
     reusing_plans,
-    run_proactive_quantile,
-    run_proactive_saa,
-    run_reactive,
-    run_stnu,
 )
 from .solver import Schedule, check_schedule, solve
 from .stats import METRICS, STRONG, PartialOrdering, build_partial_ordering
 
-_RUNNERS: dict[str, Callable[[StochasticInstance, MethodConfig, DurationSample], MethodRun]] = {
-    PROACTIVE_Q: run_proactive_quantile,
-    PROACTIVE_SAA: run_proactive_saa,
-    REACTIVE: run_reactive,
-    STNU: run_stnu,
-}
-
-DEFAULT_METHODS = (PROACTIVE_Q, PROACTIVE_SAA, REACTIVE, STNU)
-
-
+# _method_row calls each runner through this dict, so a runner swapped into it is what runs
+_RUNNERS = {name: method.run for name, method in METHODS.items()}
+DEFAULT_METHODS = tuple(METHODS)
 # each method's default config; BenchConfig completes method_configs from it
-DEFAULT_METHOD_CONFIGS = {
-    PROACTIVE_Q: MethodConfig(),
-    PROACTIVE_SAA: MethodConfig(time_limit_offline=300.0),
-    REACTIVE: MethodConfig(),
-    STNU: MethodConfig(gamma=1.0),
-}
+DEFAULT_METHOD_CONFIGS = {name: method.defaults for name, method in METHODS.items()}
 
 
 def _format_number(value: float) -> str:
@@ -133,17 +113,17 @@ _METHOD_FIELDS = {
 
 def _configured(method: str, overrides: Mapping[str, object], prefix: str = "") -> MethodConfig:
     """``method``'s default config with ``overrides``, each a setting the method reads."""
-    if unread := sorted(set(overrides) & set(_METHOD_FIELDS) - set(SETTINGS_READ[method])):
+    if unread := sorted(set(overrides) & set(_METHOD_FIELDS) - set(METHODS[method].reads)):
         raise ValueError(f"{method} does not read {', '.join(unread)}")
     checked = _checked(_METHOD_FIELDS, overrides, prefix)
-    return dataclasses.replace(DEFAULT_METHOD_CONFIGS[method], **checked)
+    return dataclasses.replace(METHODS[method].defaults, **checked)
 
 
 def _method_configs(key: str, value: object) -> dict[str, MethodConfig]:
     """The configs of the methods ``value`` names; BenchConfig adds the rest."""
     configs = {}
     for name, overrides in _mapping(key, value).items():
-        if name not in DEFAULT_METHOD_CONFIGS:
+        if name not in METHODS:
             raise ValueError(f"{key} for unknown method {name!r}")
         where = f"{key}[{name!r}]"
         configs[name] = _configured(name, _mapping(where, overrides), where + ".")
@@ -219,12 +199,12 @@ class BenchConfig:
             printed[text] = eps
         if not self.methods:
             raise ValueError("config needs at least one method")
-        unknown = sorted(set(self.methods) - set(_RUNNERS))
+        unknown = sorted(set(self.methods) - set(METHODS))
         if unknown:
             raise ValueError(f"unknown methods: {', '.join(unknown)}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate method names")
-        unknown = sorted(set(self.method_configs) - set(_RUNNERS))
+        unknown = sorted(set(self.method_configs) - set(METHODS))
         if unknown:
             raise ValueError(f"method_configs for unknown methods: {', '.join(unknown)}")
         object.__setattr__(
@@ -628,6 +608,8 @@ def ordering_report(ordering: PartialOrdering) -> str:
         lines.append("edges (better -> worse):")
         for better, worse, strength in ordering.edges:
             lines.append(f"  {better} -> {worse} [{strength}]")
+    elif any(t.win_share and t.win_share.significant for t in ordering.pair_tests.values()):
+        lines.append("edges: none (each significant win-share closed a cycle and was dropped)")
     else:
         lines.append("edges: none (no significant differences)")
     return "\n".join(lines)
@@ -816,7 +798,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="run one method on sampled realizations of one instance"
     )
     p_sim.add_argument("--instance", required=True)
-    p_sim.add_argument("--method", required=True, choices=sorted(_RUNNERS))
+    p_sim.add_argument("--method", required=True, choices=sorted(METHODS))
     p_sim.add_argument("--epsilon", type=float, required=True)
     p_sim.add_argument("--samples", type=int, default=10)
     p_sim.add_argument("--seed", type=int, default=1)

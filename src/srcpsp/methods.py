@@ -6,15 +6,16 @@ with feasibility, makespan and the offline/online computation walls.  The
 online clock is logical: simulated event times are integers, while the
 reported time_online measures only the online computation.
 
-Each runner is a plan step and an execute step.  A plan depends only on the
-instance, epsilon and the settings it reads, so inside ``reusing_plans`` it
-is made once and reused for every sample; bench and simulate plan once per
-(instance, epsilon) that way.  ``proactive_q`` and ``reactive`` share the
-gamma-quantile plan (``stnu`` too when its gamma is the same), and a reused
-plan's time_offline is the one measured cost of making it.  A plan stopped
-by a wall-clock limit is shared the same way, so under a binding
-time_limit_offline all samples of a group get the one stopped plan.
-Outside ``reusing_plans`` every call plans afresh.
+``METHODS`` holds each method's runner, default config and the settings it
+reads.  Each runner is a plan step and an execute step.  A plan depends only
+on the instance, epsilon and the settings it reads, so inside
+``reusing_plans`` it is made once and reused for every sample; bench and
+simulate plan once per (instance, epsilon) that way.  ``proactive_q`` and
+``reactive`` share the gamma-quantile plan; ``stnu``'s default gamma of 1.0
+gives it its own.  A reused plan's time_offline is the one measured cost of
+making it.  A plan stopped by a wall-clock limit is shared the same way, so
+under a binding time_limit_offline all samples of a group get the one
+stopped plan.  Outside ``reusing_plans`` every call plans afresh.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from .chaining import chain
 from .instances import DurationSample, StochasticInstance, quantile_durations
@@ -57,7 +58,8 @@ FAIL_EXECUTION = "execution_violation"
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """Tuning knobs of the methods; ``SETTINGS_READ`` lists the ones each method reads."""
+    """Tuning knobs; ``METHODS`` holds each method's defaults (``stnu``'s gamma
+    of 1.0 gives it a plan of its own) and the fields it reads."""
 
     gamma: float | Fraction = 0.9
     saa_gammas: tuple[float | Fraction, ...] = (0.25, 0.5, 0.75, 0.9)
@@ -320,13 +322,26 @@ def run_stnu(
     return _record(STNU, sample, offline, online, None, starts, trace.makespan)
 
 
-# The MethodConfig fields each runner reads; a setting of any other field
-# would have no effect, so bench and simulate reject it.
-SETTINGS_READ = {
-    PROACTIVE_Q: ("gamma", "time_limit_offline"),
-    PROACTIVE_SAA: ("saa_gammas", "time_limit_offline"),
-    REACTIVE: ("gamma", "time_limit_offline", "time_limit_reschedule"),
-    STNU: ("gamma", "time_limit_offline"),
+class Method(NamedTuple):
+    """A scheduling method: its runner, its default config and the settings it reads."""
+
+    run: Callable[[StochasticInstance, MethodConfig, DurationSample], MethodRun]
+    defaults: MethodConfig
+    reads: tuple[str, ...]  # MethodConfig fields; setting any other has no effect
+
+
+# every method, in bench's default order; bench and simulate reject a setting it does not read
+METHODS = {
+    PROACTIVE_Q: Method(run_proactive_quantile, MethodConfig(), ("gamma", "time_limit_offline")),
+    PROACTIVE_SAA: Method(
+        run_proactive_saa,
+        MethodConfig(time_limit_offline=300.0),
+        ("saa_gammas", "time_limit_offline"),
+    ),
+    REACTIVE: Method(
+        run_reactive, MethodConfig(), ("gamma", "time_limit_offline", "time_limit_reschedule")
+    ),
+    STNU: Method(run_stnu, MethodConfig(gamma=1.0), ("gamma", "time_limit_offline")),
 }
 
 

@@ -116,7 +116,8 @@ class PartialOrdering:
 
     Edges run from the better to the worse method; ``strong`` edges come from
     the signed-rank test, ``weak`` ones from the win-share test alone, and
-    they never form a cycle.  ``pair_tests`` holds the tests of every
+    they never form a cycle (``build_partial_ordering`` drops weak edges
+    that would close one).  ``pair_tests`` holds the tests of every
     alphabetically ordered method pair.
     """
 
@@ -313,6 +314,9 @@ def build_partial_ordering(
     every pair, n=0 pairs included, are kept for the report; a test that
     is undefined on its series (all ties, constant differences, too few
     double hits) is kept as None and leaves the pair unordered on it.
+    Win-shares need not be transitive, so a weak edge whose worse method
+    already reaches its better one through the other edges is dropped with
+    a logged warning; strong edges are never dropped.
     """
     index = _index(runs, metric)
     methods = tuple(sorted(index))
@@ -335,4 +339,21 @@ def build_partial_ordering(
             if strength:
                 edges.append((name_a, name_b, strength) if a_wins else (name_b, name_a, strength))
             pair_tests[(name_a, name_b)] = PairTests(len(series), ranked, share, magnitude)
-    return PartialOrdering(methods, metric, tuple(edges), pair_tests, alpha)
+    kept = []
+    for better, worse, strength in edges:
+        if strength == WEAK and _reaches(edges, worse, better):
+            logger.warning(
+                "%s: dropped weak edge %s -> %s, which closes a cycle", metric, better, worse
+            )
+        else:
+            kept.append((better, worse, strength))
+    return PartialOrdering(methods, metric, tuple(kept), pair_tests, alpha)
+
+
+def _reaches(edges: list[tuple[str, str, str]], start: str, goal: str) -> bool:
+    """Whether a path of ``edges`` leads from ``start`` to ``goal``."""
+    reached, frontier = {start}, {start}
+    while frontier:
+        frontier = {worse for better, worse, _ in edges if better in frontier} - reached
+        reached |= frontier
+    return goal in reached

@@ -9,12 +9,14 @@ Dynamic controllability is decided by edge propagation in the style of the
 Morris-Muscettola labeled-distance-graph rules: ordinary composition,
 upper-case composition, lower-case and cross-case reductions guarded by
 strictly negative second legs, and label removal once a wait is covered by
-the link's lower bound.  Propagation to quiescence either derives a negative
-ordinary self-loop / an inconsistent all-max projection (not DC; the
-witness is expanded from shared edge derivations only then) or yields the
-closed edge set an executor can dispatch greedily.  Each edge is one record
-(weight, derivation) in dense rows indexed by source timepoint, then by
-target or contingent label.  The worklist is drained first in, first out,
+the link's lower bound.  Propagation to quiescence either derives a
+contradiction (a negative ordinary self-loop, an activation waiting on its
+own link, or an inconsistent all-max projection: not DC, and the witness,
+the most negative closed walk of input edges in the contradiction's
+derivation, is expanded from shared edge derivations only then) or yields
+the closed edge set an executor can dispatch greedily.  Each edge is one
+record (weight, derivation) in dense rows indexed by source timepoint, then
+by target or contingent label.  The worklist is drained first in, first out,
 so each stored edge is processed about once; the order decides some weights
 and witnesses (label removal fires only while a wait is loose).
 """
@@ -311,10 +313,8 @@ def _witness(*derivations: _Derivation) -> NotDc:
                 length = prefix[j] - prefix[i]
                 if best is None or length < best[2]:
                     best = (i, j, length)
-    if best is None:
-        # open walk below the horizon bound; report it as-is
-        return NotDc(nodes=tuple(nodes), total=prefix[-1])
-    i, j, length = best
+    # set: a walk below -horizon holds a negative closed sub-walk (simple paths are >= 1 - horizon)
+    i, j, length = best  # type: ignore[misc]
     return NotDc(nodes=tuple(nodes[i:j]), total=length)
 
 

@@ -559,7 +559,7 @@ def test_cli_bench_aborted_run_leaves_no_stale_feasibility(tmp_path, monkeypatch
         calls.append(sample.seed)
         if len(calls) == 2:
             raise ValueError("second run fails")
-        return bench.run_proactive_quantile(stoch, cfg, sample)
+        return methods.run_proactive_quantile(stoch, cfg, sample)
 
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -1000,6 +1000,30 @@ def test_cli_stats_report_text_is_pinned(tmp_path, capsys):
     argv = ["stats", "--results", str(csv_path), "--metric", "quality", "--alpha", "0.02"]
     assert bench.main(argv) == 0
     assert capsys.readouterr().out == STATS_GOLDEN
+
+
+def test_cli_stats_drops_weak_edges_that_close_a_cycle(tmp_path, capsys, caplog):
+    # makespans rotate, so alpha beats beta, beta beats gamma and gamma beats
+    # alpha on 2 samples in 3 (win-share p=0.0142) while no signed-rank test
+    # is significant (p=0.468): the three weak edges would form a cycle
+    rotation = ((10, 20, 30), (20, 30, 10), (30, 10, 20))
+    rows = [
+        make_row(method=method, makespan=span, instance=f"i{k:02d}", seed=k)
+        for k in range(60)
+        for method, span in zip(("alpha", "beta", "gamma"), rotation[k % 3])
+    ]
+    csv_path = tmp_path / "results.csv"
+    csv_path.write_text(ResultsTable(rows=tuple(rows)).to_csv(), encoding="utf-8")
+    assert bench.main(["stats", "--results", str(csv_path), "--metric", "quality"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert all("signed-rank z=" in line and " p=0.4680;" in line for line in lines[1:4])
+    assert all(" p=0.0142*;" in line for line in lines[1:4])
+    assert lines[4:] == ["edges: none (each significant win-share closed a cycle and was dropped)"]
+    dropped = sorted(r.getMessage() for r in caplog.records if r.name == "srcpsp.stats")
+    assert dropped == [
+        f"quality: dropped weak edge {edge}, which closes a cycle"
+        for edge in ("alpha -> beta", "beta -> gamma", "gamma -> alpha")
+    ]
 
 
 def test_cli_stats_epsilon_matches_the_printed_value(tmp_path, capsys):

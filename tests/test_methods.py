@@ -567,3 +567,29 @@ def test_method_runs_pinned_on_j10():
                 run = runner(stoch, configs[method], sample)
                 got = (run.feasible, run.makespan, run.failure_reason, run.starts)
                 assert got == METHOD_RUNS_PINNED[(name, k, method)], (name, k, method)
+
+
+# a value of each MethodConfig field that changes the run of a method reading it
+CHANGED_SETTINGS = {
+    "gamma": 0.5,
+    "saa_gammas": (0.5,),
+    "time_limit_offline": 1e-6,
+    "time_limit_reschedule": 1e-6,
+}
+
+
+def test_methods_ignore_the_settings_they_do_not_read():
+    # bench and simulate reject a setting outside a method's reads, which is
+    # sound only if the runner indeed never reads it
+    assert set(CHANGED_SETTINGS) == {f.name for f in dataclasses.fields(MethodConfig)}
+    untimed = dict(time_offline=0.0, time_online=0.0)
+    for name in ("j10_01", "j10_05"):
+        stoch = make_stochastic(parse_psplib((J10 / f"{name}.sch").read_text()), 1)
+        sample = sample_durations(stoch, derive_seed(1, name, 1.0, 0))
+        for method, (run, defaults, reads) in methods.METHODS.items():
+            # outside reusing_plans every call makes a fresh plan
+            expected = dataclasses.replace(run(stoch, defaults, sample), **untimed)
+            for setting, value in CHANGED_SETTINGS.items():
+                if setting not in reads:
+                    changed = run(stoch, dataclasses.replace(defaults, **{setting: value}), sample)
+                    assert dataclasses.replace(changed, **untimed) == expected, (method, setting)
