@@ -53,8 +53,8 @@ DEFAULT_METHOD_CONFIGS = {name: method.defaults for name, method in METHODS.item
 
 
 def _format_number(value: float) -> str:
-    """Canonical text for epsilons and alphas: integral floats print as ints."""
-    return f"{value:g}"
+    """Canonical text for epsilons and alphas: integral floats print as ints, -0.0 as 0."""
+    return f"{value + 0.0:g}"
 
 
 def derive_seed(master_seed: int, instance: str, epsilon: float, sample: int) -> int:
@@ -402,6 +402,10 @@ def _method_row(cell: _Cell, method: str, sample: DurationSample) -> MethodRun:
         if run.starts is None or len(run.starts) != len(sample.durations):
             raise RuntimeError(
                 f"audit failure: {method} reported no start for every activity on {cell.instance}"
+            )
+        if min(run.starts) < 0:
+            raise RuntimeError(
+                f"audit failure: {method} reported a start before time 0 on {cell.instance}"
             )
         schedule = Schedule.from_starts(run.starts, sample.durations)
         if not check_schedule(cell.stochastic.base, sample.durations, schedule).feasible:

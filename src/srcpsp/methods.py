@@ -7,15 +7,18 @@ online clock is logical: simulated event times are integers, while the
 reported time_online measures only the online computation.
 
 ``METHODS`` holds each method's runner, default config and the settings it
-reads.  Each runner is a plan step and an execute step.  A plan depends only
-on the instance, epsilon and the settings it reads, so inside
-``reusing_plans`` it is made once and reused for every sample; bench and
-simulate plan once per (instance, epsilon) that way.  ``proactive_q`` and
+reads.  Each runner is a plan step and an execute step.  A plan step is a
+plain function of the instance and the settings it reads, never of the
+sample, and ``_planned`` keys it by its call (the step and its arguments), so
+inside ``reusing_plans`` it is made once and reused for every sample; bench
+and simulate plan once per (instance, epsilon) that way.  ``proactive_q`` and
 ``reactive`` share the gamma-quantile plan; ``stnu``'s default gamma of 1.0
-gives it its own.  A reused plan's time_offline is the one measured cost of
-making it.  A plan stopped by a wall-clock limit is shared the same way, so
-under a binding time_limit_offline all samples of a group get the one
-stopped plan.  Outside ``reusing_plans`` every call plans afresh.
+gives it its own, and its DC closure is a step of that plan's outcome.  A
+reused plan's time_offline is the one measured cost of making it (for
+``stnu``, of the quantile plan plus the closure).  A plan stopped by a
+wall-clock limit is shared the same way, so under a binding
+time_limit_offline all samples of a group get the one stopped plan.  Outside
+``reusing_plans`` every call plans afresh.
 """
 
 from __future__ import annotations
@@ -137,16 +140,16 @@ def _offline_tag(status: SolveStatus) -> str | None:
     return None
 
 
-# The plans of the bench group being run: plan key -> (plan, seconds).  Unset
+# The plans of the bench group being run: (step, *args) -> (plan, seconds).  Unset
 # outside ``reusing_plans``, where every plan step plans afresh.
 _PLANS: ContextVar[dict[tuple, tuple[Any, float]]] = ContextVar("plans")
 
 
 @contextmanager
 def reusing_plans(plans: dict[tuple, tuple[Any, float]]) -> Iterator[None]:
-    """Inside the block, each plan step plans once per key and reuses ``plans``.
+    """Inside the block, each plan step plans once per call and reuses ``plans``.
 
-    A plan depends only on the instance and the settings in its key, never on
+    A plan step's arguments are the instance and the settings it reads, never
     the sample, so bench and simulate hand in one dict per (instance,
     epsilon) group and drop it with the group: no plan outlives its group.
     """
@@ -157,52 +160,43 @@ def reusing_plans(plans: dict[tuple, tuple[Any, float]]) -> Iterator[None]:
         _PLANS.reset(token)
 
 
-def _planned(key: tuple, step: Callable[[], Any]) -> tuple[Any, float]:
-    """``step()`` and the seconds it took, or the group's earlier result for ``key``."""
+def _planned(step: Callable[..., Any], *args: Any) -> tuple[Any, float]:
+    """``step(*args)`` and the seconds it took, or the group's earlier result for that call."""
     plans = _PLANS.get({})  # outside reusing_plans, a memo of this call alone
+    key = (step, *args)
     if key not in plans:
         t0 = time.perf_counter()
-        plan = step()
+        plan = step(*args)
         plans[key] = plan, time.perf_counter() - t0
     return plans[key]
 
 
 def _quantile_plan(
-    stoch: StochasticInstance, cfg: MethodConfig
-) -> tuple[tuple[DurationSample, SolveOutcome], float]:
+    stoch: StochasticInstance, gamma: float | Fraction, time_limit: float
+) -> tuple[DurationSample, SolveOutcome]:
     """The gamma-quantile duration estimate and the plan solved against it."""
-
-    def step() -> tuple[DurationSample, SolveOutcome]:
-        estimate = quantile_durations(stoch, cfg.gamma)
-        return estimate, solve(stoch.base, estimate.durations, time_limit=cfg.time_limit_offline)
-
-    return _planned((stoch, "quantile", cfg.gamma, cfg.time_limit_offline), step)
+    estimate = quantile_durations(stoch, gamma)
+    return estimate, solve(stoch.base, estimate.durations, time_limit=time_limit)
 
 
-def _saa_plan(stoch: StochasticInstance, cfg: MethodConfig) -> tuple[SaaOutcome, float]:
-    """The SAA solve over the ``saa_gammas`` quantile scenarios."""
-
-    def step() -> SaaOutcome:
-        scenarios = [quantile_durations(stoch, g).durations for g in cfg.saa_gammas]
-        return solve_saa(stoch.base, scenarios, time_limit=cfg.time_limit_offline)
-
-    return _planned((stoch, "saa", cfg.saa_gammas, cfg.time_limit_offline), step)
+def _saa_plan(
+    stoch: StochasticInstance, gammas: tuple[float | Fraction, ...], time_limit: float
+) -> SaaOutcome:
+    """The SAA solve over the ``gammas`` quantile scenarios."""
+    scenarios = [quantile_durations(stoch, g).durations for g in gammas]
+    return solve_saa(stoch.base, scenarios, time_limit=time_limit)
 
 
-def _stnu_plan(stoch: StochasticInstance, cfg: MethodConfig) -> tuple[Estnu | str, float]:
+def _stnu_closure(
+    stoch: StochasticInstance, estimate: DurationSample, out: SolveOutcome
+) -> Estnu | str:
     """The chained quantile plan's DC closure, or the failure tag of why there is none."""
-    (estimate, out), quantile_s = _quantile_plan(stoch, cfg)
-
-    def step() -> Estnu | str:
-        tag = _offline_tag(out.status)
-        if tag is not None:
-            return tag
-        pos = chain(stoch.base, estimate.durations, out.schedule)
-        verdict = dc_check(build_stnu(pos, stoch))
-        return verdict.estnu if isinstance(verdict, Controllable) else FAIL_NOT_DC
-
-    plan, seconds = _planned((stoch, STNU, cfg.gamma, cfg.time_limit_offline), step)
-    return plan, quantile_s + seconds
+    tag = _offline_tag(out.status)
+    if tag is not None:
+        return tag
+    pos = chain(stoch.base, estimate.durations, out.schedule)
+    verdict = dc_check(build_stnu(pos, stoch))
+    return verdict.estnu if isinstance(verdict, Controllable) else FAIL_NOT_DC
 
 
 def _execute_fixed(
@@ -230,7 +224,7 @@ def run_proactive_quantile(
     stoch: StochasticInstance, cfg: MethodConfig, sample: DurationSample
 ) -> MethodRun:
     """Solve once against the gamma-quantile durations, then never adapt."""
-    (_, out), offline = _quantile_plan(stoch, cfg)
+    (_, out), offline = _planned(_quantile_plan, stoch, cfg.gamma, cfg.time_limit_offline)
     starts = None if out.schedule is None else out.schedule.starts
     return _execute_fixed(PROACTIVE_Q, stoch, sample, offline, out.status, starts)
 
@@ -239,7 +233,7 @@ def run_proactive_saa(
     stoch: StochasticInstance, cfg: MethodConfig, sample: DurationSample
 ) -> MethodRun:
     """One start vector feasible for every quantile scenario, minimizing the mean makespan."""
-    out, offline = _saa_plan(stoch, cfg)
+    out, offline = _planned(_saa_plan, stoch, cfg.saa_gammas, cfg.time_limit_offline)
     return _execute_fixed(PROACTIVE_SAA, stoch, sample, offline, out.status, out.starts)
 
 
@@ -258,7 +252,7 @@ def run_reactive(
     inst = stoch.base
     realized = sample.durations
     n = inst.n_activities
-    (estimate, out), offline = _quantile_plan(stoch, cfg)
+    (estimate, out), offline = _planned(_quantile_plan, stoch, cfg.gamma, cfg.time_limit_offline)
     tag = _offline_tag(out.status)
     if tag is not None:
         return _record(REACTIVE, sample, offline, failure=tag)
@@ -312,7 +306,9 @@ def run_stnu(
     stoch: StochasticInstance, cfg: MethodConfig, sample: DurationSample
 ) -> MethodRun:
     """Chain a quantile-estimate schedule, check controllability, execute online."""
-    estnu, offline = _stnu_plan(stoch, cfg)
+    (estimate, out), quantile_s = _planned(_quantile_plan, stoch, cfg.gamma, cfg.time_limit_offline)
+    estnu, closure_s = _planned(_stnu_closure, stoch, estimate, out)
+    offline = quantile_s + closure_s
     if not isinstance(estnu, Estnu):
         return _record(STNU, sample, offline, failure=estnu)
     t1 = time.perf_counter()

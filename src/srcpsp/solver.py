@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Mapping, Sequence
 
 from .instances import ProjectInstance
-from .stn import DistanceGraph, _incremental_root, _tighten
+from .stn import _relax, _rooted_edges, _tighten
 
 
 class SolveStatus(Enum):
@@ -197,16 +197,6 @@ def _minimal_conflict_set(
     raise AssertionError("no conflicting subset in a conflicting active set")
 
 
-def _branch_edges(
-    conflict: tuple[int, ...],
-    durations: Sequence[int],
-) -> list[tuple[int, int, int]]:
-    return [
-        (a, b, durations[a])
-        for a, b in itertools.permutations(conflict, 2)
-    ]
-
-
 def _validated_warm_start(
     inst: ProjectInstance,
     durations: Sequence[int],
@@ -252,9 +242,11 @@ def _search(
     t0 = time.monotonic()
     # The root solution and the resource users are fixed for the whole
     # search; each node only adds its newest ordering edge to ``succ``.
-    root, succ = _incremental_root(
-        DistanceGraph(node_count=total, edges=inst.temporal_constraints), fixed
-    )
+    edges = _rooted_edges(total, inst.temporal_constraints, fixed)
+    succ: list[list[tuple[int, int]]] = [[] for _ in range(total + 1)]
+    for i, j, w in edges:
+        succ[i].append((j, w))
+    root, _ = _relax(total + 1, edges, total)
     resources = [_resource_users(inst, durations) for durations in scenarios]
 
     def makespan_sum(starts: Sequence[int]) -> int:
@@ -296,8 +288,8 @@ def _search(
             continue
         t, r, active = conflict
         subset = _minimal_conflict_set(inst, r, active)
-        for edge in reversed(_branch_edges(subset, durations)):
-            stack.append((dist, len(path), edge))
+        for a, b in reversed(list(itertools.permutations(subset, 2))):
+            stack.append((dist, len(path), (a, b, durations[a])))
 
     if best_starts is None:
         status = SolveStatus.INFEASIBLE if exhausted else SolveStatus.UNKNOWN

@@ -3,10 +3,11 @@
 A :class:`DistanceGraph` collects difference constraints in lower-bound
 convention: an edge ``(i, j, w)`` states ``t_j - t_i >= w``.  One Bellman-Ford
 style longest-path relaxation, :func:`_relax`, runs from a virtual origin, so
-every time point also satisfies ``t >= 0``.  Two fronts share it:
-:func:`earliest_schedule` returns the least solution, and
-:func:`_incremental_root` seeds the solver's incremental :func:`_tighten`.
-The STNU all-max check calls :func:`_relax` itself to find a positive cycle.
+every time point also satisfies ``t >= 0``.  :func:`_rooted_edges` wires
+that origin in one place, for :func:`earliest_schedule`, which returns the
+least solution, and for the solver's root, which it then tightens edge by
+edge with :func:`_tighten`.  The STNU all-max check calls :func:`_relax`
+itself to find a positive cycle.
 """
 
 from __future__ import annotations
@@ -113,45 +114,30 @@ def _tighten(
 
 
 def _rooted_edges(
-    g: DistanceGraph,
+    node_count: int,
+    edges: Sequence[tuple[int, int, int]],
     fixed: Mapping[int, int] | None,
 ) -> list[tuple[int, int, int]]:
-    """Tightest edges of ``g`` with the virtual origin, numbered ``g.node_count``.
+    """Tightest ``edges`` with the virtual origin, numbered ``node_count``.
 
     The origin adds ``t_v >= 0`` for every node and pins each node of
     ``fixed`` to its exact time.  Returns the edge list that ``_relax`` runs
     on.
     """
-    n = g.node_count
-    origin = n
+    origin = node_count
     tight: dict[tuple[int, int], int] = {}
-    for i, j, w in g.edges:
+    for i, j, w in edges:
         if (i, j) not in tight or w > tight[(i, j)]:
             tight[(i, j)] = w
     for v, t in (fixed or {}).items():
-        if not 0 <= v < n:
+        if not 0 <= v < node_count:
             raise ValueError(f"fixed node {v} out of range")
         tight[(origin, v)] = max(t, 0)  # t_v >= t
         tight[(v, origin)] = -t  # t_v <= t
-    edges = [(origin, v, 0) for v in range(n)]
+    rooted = [(origin, v, 0) for v in range(node_count)]
     for (i, j), w in tight.items():
-        edges.append((i, j, w))
-    return edges
-
-
-def _incremental_root(
-    g: DistanceGraph,
-    fixed: Mapping[int, int] | None,
-) -> tuple[list[int] | None, list[list[tuple[int, int]]]]:
-    """Root potentials of ``g`` with ``fixed`` pins, origin last (None when
-    inconsistent), and the successor lists that :func:`_tighten` runs on."""
-    n = g.node_count
-    edges = _rooted_edges(g, fixed)
-    succ: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for i, j, w in edges:
-        succ[i].append((j, w))
-    dist, _ = _relax(n + 1, edges, n)
-    return dist, succ
+        rooted.append((i, j, w))
+    return rooted
 
 
 def earliest_schedule(
@@ -164,5 +150,5 @@ def earliest_schedule(
     contradict the graph (or each other).
     """
     n = g.node_count
-    dist, _ = _relax(n + 1, _rooted_edges(g, fixed), n)
+    dist, _ = _relax(n + 1, _rooted_edges(n, g.edges, fixed), n)
     return None if dist is None else dist[:n]

@@ -17,7 +17,6 @@ from srcpsp.solver import (
     SaaOutcome,
     Schedule,
     SolveStatus,
-    _branch_edges,
     _minimal_conflict_set,
     check_schedule,
 )
@@ -105,7 +104,8 @@ def _search(
             continue
         t, r, active = conflict
         subset = _minimal_conflict_set(inst, r, active)
-        for edge in reversed(_branch_edges(subset, durations)):
+        orderings = [(a, b, durations[a]) for a in subset for b in subset if a != b]
+        for edge in reversed(orderings):
             stack.append(added + (edge,))
 
     if best_starts is None:

@@ -225,6 +225,24 @@ def test_config_rejects_epsilons_that_print_alike():
         BenchConfig.from_mapping(mapping)
 
 
+def test_cli_bench_refuses_negative_zero_beside_zero(tmp_path, monkeypatch, capsys):
+    # -0.0 passes the nonnegative check, but prints and seeds as 0
+    def no_cell(cell):
+        raise AssertionError("a cell ran before the clash was reported")
+
+    monkeypatch.setattr(bench, "_run_cell", no_cell)
+    config = {
+        "instance_sets": {"demo": str(EXAMPLE)},
+        "epsilons": [0, -0.0],
+        "output_dir": str(tmp_path / "out"),
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    assert bench.main(["bench", "--config", str(cfg_path)]) == 2
+    assert "0 and -0.0 both print as 0," in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_from_json_reports_bad_documents(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json", encoding="utf-8")
@@ -649,6 +667,17 @@ def test_audit_stops_methods_that_misreport_feasibility(tmp_path, monkeypatch, e
         with pytest.raises(RuntimeError, match="proactive_q reported no start for every activity"):
             entry(tmp_path, PROACTIVE_Q)
 
+    # a whole run shifted earlier keeps every lag, the resource profile and a
+    # makespan that matches its replay, but starts before time 0
+    def early_runner(stoch, cfg, sample):
+        run = run_proactive_quantile(stoch, cfg, sample)
+        starts = tuple(s - 7 for s in run.starts)
+        return dataclasses.replace(run, starts=starts, makespan=run.makespan - 7)
+
+    monkeypatch.setitem(bench._RUNNERS, PROACTIVE_Q, early_runner)
+    with pytest.raises(RuntimeError, match="proactive_q reported a start before time 0"):
+        entry(tmp_path, PROACTIVE_Q)
+
 
 # -- reporting -------------------------------------------------------------
 
@@ -890,6 +919,16 @@ def test_cli_simulate_rows_equal_a_one_instance_bench(tmp_path):
         simulated = ResultsTable.from_csv(out_file.read_text(encoding="utf-8")).rows
         assert len(simulated) == 3
         assert stripped(simulated) == stripped(r for r in benched if r.method == method)
+
+
+def test_cli_simulate_negative_zero_epsilon_runs_epsilon_zero(capsys):
+    def rows(epsilon):
+        argv = ["simulate", "--instance", str(EXAMPLE), "--method", STNU, "--epsilon", epsilon]
+        assert bench.main([*argv, "--samples", "2"]) == 0
+        table = ResultsTable.from_csv(capsys.readouterr().out)
+        return [dataclasses.replace(r, time_offline=0.0, time_online=0.0) for r in table.rows]
+
+    assert rows("-0") == rows("0")
 
 
 def test_cli_simulate_prints_csv_without_out(capsys):

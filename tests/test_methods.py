@@ -429,7 +429,7 @@ def test_reactive_on_a_reused_plan_equals_a_fresh_plan():
         assert [timeless(run) for run in reused] == [timeless(run) for run in fresh]
         # the one shared plan, with its one measured cost, came out unchanged
         ((plan, seconds),) = plans.values()
-        assert plan == methods._quantile_plan(stoch, cfg)[0]
+        assert plan == methods._quantile_plan(stoch, cfg.gamma, cfg.time_limit_offline)
         assert {run.time_offline for run in reused} == {seconds}
 
 

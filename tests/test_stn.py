@@ -4,7 +4,6 @@ import pytest
 
 from srcpsp.stn import (
     DistanceGraph,
-    _incremental_root,
     _relax,
     _rooted_edges,
     _tighten,
@@ -15,7 +14,7 @@ from srcpsp.stn import (
 def _cycle(g: DistanceGraph) -> list[int] | None:
     """Positive cycle that the relaxation finds from the unpinned origin."""
     n = g.node_count
-    return _relax(n + 1, _rooted_edges(g, None), n)[1]
+    return _relax(n + 1, _rooted_edges(g.node_count, g.edges, None), n)[1]
 
 
 def test_propagate_simple_chain():
@@ -53,7 +52,7 @@ def test_propagate_cycle_total_uses_tightest_bounds():
     assert earliest_schedule(DistanceGraph(2, g.edges[:2])) == [0, 3]
     assert earliest_schedule(g) is None
     assert sorted(_cycle(g)) == [0, 1]
-    weight = {(i, j): w for i, j, w in _rooted_edges(g, None)}
+    weight = {(i, j): w for i, j, w in _rooted_edges(g.node_count, g.edges, None)}
     assert weight[(0, 1)] + weight[(1, 0)] == 1
 
 
@@ -122,7 +121,7 @@ def test_property_potentials_satisfy_all_edges():
             # by a relaxed edge, and the hops' bounds sum to a positive value
             seen_cycles += 1
             nodes = _cycle(g)
-            weight = {(i, j): w for i, j, w in _rooted_edges(g, None)}
+            weight = {(i, j): w for i, j, w in _rooted_edges(g.node_count, g.edges, None)}
             hops = [(nodes[k], nodes[(k + 1) % len(nodes)]) for k in range(len(nodes))]
             assert all(hop in weight for hop in hops)
             assert sum(weight[hop] for hop in hops) > 0
@@ -165,7 +164,9 @@ def test_property_tighten_matches_full_relaxation():
         g = _random_graph(rng)
         n = g.node_count
         fixed = {v: rng.randint(-1, 6) for v in rng.sample(range(n), rng.randint(0, min(2, n)))}
-        dist, succ = _incremental_root(g, fixed)
+        edges = _rooted_edges(n, g.edges, fixed)
+        succ = [[(j, w) for i, j, w in edges if i == u] for u in range(n + 1)]
+        dist, _ = _relax(n + 1, edges, n)
         assert (None if dist is None else dist[:n]) == earliest_schedule(g, fixed)
         added = ()
         while dist is not None:

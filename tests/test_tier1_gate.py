@@ -27,11 +27,12 @@ def _case(name: str, outcome: str | None, module: str = "tests.test_acceptance")
         ([_case(n, "failure") for n in BY_DESIGN] + [_case("test_ok", None)], True),
         ([_case(n, "failure") for n in BY_DESIGN] + [_case("test_ok", "failure")], False),
         ([_case(n, "failure") for n in BY_DESIGN] + [_case("test_ok", "error")], False),
+        ([_case(n, "failure") for n in BY_DESIGN] + [_case("test_ok", "skipped")], False),
         ([_case(BY_DESIGN[0], "failure"), _case(BY_DESIGN[1], None)], False),
         ([_case(n, "failure", "tests.test_other") for n in BY_DESIGN], False),
         ([], False),
     ],
-    ids=["exact", "extra-failure", "error", "one-fixed", "wrong-module", "empty"],
+    ids=["exact", "extra-failure", "error", "skipped", "one-fixed", "wrong-module", "empty"],
 )
 def test_gate_passes_only_the_two_by_design_failures(tmp_path, cases, passes):
     report = tmp_path / "report.xml"
