@@ -197,6 +197,8 @@ class BenchConfig:
                     "so their result rows would clash"
                 )
             printed[text] = eps
+        # seeds, keys and rows carry the printed text, so run the value it reads back as
+        object.__setattr__(self, "epsilons", tuple(map(float, printed)))
         if not self.methods:
             raise ValueError("config needs at least one method")
         unknown = sorted(set(self.methods) - set(METHODS))
@@ -713,7 +715,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ValueError(f"{path} is not a results CSV ({exc}); not appending to it") from None
     for cell in cells:
-        if (key := (args.method, cell.instance, _printed(args.epsilon), cell.sample)) in taken:
+        if (key := (args.method, cell.instance, cell.stochastic.epsilon, cell.sample)) in taken:
             raise ValueError(f"{path} already holds a row for {key}; not appending to it")
     with reusing_plans({}):  # one instance and epsilon: one plan for every sample
         rows = [

@@ -240,14 +240,13 @@ def run_proactive_saa(
 def run_reactive(
     stoch: StochasticInstance, cfg: MethodConfig, sample: DurationSample
 ) -> MethodRun:
-    """Start from a quantile-estimate plan and re-solve at deviating finishes.
+    """Start from a quantile-estimate plan and re-solve whenever an estimate proves wrong.
 
-    Simulation walks actual finish events in time order.  When a finish
-    deviates from the current estimate, the deterministic problem is
-    re-solved with started activities pinned to their starts, realized
-    durations for finished activities, a still-running lower bound for
-    unfinished started ones, and every unstarted activity pushed to the
-    current instant or later, warm-started from the previous plan.
+    An unfinished activity is observed when its finish or its current estimate
+    falls due, whichever comes first: it then finishes, or is seen running past
+    its estimate, which grows by one.  A wrong estimate re-solves the problem
+    with started activities pinned, the current durations, and every unstarted
+    activity pushed to the current instant or later, warm-started from the plan.
     """
     inst = stoch.base
     realized = sample.durations
@@ -263,20 +262,18 @@ def run_reactive(
     done: set[int] = set()
     online = 0.0
     while len(done) < n:
-        next_t = min(plan[j] + realized[j] for j in range(n) if j not in done)
-        batch = [
-            j for j in range(n) if j not in done and plan[j] + realized[j] == next_t
-        ]
+        due = {j: plan[j] + min(realized[j], current[j]) for j in range(n) if j not in done}
+        next_t = min(due.values())
+        batch = [j for j, t in due.items() if t == next_t]
         deviated = any(realized[j] != current[j] for j in batch)
         for j in batch:
-            done.add(j)
-            current[j] = realized[j]
+            if realized[j] <= current[j]:
+                done.add(j)
+                current[j] = realized[j]
+            else:  # still running past its estimate
+                current[j] += 1
         if not deviated:
             continue
-        for j in range(n):
-            if j not in done and plan[j] < next_t:
-                # still running: its duration is at least elapsed plus one tick
-                current[j] = max(current[j], next_t - plan[j] + 1)
         fixed = {j: plan[j] for j in range(n) if plan[j] < next_t}
         floor = tuple((0, j, next_t) for j in range(n) if j not in fixed)
         shifted = dataclasses.replace(

@@ -10,9 +10,8 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from graphlib import CycleError, TopologicalSorter
 from itertools import groupby
 
 from .methods import MethodRun
@@ -128,7 +127,6 @@ class PartialOrdering:
     alpha: float = 0.05
 
     def __post_init__(self) -> None:
-        order: TopologicalSorter[str] = TopologicalSorter()
         for better, worse, strength in self.edges:
             if better == worse:
                 raise ValueError("self-edges are not allowed")
@@ -136,11 +134,8 @@ class PartialOrdering:
                 raise ValueError(f"unknown edge strength {strength!r}")
             if better not in self.methods or worse not in self.methods:
                 raise ValueError("edge endpoint not in methods")
-            order.add(worse, better)
-        try:
-            order.prepare()
-        except CycleError:
-            raise ValueError(f"method ordering on {self.metric} contains a cycle") from None
+            if _reaches(self.edges, worse, better):
+                raise ValueError(f"method ordering on {self.metric} contains a cycle")
 
 
 def wilcoxon_pratt(series: PairedSeries, alpha: float = 0.05) -> TestResult:
@@ -350,7 +345,7 @@ def build_partial_ordering(
     return PartialOrdering(methods, metric, tuple(kept), pair_tests, alpha)
 
 
-def _reaches(edges: list[tuple[str, str, str]], start: str, goal: str) -> bool:
+def _reaches(edges: Sequence[tuple[str, str, str]], start: str, goal: str) -> bool:
     """Whether a path of ``edges`` leads from ``start`` to ``goal``."""
     reached, frontier = {start}, {start}
     while frontier:

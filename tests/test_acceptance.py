@@ -7,6 +7,7 @@ else must pass.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -18,7 +19,7 @@ import pytest
 
 from oracles import brute_force_optimum, random_instance
 from stats_oracle import exact_two_sided_p
-from srcpsp.bench import BenchConfig, build_cells, run_bench
+from srcpsp.bench import BenchConfig, build_cells, feasibility_csv, run_bench
 from srcpsp.chaining import chain
 from srcpsp.instances import (
     DurationSample,
@@ -433,6 +434,24 @@ def test_desk_scale_quality_ordering_contains_key_edge(desk_table):
             better == STNU and worse == PROACTIVE_Q
             for better, worse, _ in ordering.edges
         )
+
+
+# sha256 of the desk table's CSV without its two wall-time columns, and of its
+# feasibility CSV; ``srcpsp bench`` on the same desk with default limits gives both
+DESK_RESULTS_SHA256 = "7cefc9b47789d904d10b3fc803e5ca977bed8ff521b554874274497186afb36e"
+DESK_FEASIBILITY_SHA256 = "8f544a5e82a50f7ec14641b3b2ecb31461154b40a591819783de913c3bb194d8"
+
+
+def test_desk_scale_results_match_their_pinned_digests(desk_table):
+    table, _ = desk_table
+    lines = []
+    for line in table.to_csv().splitlines():
+        fields = line.split(",")
+        del fields[7:9]  # time_offline_ms and time_online_ms
+        lines.append(",".join(fields) + "\n")
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == DESK_RESULTS_SHA256
+    feasibility = feasibility_csv(table).encode()
+    assert hashlib.sha256(feasibility).hexdigest() == DESK_FEASIBILITY_SHA256
 
 
 # -- rerun determinism ---------------------------------------------------------

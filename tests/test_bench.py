@@ -931,6 +931,19 @@ def test_cli_simulate_negative_zero_epsilon_runs_epsilon_zero(capsys):
     assert rows("-0") == rows("0")
 
 
+def test_cli_simulate_epsilon_runs_at_the_value_it_prints(capsys):
+    # 1.590993519 prints, keys and seeds as 1.59099, so it must also run as 1.59099
+    def rows(epsilon):
+        argv = ["simulate", "--instance", str(DATA / "j10" / "j10_02.sch"), "--method", STNU]
+        assert bench.main([*argv, "--epsilon", epsilon, "--samples", "10"]) == 0
+        table = ResultsTable.from_csv(capsys.readouterr().out)
+        return [dataclasses.replace(r, time_offline=0.0, time_online=0.0) for r in table.rows]
+
+    assert rows("1.590993519") == rows("1.59099")
+    config = BenchConfig(instance_sets=(("demo", (str(EXAMPLE),)),), epsilons=(1.590993519,))
+    assert config.epsilons == (1.59099,)
+
+
 def test_cli_simulate_prints_csv_without_out(capsys):
     argv = [
         "simulate",

@@ -38,7 +38,7 @@ from srcpsp.methods import (
     run_reactive,
     run_stnu,
 )
-from srcpsp.solver import Schedule, SolveStatus, check_schedule, solve_saa
+from srcpsp.solver import Schedule, SolveStatus, check_schedule, solve, solve_saa
 
 J10 = Path(__file__).resolve().parent.parent / "data" / "j10"
 
@@ -101,6 +101,19 @@ OVERRUN = ProjectInstance(
 )
 OVERRUN_STOCH = StochasticInstance(
     base=OVERRUN, bounds=((0, 0), (1, 2), (2, 2), (0, 0)), epsilon=1.0
+)
+
+# the second activity is held four units behind the first, whose estimate of
+# 4 (gamma 0.5 on 2..6) plans it right where a 6-unit first one still runs
+LATE = ProjectInstance(
+    activity_count=2,
+    durations=(0, 4, 2, 0),
+    demands=((0, 1, 1, 0),),
+    capacities=(1,),
+    temporal_constraints=((0, 1, 0), (0, 2, 0), (1, 2, 4), (1, 3, 4), (2, 3, 2)),
+)
+LATE_STOCH = StochasticInstance(
+    base=LATE, bounds=((0, 0), (2, 6), (2, 2), (0, 0)), epsilon=1.0
 )
 
 
@@ -335,6 +348,18 @@ def test_reactive_unrecoverable_overload_is_an_execution_violation():
     assert run.time_online > 0.0
 
 
+def test_reactive_sees_an_overrun_when_its_estimate_falls_due():
+    cfg = MethodConfig(gamma=0.5)
+    sample = DurationSample((0, 6, 2, 0))
+    run = run_reactive(LATE_STOCH, cfg, sample)
+    # at 4 and 5 the first activity is seen still running, so the second is
+    # held back each time instead of starting on top of it
+    assert run.feasible
+    assert run.starts == (0, 0, 6, 8)
+    assert run.makespan == 8
+    assert run_proactive_quantile(LATE_STOCH, cfg, sample).failure_reason == FAIL_EXECUTION
+
+
 def test_reactive_reschedule_budget_exhaustion_is_a_timeout():
     cfg = MethodConfig(gamma=0.5, time_limit_reschedule=1e-9)
     run = run_reactive(TRAP_STOCH, cfg, DurationSample((0, 3, 2, 0)))
@@ -567,6 +592,22 @@ def test_method_runs_pinned_on_j10():
                 run = runner(stoch, configs[method], sample)
                 got = (run.feasible, run.makespan, run.failure_reason, run.starts)
                 assert got == METHOD_RUNS_PINNED[(name, k, method)], (name, k, method)
+
+
+# (instance, sample) at epsilon 2 under the desk master seed, where an
+# activity overruns its estimate: reactive's makespan and the clairvoyant optimum
+REACTIVE_OVERRUNS_PINNED = {("j10_01", 5): (42, 42), ("j10_02", 0): (37, 32)}
+
+
+def test_reactive_overruns_pinned_on_j10_at_epsilon_two():
+    for (name, k), (makespan, optimum) in REACTIVE_OVERRUNS_PINNED.items():
+        stoch = make_stochastic(parse_psplib((J10 / f"{name}.sch").read_text()), 2)
+        sample = sample_durations(stoch, derive_seed(20260818, name, 2.0, k))
+        run = run_reactive(stoch, DEFAULT_METHOD_CONFIGS[REACTIVE], sample)
+        assert (run.feasible, run.makespan) == (True, makespan), (name, k)
+        clairvoyant = solve(stoch.base, sample.durations)
+        assert clairvoyant.status is SolveStatus.OPTIMAL
+        assert clairvoyant.schedule.makespan == optimum, (name, k)
 
 
 # a value of each MethodConfig field that changes the run of a method reading it
