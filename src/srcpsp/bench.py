@@ -18,7 +18,6 @@ import logging
 import math
 import sys
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -524,6 +523,8 @@ def run_bench(
     rows: list[MethodRun] = []
     excluded = 0
     groups = _groups(cells)
+    if workers > 1:  # imported here, so serial runs do not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         per_group = map(_group_rows, groups) if pool is None else pool.map(_run_group, groups)
         for cell_rows in chain.from_iterable(per_group):

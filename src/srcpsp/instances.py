@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 
 class ParseError(ValueError):
@@ -88,6 +87,8 @@ class StochasticInstance:
         for j, (lb, ub) in enumerate(self.bounds):
             if lb > ub:
                 raise ValueError(f"activity {j}: lb {lb} > ub {ub}")
+            if ub >= 2**63:  # sample_durations draws int64 values
+                raise ValueError(f"activity {j}: upper bound {ub} is not below 2**63")
             if j in (0, total - 1):
                 if (lb, ub) != (0, 0):
                     raise ValueError("source and sink bounds must be (0, 0)")
@@ -265,20 +266,101 @@ def make_stochastic(inst: ProjectInstance, epsilon: float) -> StochasticInstance
     return StochasticInstance(base=inst, bounds=tuple(bounds), epsilon=float(epsilon))
 
 
+_M32 = 2**32 - 1
+_M64 = 2**64 - 1
+_M128 = 2**128 - 1
+_PCG_MULT = 2549297995355413924 << 64 | 4865540595714422341
+
+
+def _hash_keys(value: int, mult: int, count: int) -> Iterator[tuple[int, int]]:
+    """SeedSequence's running hash constant, as the (xor, multiplier) pair of each hash."""
+    for _ in range(count):
+        yield value, (value := value * mult & _M32)
+
+
+# SeedSequence hashes four words into its pool, then each pool word into every other
+_keys = _hash_keys(0x43B0D7E5, 0x931E8875, 16)
+_FILL_KEYS = [next(_keys) for _ in range(4)]
+_MIX_ROUNDS = [(src, dst, *next(_keys)) for src in range(4) for dst in range(4) if src != dst]
+_STATE_KEYS = list(_hash_keys(0x8B51F9DD, 0x58F38DED, 8))
+
+
+def _pcg64_seed(entropy: list[int]) -> tuple[int, int]:
+    """PCG64's (state, increment) after numpy's ``SeedSequence(entropy)``.
+
+    The nonnegative entropy ints, as little-endian 32-bit words (at most four,
+    so no word is left over for numpy's extra rounds), fill a pool of four
+    words that are mixed together; eight 32-bit words hashed from the pool
+    make the four 64-bit words that seed PCG64.
+    """
+    words = []
+    for n in entropy:
+        words.append(n & _M32)
+        while n > _M32:
+            n >>= 32
+            words.append(n & _M32)
+    words += [0] * (4 - len(words))
+    pool = []
+    for word, (x, m) in zip(words, _FILL_KEYS):
+        word = (word ^ x) * m & _M32
+        pool.append(word ^ word >> 16)
+    for src, dst, x, m in _MIX_ROUNDS:
+        h = (pool[src] ^ x) * m & _M32
+        h = (0xCA01F9DD * pool[dst] - 0x4973F715 * (h ^ h >> 16)) & _M32
+        pool[dst] = h ^ h >> 16
+    seed = []  # generate_state(4, uint64): two 32-bit words, low first, per seed word
+    for k, (x, m) in enumerate(_STATE_KEYS):
+        word = (pool[k % 4] ^ x) * m & _M32
+        seed.append(word ^ word >> 16)
+    inc = (seed[4] << 65 | seed[5] << 97 | seed[6] << 1 | seed[7] << 33 | 1) & _M128
+    state = seed[0] << 64 | seed[1] << 96 | seed[2] | seed[3] << 32
+    return ((inc + state) * _PCG_MULT + inc) & _M128, inc
+
+
+def _bounded(entropy: list[int], span: int) -> int:
+    """``Generator(PCG64(SeedSequence(entropy))).integers(0, span + 1)`` as numpy
+    draws it for int64, for ``0 < span < 2**63``: Lemire's multiply-and-reject
+    on 32-bit words while the span fits them, on 64-bit words beyond."""
+    state, inc = _pcg64_seed(entropy)
+    bits = 32 if span <= _M32 else 64
+
+    def words() -> Iterator[int]:
+        nonlocal state
+        while True:
+            state = (state * _PCG_MULT + inc) & _M128
+            x, rot = (state >> 64 ^ state) & _M64, state >> 122
+            x = (x >> rot | x << (64 - rot)) & _M64  # XSL-RR output
+            if bits == 64:
+                yield x
+            else:  # numpy's next_uint32 hands out the low half, then the high half
+                yield x & _M32
+                yield x >> 32
+
+    draws = words()
+    if span == _M32:
+        return next(draws)
+    excl, top = span + 1, (1 << bits) - 1
+    m = next(draws) * excl
+    if m & top < excl:
+        threshold = (top - span) % excl
+        while m & top < threshold:
+            m = next(draws) * excl
+    return m >> bits
+
+
 def sample_durations(stoch: StochasticInstance, seed: int) -> DurationSample:
     """Draw one duration per activity, uniform on [lb, ub], deterministically.
 
     Each activity uses its own generator keyed by (seed, activity index), so
-    draws for one activity do not depend on how many others exist.
+    draws for one activity do not depend on how many others exist.  The draw
+    is numpy's ``default_rng([seed % 2**63, j]).integers(lb, ub + 1)``,
+    reproduced bit for bit so that samples do not depend on the installed
+    numpy.
     """
     base_entropy = seed % (2**63)
     values = []
     for j, (lb, ub) in enumerate(stoch.bounds):
-        if lb == ub:
-            values.append(lb)
-        else:
-            rng = np.random.default_rng([base_entropy, j])
-            values.append(int(rng.integers(lb, ub + 1)))
+        values.append(lb if lb == ub else lb + _bounded([base_entropy, j], ub - lb))
     return DurationSample(durations=tuple(values), seed=seed)
 
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -1107,3 +1110,18 @@ def test_cli_stats_rejects_empty_selection(tmp_path, capsys):
     )
     assert code == 2
     assert "no rows" in capsys.readouterr().err
+
+
+def test_bench_import_leaves_numpy_and_process_pool_unloaded():
+    # a fresh process pays for neither: durations are drawn without numpy, and
+    # run_bench imports the process pool only when it runs with workers
+    probe = (
+        "import sys, srcpsp.bench; "
+        "loaded = {'numpy', 'multiprocessing', 'concurrent.futures.process'} & set(sys.modules); "
+        "assert not loaded, loaded"
+    )
+    subprocess.run(
+        [sys.executable, "-c", probe],
+        check=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )

@@ -1,10 +1,13 @@
+import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from srcpsp.instances import (
@@ -163,6 +166,7 @@ def test_project_instance_rejects_malformed_fields(durations, demands, capacitie
     [
         (((0, 0), (1, 2)), "expected 3 bound pairs, got 2"),
         (((0, 0), (0, 2), (0, 0)), "activity 1: lower bound must be >= 1"),
+        (((0, 0), (1, 2**63), (0, 0)), f"activity 1: upper bound {2**63} is not below 2**63"),
     ],
 )
 def test_stochastic_instance_rejects_malformed_bounds(bounds, message):
@@ -266,6 +270,48 @@ def test_sample_uniformity():
     stoch = StochasticInstance(inst, ((0, 0), (1, 2), (0, 0)), 1.0)
     ones = sum(sample_durations(stoch, seed).durations[1] == 1 for seed in range(10_000))
     assert 0.48 <= ones / 10_000 <= 0.52
+
+
+def _stochastic(bounds):
+    """A stochastic instance with one real activity per ``bounds`` pair."""
+    n = len(bounds)
+    base = ProjectInstance(n, (0,) + (1,) * n + (0,), ((0,) * (n + 2),), (1,), ())
+    return StochasticInstance(base, ((0, 0),) + tuple(bounds) + ((0, 0),), 1.0)
+
+
+# spans ub - lb at and around every branch of numpy's int64 draw: 32-bit
+# Lemire (with and without rejection), a raw 32-bit word, 64-bit Lemire
+SPANS = (0, 1, 2, 7, 2**31, 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 5, 2**62 + 7)
+
+
+def test_sample_equals_numpy_default_rng_draws():
+    # the oracle: 3,600 draws equal numpy's, for seeds of every word count and
+    # every span branch; the last span has ub = 2**63 - 1, the largest allowed
+    rng = random.Random(20260818)
+    seeds = [rng.getrandbits(bits) for bits in (1, 31, 32, 33, 63) for _ in range(2)]
+    seeds += [-5, 2**64 + 3]  # reduced modulo 2**63, as sample_durations documents
+    spans = SPANS + (None,)
+    for k, seed in enumerate(seeds):
+        bounds = []
+        for j in range(1, 301):
+            lb = j * 1009 + k
+            span = spans[(j + k) % len(spans)]
+            bounds.append((lb, 2**63 - 1 if span is None else lb + span))
+        drawn = sample_durations(_stochastic(bounds), seed).durations
+        for j, (lb, ub) in enumerate(bounds, start=1):
+            want = int(np.random.default_rng([seed % 2**63, j]).integers(lb, ub + 1))
+            assert drawn[j] == want, (seed, j, lb, ub)
+
+
+def test_sample_stream_pinned_by_digest():
+    # 2,000 draws over 40 activities and 50 seeds, pinned by the repository
+    # itself rather than by whichever numpy is installed
+    rng = random.Random(7)
+    bounds = [(1 + j, 1 + j + SPANS[j % len(SPANS)]) for j in range(40)]
+    stoch = _stochastic(bounds)
+    draws = [sample_durations(stoch, rng.getrandbits(63)).durations for _ in range(50)]
+    digest = hashlib.sha256(repr(draws).encode()).hexdigest()
+    assert digest == "ffd670aff22de57da749c048a071bf5110599076dbe22d2b256b0cfd1d364a29"
 
 
 def test_quantile_examples():
