@@ -27,7 +27,6 @@ from typing import Any, TextIO
 
 from .instances import (
     DurationSample,
-    ParseError,
     ProjectInstance,
     StochasticInstance,
     make_stochastic,
@@ -470,14 +469,7 @@ def _resolve_instances(config: BenchConfig) -> list[tuple[str, str, Path]]:
     resolved = []
     origin: dict[str, str] = {}
     for set_name, patterns in config.instance_sets:
-        paths: list[Path] = []
-        seen: set[Path] = set()
-        for pattern in patterns:
-            for match in sorted(globlib.glob(pattern)):
-                path = Path(match)
-                if path not in seen:
-                    seen.add(path)
-                    paths.append(path)
+        paths = list(dict.fromkeys(Path(m) for p in patterns for m in sorted(globlib.glob(p))))
         if not paths:
             raise ValueError(f"instance set {set_name!r} matched no files")
         for path in paths[: config.instances_per_set]:
@@ -845,7 +837,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ParseError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"srcpsp: error: {exc}", file=sys.stderr)
         return 2
 

@@ -47,8 +47,7 @@ def chain(
     order = sorted(range(1, total - 1), key=lambda j: (starts[j], j))
 
     all_chains: list[list[list[int]]] = []
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    edges: dict[tuple[int, int], None] = {}  # insertion-ordered: first appearance wins
     for r in range(inst.n_resources):
         chains: list[list[int]] = [[] for _ in range(inst.capacities[r])]
         ends = [0] * inst.capacities[r]
@@ -63,13 +62,10 @@ def chain(
             assert len(candidates) >= need, "resource-feasible schedule ran out of chains"
             for k in candidates[:need]:
                 if chains[k]:
-                    edge = (chains[k][-1], j)
-                    if edge not in seen:
-                        seen.add(edge)
-                        edges.append(edge)
+                    edges[chains[k][-1], j] = None
                 chains[k].append(j)
                 ends[k] = starts[j] + durations[j]
-        all_chains.append([list(c) for c in chains])
+        all_chains.append(chains)
 
     return PartialOrderSchedule(
         base=inst,

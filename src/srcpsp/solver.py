@@ -183,10 +183,10 @@ def _minimal_conflict_set(
     resource: int,
     active: list[int],
 ) -> tuple[int, ...]:
-    """Smallest (then lexicographically first) subset whose demand sum exceeds capacity."""
+    """Smallest (then lexicographically first) subset whose demand sum exceeds capacity;
+    ``active`` must be in activity order, as :func:`_first_conflict` returns it."""
     cap = inst.capacities[resource]
     demands = inst.demands[resource]
-    active = sorted(active)
     top = sorted((demands[j] for j in active), reverse=True)
     for k in range(2, len(active) + 1):
         if sum(top[:k]) <= cap:

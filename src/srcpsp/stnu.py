@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .chaining import PartialOrderSchedule
@@ -360,11 +360,7 @@ def dc_check(stnu: Stnu) -> Controllable | NotDc:
         )
     )
     del prop  # free the derivations before the dispatcher is compiled
-    base = Stnu(
-        n_activities=stnu.n_activities,
-        ordinary_edges=ordinary,
-        contingent_links=stnu.contingent_links,
-    )
+    base = replace(stnu, ordinary_edges=ordinary)
     return Controllable(estnu=Estnu(base=base, wait_edges=waits))
 
 

@@ -362,13 +362,12 @@ def test_magnitude_statistic_matches_hand_computations():
 # -- desk-scale directional comparison ----------------------------------------
 
 
-@pytest.fixture(scope="module")
-def desk_table(tmp_path_factory):
+def _desk_run(tmp_path_factory, epsilon):
     config = BenchConfig.from_mapping(
         {
             "instance_sets": {"j10": str(DATA / "j10" / "*.sch")},
             "instances_per_set": 10,
-            "epsilons": [1],
+            "epsilons": [epsilon],
             "samples_per_instance": 10,
             "method_configs": {"proactive_saa": {"time_limit_offline": 60}},
             "output_dir": str(tmp_path_factory.mktemp("desk")),
@@ -380,6 +379,17 @@ def desk_table(tmp_path_factory):
     elapsed = time.perf_counter() - started
     assert elapsed < 1800
     return table, excluded
+
+
+@pytest.fixture(scope="module")
+def desk_table(tmp_path_factory):
+    return _desk_run(tmp_path_factory, 1)
+
+
+# the same desk at epsilon 2, where estimates can fall short and ``reactive`` observes overruns
+@pytest.fixture(scope="module")
+def desk_table_eps2(tmp_path_factory):
+    return _desk_run(tmp_path_factory, 2)
 
 
 def test_desk_scale_every_method_completes_on_every_cell(desk_table):
@@ -440,18 +450,30 @@ def test_desk_scale_quality_ordering_contains_key_edge(desk_table):
 # feasibility CSV; ``srcpsp bench`` on the same desk with default limits gives both
 DESK_RESULTS_SHA256 = "7cefc9b47789d904d10b3fc803e5ca977bed8ff521b554874274497186afb36e"
 DESK_FEASIBILITY_SHA256 = "8f544a5e82a50f7ec14641b3b2ecb31461154b40a591819783de913c3bb194d8"
+DESK_EPS2_RESULTS_SHA256 = "152f27888bd2102bb6993dfe6d963b2c4512773c58e0cef77d8bba4257f8a36f"
+DESK_EPS2_FEASIBILITY_SHA256 = "00a7b84434db37e4371a841ab75e58f8039eb45ed3f44b4919b6a55f32683d68"
 
 
-def test_desk_scale_results_match_their_pinned_digests(desk_table):
-    table, _ = desk_table
+@pytest.mark.parametrize(
+    "desk, results_sha256, feasibility_sha256",
+    [
+        ("desk_table", DESK_RESULTS_SHA256, DESK_FEASIBILITY_SHA256),
+        ("desk_table_eps2", DESK_EPS2_RESULTS_SHA256, DESK_EPS2_FEASIBILITY_SHA256),
+    ],
+    ids=["eps1", "eps2"],
+)
+def test_desk_scale_results_match_their_pinned_digests(
+    request, desk, results_sha256, feasibility_sha256
+):
+    table, _ = request.getfixturevalue(desk)
     lines = []
     for line in table.to_csv().splitlines():
         fields = line.split(",")
         del fields[7:9]  # time_offline_ms and time_online_ms
         lines.append(",".join(fields) + "\n")
-    assert hashlib.sha256("".join(lines).encode()).hexdigest() == DESK_RESULTS_SHA256
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == results_sha256
     feasibility = feasibility_csv(table).encode()
-    assert hashlib.sha256(feasibility).hexdigest() == DESK_FEASIBILITY_SHA256
+    assert hashlib.sha256(feasibility).hexdigest() == feasibility_sha256
 
 
 # -- rerun determinism ---------------------------------------------------------

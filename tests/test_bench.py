@@ -521,6 +521,18 @@ def test_run_bench_rejects_empty_instance_sets(tmp_path):
         run_config(cfg)
 
 
+def test_overlapping_patterns_resolve_each_file_once_in_first_match_order():
+    j10 = DATA / "j10"
+    config = BenchConfig.from_mapping(
+        {
+            "instance_sets": {"s": [str(j10 / "j10_0[1-3].sch"), str(j10 / "j10_0[2-5].sch")]},
+            "instances_per_set": 4,
+        }
+    )
+    resolved = bench._resolve_instances(config)
+    assert [instance_id for _, instance_id, _ in resolved] == [f"j10_0{k}" for k in range(1, 5)]
+
+
 def test_cli_bench_rejects_one_instance_id_in_two_sets(tmp_path, monkeypatch, capsys):
     def no_cell(cell):
         raise AssertionError("a cell ran before the clash was reported")

@@ -26,6 +26,21 @@ def test_chain_two_activities_single_unit():
     assert pos.chain_edges == ((1, 2),)
 
 
+def test_chain_edge_shared_by_two_resources_appears_once_where_it_first_appears():
+    # activities 1 and 2 use both unit resources, activity 3 only resource 1
+    inst = ProjectInstance(
+        3,
+        (0, 2, 2, 2, 0),
+        ((0, 1, 1, 0, 0), (0, 1, 1, 1, 0)),
+        (1, 1),
+        ((0, 1, 0), (0, 2, 0), (0, 3, 0), (1, 4, 2), (2, 4, 2), (3, 4, 2)),
+    )
+    sched = Schedule.from_starts((0, 0, 2, 4, 6), inst.durations)
+    pos = chain(inst, inst.durations, sched)
+    assert pos.chain_edges == ((1, 2), (2, 3))
+    assert pos.chains == (((1, 2),), ((1, 2, 3),))
+
+
 def test_chain_estimate_schedule_reproduces_appendix_edges(example_instance):
     # duration estimates with d lifted to 2; schedule a:0 b:2 c:6 d:4 e:7
     inst = example_instance
