@@ -15,8 +15,17 @@ scenarios.
 Each node costs only what is new at it.  The base graph, its root solution
 and each resource's users are built once per search; a child copies its
 parent's potentials, adds its one new edge to the path's edges in the base
-adjacency and tightens forward from its head (``stn._tighten``), and
-conflicts are found by one sorted start/end sweep per resource.
+adjacency and tightens forward from its head (``stn._tighten``).  A
+scenario's conflicts are found by one start-ordered sweep per resource that
+keeps its running users' ends in a min-heap.
+
+A node branches on the first scenario in the list that conflicts.  When the
+list is nested (each scenario's durations pointwise no shorter than the one
+before, as ascending quantiles are), a conflict in one scenario is a
+conflict in every later one, so a node probes its parent's branching
+scenario first and steps down or up from there.  Any other list is scanned
+from its first scenario at every node.  Either way the search visits the
+same nodes in the same order.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
 from .instances import ProjectInstance
@@ -134,45 +144,50 @@ def check_schedule(
 def _resource_users(
     inst: ProjectInstance,
     durations: Sequence[int],
-) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
-    """``(resource, capacity, [(activity, demand, duration)])`` per resource
-    whose positive-duration users could together exceed its capacity."""
+) -> list[tuple[int, int, list[int], Sequence[int], Sequence[int]]]:
+    """``(resource, capacity, users, demands, durations)`` per resource whose
+    positive-duration users could together exceed its capacity; ``users``
+    lists those activities in activity order, and ``demands`` and
+    ``durations`` are indexed by activity."""
     found = []
     for r, cap in enumerate(inst.capacities):
-        users = [
-            (j, q, d)
-            for j, (q, d) in enumerate(zip(inst.demands[r], durations))
-            if q > 0 and d > 0
-        ]
-        if sum(q for _, q, _ in users) > cap:
-            found.append((r, cap, users))
+        demands = inst.demands[r]
+        users = [j for j, (q, d) in enumerate(zip(demands, durations)) if q > 0 and d > 0]
+        if sum(demands[j] for j in users) > cap:
+            found.append((r, cap, users, demands, durations))
     return found
 
 
 def _first_conflict(
-    resources: Sequence[tuple[int, int, Sequence[tuple[int, int, int]]]],
+    resources: Sequence[tuple[int, int, list[int], Sequence[int], Sequence[int]]],
     starts: Sequence[int],
 ) -> tuple[int, int, list[int]] | None:
     """Earliest (time, resource, active activities) where usage exceeds capacity.
 
-    ``resources`` comes from :func:`_resource_users`.  One sorted sweep per
-    resource finds its first overload, which always falls on a user's start;
-    the earliest time wins, then the lowest resource.  The active list is in
-    activity order.
+    ``resources`` comes from :func:`_resource_users`.  Each resource's users
+    are walked in start order beside a min-heap of the running users'
+    ``(end, demand)``: at each start ``t`` the ends ``<= t`` leave first
+    (intervals are half-open), then the new user's demand joins, so the
+    first start where usage exceeds capacity is that resource's first
+    overload.  The earliest time wins, then the lowest resource; a resource
+    stops at the best time found so far.  The active list is in activity
+    order.
     """
     best: tuple[int, int, list[int]] | None = None
-    for r, cap, users in resources:
-        events = [(starts[j], q) for j, q, _ in users]
-        # an end sorts before a start at the same time: intervals are half-open
-        events += [(starts[j] + d, -q) for j, q, d in users]
-        events.sort()
+    for r, cap, users, demands, durations in resources:
+        running: list[tuple[int, int]] = []
         usage = 0
-        for t, q in events:
+        for j in sorted(users, key=starts.__getitem__):
+            t = starts[j]
             if best is not None and t >= best[0]:
                 break
+            while running and running[0][0] <= t:
+                usage -= heappop(running)[1]
+            q = demands[j]
+            heappush(running, (t + durations[j], q))
             usage += q
             if usage > cap:
-                active = [j for j, _, d in users if starts[j] <= t < starts[j] + d]
+                active = [k for k in users if starts[k] <= t < starts[k] + durations[k]]
                 best = (t, r, active)
                 break
     return best
@@ -227,9 +242,17 @@ def _search(
     Precedence constraints are duration-independent, so scenarios differ only
     in their resource profiles and makespans.  Nodes are pruned on the sum of
     the scenario makespans, which orders nodes exactly as their mean does.
-    Conflicts are hunted scenario by scenario; branching uses the conflicting
-    scenario's durations, which separates that scenario's overlap and keeps
-    the search complete.  ``incumbent`` must be feasible for every scenario.
+    A node branches on the first scenario in the list that conflicts, with
+    that scenario's durations, which separates its overlap and keeps the
+    search complete.  ``incumbent`` must be feasible for every scenario.
+
+    If ``d <= d'`` pointwise, every user running at a time under ``d`` also
+    runs then under ``d'``, so a conflict under ``d`` is one under ``d'``.
+    When the list is nested in that way, a node probes its parent's
+    branching scenario first: it steps down while the lower scenario still
+    conflicts, or up until one does.  Otherwise every node starts at the
+    first scenario and the upward walk is an in-order scan.  Both find the
+    same scenario, so the node order does not depend on the list's shape.
     """
     if not scenarios:
         raise ValueError("at least one scenario required")
@@ -256,8 +279,16 @@ def _search(
     best_starts = None if incumbent is None else tuple(incumbent)
     best = None if incumbent is None else makespan_sum(incumbent)
 
-    # each entry: the parent's potentials (origin last) and depth, and the node's edge
-    stack: list[tuple[list[int] | None, int, tuple[int, int, int] | None]] = [(root, 0, None)]
+    # only a nested list lets a child start its hunt at its parent's scenario
+    nested = all(
+        all(map(operator.le, lower, higher)) for lower, higher in zip(scenarios, scenarios[1:])
+    )
+
+    # each entry: the parent's potentials (origin last), depth and the scenario
+    # the node's hunt starts at, and the node's edge
+    stack: list[tuple[list[int] | None, int, int, tuple[int, int, int] | None]] = [
+        (root, 0, 0, None)
+    ]
     path: list[int] = []  # the path edges' tails; each edge ends its tail's succ list
     nodes = 0
     exhausted = True
@@ -265,7 +296,7 @@ def _search(
         if nodes >= node_limit or time.monotonic() - t0 > time_limit:
             exhausted = False
             break
-        dist, depth, edge = stack.pop()
+        dist, depth, k, edge = stack.pop()
         nodes += 1
         while len(path) > depth:  # drop abandoned branches' edges
             succ[path.pop()].pop()
@@ -278,18 +309,28 @@ def _search(
         bound = makespan_sum(dist)
         if best is not None and bound >= best:
             continue
-        for durations, users in zip(scenarios, resources):
-            conflict = _first_conflict(users, dist)
-            if conflict is not None:
+        # branch on the first conflicting scenario: step down from ``k`` while
+        # the lower scenario still conflicts, or up until one does
+        conflict = _first_conflict(resources[k], dist)
+        while conflict is not None and k > 0:
+            lower = _first_conflict(resources[k - 1], dist)
+            if lower is None:
                 break
+            k -= 1
+            conflict = lower
+        while conflict is None and k + 1 < len(scenarios):
+            k += 1
+            conflict = _first_conflict(resources[k], dist)
         if conflict is None:
             best_starts = tuple(dist[:total])
             best = bound
             continue
         t, r, active = conflict
         subset = _minimal_conflict_set(inst, r, active)
+        durations = scenarios[k]
+        child = k if nested else 0
         for a, b in reversed(list(itertools.permutations(subset, 2))):
-            stack.append((dist, len(path), (a, b, durations[a])))
+            stack.append((dist, len(path), child, (a, b, durations[a])))
 
     if best_starts is None:
         status = SolveStatus.INFEASIBLE if exhausted else SolveStatus.UNKNOWN

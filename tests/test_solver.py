@@ -10,6 +10,7 @@ from srcpsp.instances import (
     quantile_durations,
 )
 from srcpsp import solver
+from srcpsp.methods import MethodConfig
 from srcpsp.solver import Schedule, SolveStatus, check_schedule, solve, solve_saa
 
 import reference_solver
@@ -321,6 +322,69 @@ def test_search_matches_reference_search():
     assert min(seen.values()) > 40, seen
 
 
+def test_scenario_probing_matches_reference_search(monkeypatch):
+    # nested lists let a node probe from its parent's branching scenario;
+    # descending and crossing ones take the in-order scan
+    branched_later = False
+    reference_sweep = reference_solver._first_conflict
+
+    def sweep(inst, durations, starts):
+        nonlocal branched_later
+        conflict = reference_sweep(inst, durations, starts)
+        # the reference scans in list order, so a conflict is where its node branches
+        branched_later |= conflict is not None and durations != scenarios[0]
+        return conflict
+
+    monkeypatch.setattr(reference_solver, "_first_conflict", sweep)
+    rng = random.Random(25)
+    seen = {True: 0, False: 0}  # cases that branch past the first scenario, by nestedness
+    for case in range(900):
+        inst = random_instance(rng, max_real=rng.choice((3, 5)))
+        # real activities may shrink to zero in the first scenario; each next
+        # scenario moves them by up to ``step`` (0: equal neighbours), upward
+        # only unless the list is to cross, and a descending list is reversed
+        shape = case % 3
+        durations = [d - rng.randint(0, 1) if d else 0 for d in inst.durations]
+        scenarios = [tuple(durations)]
+        for _ in range(rng.randint(1, 3)):
+            step = rng.choice((0, 1, 2, 2))
+            low = -step if shape == 2 else 0
+            durations = [max(0, d + rng.randint(low, step)) for d in durations]
+            durations[0] = durations[-1] = 0
+            scenarios.append(tuple(durations))
+        if shape == 1:
+            scenarios.reverse()
+        node_limit = rng.choice((50, 10**7))
+        branched_later = False
+        new = solver._search(inst, scenarios, {}, None, 60, node_limit)
+        ref = reference_solver._search(inst, scenarios, {}, None, 60, node_limit)
+        assert _outcome(new) == _outcome(ref), case
+        nested = all(all(map(int.__le__, lo, hi)) for lo, hi in zip(scenarios, scenarios[1:]))
+        seen[nested] += branched_later
+    assert min(seen.values()) >= 40, seen
+
+
+def test_saa_sweeps_at_most_once_per_node_on_the_desk_instances(monkeypatch):
+    calls = 0
+    sweep = solver._first_conflict
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return sweep(*args)
+
+    monkeypatch.setattr(solver, "_first_conflict", counting)
+    nodes = 0
+    gammas = MethodConfig().saa_gammas
+    for path in sorted(J10.glob("*.sch"))[:10]:  # the desk config's instances
+        stoch = make_stochastic(parse_psplib(path.read_text()), 1)
+        nodes += solve_saa(
+            stoch.base, [quantile_durations(stoch, g).durations for g in gammas]
+        ).nodes_explored
+    # 33,601 sweeps for 37,768 nodes; an in-order scan of the scenarios makes 48,972
+    assert calls <= nodes
+
+
 def test_pinned_search_matches_reference_on_j10():
     # a reactive-style re-solve: the first third of the plan is pinned
     for name, *_ in J10_PINNED:
@@ -373,6 +437,26 @@ def test_conflict_sweep_edge_cases():
     shrunk = (0, 2, 2, 0, 1, 2, 0)
     assert _sweep_matches_reference(inst, shrunk, (0, 5, 0, 0, 0, 0, 0)) is None
     assert _sweep_matches_reference(inst, d, (0, 5, 0, 0, 0, 0, 0)) == (0, 1, [2, 3, 4])
+
+    def one_resource(durations, demands, capacity):
+        return ProjectInstance(len(durations) - 2, durations, (demands,), (capacity,), ())
+
+    # three users start together and only the third overloads
+    tied = one_resource((0, 2, 2, 2, 0), (0, 1, 2, 1, 0), 3)
+    assert _sweep_matches_reference(tied, tied.durations, (0, 1, 1, 1, 0)) == (1, 0, [1, 2, 3])
+    # activity 1 ends at 2, exactly when the overload starts, and is not active
+    ending = one_resource((0, 2, 2, 1, 1, 0), (0, 2, 1, 2, 1, 0), 3)
+    starts = (0, 0, 1, 2, 2, 0)
+    assert _sweep_matches_reference(ending, ending.durations, starts) == (2, 0, [2, 3, 4])
+    # the two users starting at 0 differ in demand and end, in either order;
+    # the short one has left when the overload starts at 2
+    for durations, demands, active in (
+        ((0, 1, 3, 2, 1, 0), (0, 2, 1, 2, 1, 0), [2, 3, 4]),
+        ((0, 3, 1, 2, 1, 0), (0, 1, 2, 2, 1, 0), [1, 3, 4]),
+    ):
+        split = one_resource(durations, demands, 3)
+        starts = (0, 0, 0, 1, 2, 0)
+        assert _sweep_matches_reference(split, durations, starts) == (2, 0, active)
 
 
 def test_limits_are_checked_before_every_node(example_instance):
