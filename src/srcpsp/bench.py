@@ -328,13 +328,15 @@ class ResultsTable:
     def from_csv(cls, text: str) -> ResultsTable:
         reader = csv.reader(io.StringIO(text))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("results CSV is empty") from None
-        if header != CSV_HEADER.split(","):
+            records = list(reader)
+        except csv.Error as exc:  # a stray carriage return, a field over the csv module's limit
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+        if not records:
+            raise ValueError("results CSV is empty")
+        if records[0] != CSV_HEADER.split(","):
             raise ValueError("results CSV has an unexpected header")
         rows = []
-        for lineno, record in enumerate(reader, start=2):
+        for lineno, record in enumerate(records[1:], start=2):
             if not record:
                 continue
             try:
@@ -508,13 +510,15 @@ def run_bench(
     the perfect-information filter.  ``sink`` receives rows as they are
     produced (completion order), which lets callers keep partial results
     when a later cell raises.  Each (instance, epsilon) group of cells plans
-    once and runs in one process.  Because plans and cells are independent
-    of the process running them and the table is sorted at the end, serial
-    and parallel runs produce identical tables.
+    once and runs in one process, so at most one worker per group starts.
+    Because plans and cells are independent of the process running them and
+    the table is sorted at the end, serial and parallel runs produce
+    identical tables.
     """
     rows: list[MethodRun] = []
     excluded = 0
     groups = _groups(cells)
+    workers = min(workers, len(groups))  # a pool forks all its workers at the first submit
     if workers > 1:  # imported here, so serial runs do not load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:

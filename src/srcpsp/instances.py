@@ -146,6 +146,12 @@ def parse_psplib(text: str) -> ProjectInstance:
         raise ParseError(
             f"line {lines[-1][0]}: expected {expected} content lines for n={n}, got {len(lines)}"
         )
+    cap_no, cap_line = lines[-1]
+    capacities = _int_tokens(cap_line.split(), cap_no)
+    if len(capacities) != n_res:
+        raise ParseError(f"line {cap_no}: expected {n_res} capacities, got {len(capacities)}")
+    if any(c < 1 for c in capacities):
+        raise ParseError(f"line {cap_no}: capacities must be >= 1")
 
     constraints: list[tuple[int, int, int]] = []
     seen_prec: set[int] = set()
@@ -171,9 +177,7 @@ def parse_psplib(text: str) -> ProjectInstance:
                 raise ParseError(f"line {no}: successor {k} out of range 0..{total - 1}")
             constraints.append((act, k, w))
 
-    durations = [0] * total
-    demand_rows = [[0] * n_res for _ in range(total)]
-    req_line: dict[int, int] = {}  # activity -> line number, in file order
+    requirements: dict[int, list[int]] = {}  # activity -> [duration, demand_1..demand_R]
     for no, line in lines[1 + total : 1 + 2 * total]:
         parts = _int_tokens(line.split(), no)
         if len(parts) != 3 + n_res:
@@ -181,35 +185,24 @@ def parse_psplib(text: str) -> ProjectInstance:
         act, _mode, dur = parts[0], parts[1], parts[2]
         if not 0 <= act < total:
             raise ParseError(f"line {no}: activity id {act} out of range 0..{total - 1}")
-        if act in req_line:
+        if act in requirements:
             raise ParseError(f"line {no}: duplicate requirement line for activity {act}")
-        req_line[act] = no
         if dur < 0:
             raise ParseError(f"line {no}: negative duration {dur}")
         if act in (0, total - 1) and (dur != 0 or any(q != 0 for q in parts[3:])):
             raise ParseError(f"line {no}: source/sink must have zero duration and demand")
-        durations[act] = dur
-        demand_rows[act] = parts[3:]
-
-    cap_no, cap_line = lines[1 + 2 * total]
-    capacities = _int_tokens(cap_line.split(), cap_no)
-    if len(capacities) != n_res:
-        raise ParseError(f"line {cap_no}: expected {n_res} capacities, got {len(capacities)}")
-    if any(c < 1 for c in capacities):
-        raise ParseError(f"line {cap_no}: capacities must be >= 1")
-    for act, no in req_line.items():  # demands are checked once capacities are known
-        for r, q in enumerate(demand_rows[act]):
+        for r, (q, cap) in enumerate(zip(parts[3:], capacities)):
             if q < 0:
                 raise ParseError(f"line {no}: negative demand {q}")
-            if q > capacities[r]:
-                raise ParseError(
-                    f"line {no}: activity {act} demands {q} of resource {r} (capacity {capacities[r]})"
-                )
+            if q > cap:
+                raise ParseError(f"line {no}: activity {act} demands {q} of resource {r} (capacity {cap})")
+        requirements[act] = parts[2:]
 
+    durations, *demands = zip(*(requirements[j] for j in range(total)))
     return ProjectInstance(
         activity_count=n,
-        durations=tuple(durations),
-        demands=tuple(tuple(demand_rows[j][r] for j in range(total)) for r in range(n_res)),
+        durations=durations,
+        demands=tuple(demands),
         capacities=tuple(capacities),
         temporal_constraints=tuple(constraints),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 import os
@@ -325,6 +326,10 @@ def test_results_csv_reports_offending_line():
     ):
         with pytest.raises(ValueError, match="line 3: not a finite number"):
             ResultsTable.from_csv(CSV_HEADER + "\n" + good + bad + "\n")
+    # the csv module's own errors: a carriage return inside a field, a field over its size limit
+    for bad in ("j10,i\rx,1,1,stnu,true,3,1.0,1.0,,6", "j10," + "i" * 200_000 + ",1,1,stnu,true,3,1.0,1.0,,6"):
+        with pytest.raises(ValueError, match="line 3: "):
+            ResultsTable.from_csv(CSV_HEADER + "\n" + good + bad + "\n")
 
 
 def test_to_method_runs_converts_and_filters():
@@ -420,14 +425,39 @@ def test_run_bench_is_deterministic_modulo_wall_time(tmp_path):
 
 
 def test_run_bench_parallel_matches_serial(tmp_path):
-    serial, excluded_s = run_config(small_config(tmp_path))
-    parallel, excluded_p = run_config(small_config(tmp_path, parallelism=2))
+    # two (instance, epsilon) groups, so that two worker processes run
+    serial, excluded_s = run_config(small_config(tmp_path, epsilons=[1, 2]))
+    parallel, excluded_p = run_config(small_config(tmp_path, epsilons=[1, 2], parallelism=2))
     assert excluded_s == excluded_p
     strip = lambda t: [
         dataclasses.replace(r, time_offline=0.0, time_online=0.0)
         for r in t.rows
     ]
     assert strip(serial) == strip(parallel)
+
+
+def test_run_bench_starts_no_more_workers_than_groups(tmp_path, monkeypatch):
+    pools = []
+
+    class InProcessPool:  # records its width and runs the groups here, starting no process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    two_groups = small_config(tmp_path, epsilons=[1, 2], samples_per_instance=1, parallelism=64)
+    table, _ = run_config(two_groups)
+    assert pools == [2] and len(table) == 4
+    run_config(small_config(tmp_path, samples_per_instance=1, parallelism=64))
+    assert pools == [2]  # one group runs serially, without a pool
 
 
 def test_run_bench_sink_sees_every_row(tmp_path):
@@ -769,6 +799,16 @@ def test_cli_data_errors_exit_two(tmp_path, capsys):
     assert bench.main(["solve", str(EXAMPLE), *negative]) == 2
     err = capsys.readouterr().err
     assert err.count("--durations must be nonnegative") == 2
+
+
+def test_cli_oversized_resource_count_exits_two(tmp_path, capsys):
+    # the capacity line bounds the header's resource count before anything is sized by it
+    path = tmp_path / "oversized.sch"
+    text = EXAMPLE.read_text(encoding="utf-8")
+    path.write_text(text.replace("\n5 1 0 0\n", "\n5 100000000000000000000 0 0\n", 1), encoding="utf-8")
+    assert bench.main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "srcpsp: error: line 17: expected 100000000000000000000 capacities, got 1\n"
 
 
 def test_cli_rejects_out_of_range_numerics(tmp_path, capsys):
