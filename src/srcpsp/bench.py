@@ -45,9 +45,6 @@ from .stats import METRICS, STRONG, PartialOrdering, build_partial_ordering
 
 # _method_row calls each runner through this dict, so a runner swapped into it is what runs
 _RUNNERS = {name: method.run for name, method in METHODS.items()}
-DEFAULT_METHODS = tuple(METHODS)
-# each method's default config; BenchConfig completes method_configs from it
-DEFAULT_METHOD_CONFIGS = {name: method.defaults for name, method in METHODS.items()}
 
 
 def _format_number(value: float) -> str:
@@ -166,7 +163,7 @@ class BenchConfig:
     instances_per_set: int = 50
     epsilons: tuple[float, ...] = (1.0, 2.0)
     samples_per_instance: int = 10
-    methods: tuple[str, ...] = DEFAULT_METHODS
+    methods: tuple[str, ...] = tuple(METHODS)
     method_configs: dict[str, MethodConfig] = field(default_factory=dict)
     parallelism: int = 1
     output_dir: str = "results"
@@ -207,8 +204,9 @@ class BenchConfig:
         unknown = sorted(set(self.method_configs) - set(METHODS))
         if unknown:
             raise ValueError(f"method_configs for unknown methods: {', '.join(unknown)}")
+        configs = self.method_configs
         object.__setattr__(
-            self, "method_configs", {**DEFAULT_METHOD_CONFIGS, **self.method_configs}
+            self, "method_configs", {n: configs.get(n, m.defaults) for n, m in METHODS.items()}
         )
         if self.parallelism < 1:
             raise ValueError("parallelism must be at least 1")
@@ -326,26 +324,21 @@ class ResultsTable:
 
     @classmethod
     def from_csv(cls, text: str) -> ResultsTable:
-        reader = csv.reader(io.StringIO(text))
-        try:
-            records = list(reader)
-        except csv.Error as exc:  # a stray carriage return, a field over the csv module's limit
-            raise ValueError(f"line {reader.line_num}: {exc}") from None
-        if not records:
+        if not text:
             raise ValueError("results CSV is empty")
-        if records[0] != CSV_HEADER.split(","):
-            raise ValueError("results CSV has an unexpected header")
+        reader = csv.reader(io.StringIO(text))
         rows = []
-        for lineno, record in enumerate(records[1:], start=2):
-            if not record:
-                continue
-            try:
+        try:
+            if next(reader) != CSV_HEADER.split(","):
+                raise ValueError("results CSV has an unexpected header")
+            for record in filter(None, reader):  # blank lines hold no record
                 if len(record) != len(_COLUMNS):
                     raise ValueError(f"expected {len(_COLUMNS)} fields, got {len(record)}")
                 fields = {name: parse(text) for (_, name, _, parse), text in zip(_COLUMNS, record)}
                 rows.append(MethodRun(**fields, starts=None))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
+        # a bad value, a stray carriage return or an oversized field, at the line its record ends
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
         return cls(rows=tuple(rows))
 
     def to_method_runs(
@@ -405,12 +398,13 @@ def _method_row(cell: _Cell, method: str, sample: DurationSample) -> MethodRun:
             raise RuntimeError(
                 f"audit failure: {method} reported no start for every activity on {cell.instance}"
             )
-        if min(run.starts) < 0:
+        schedule = Schedule.from_starts(run.starts, sample.durations)
+        report = check_schedule(cell.stochastic.base, sample.durations, schedule)
+        if report.early_starts:
             raise RuntimeError(
                 f"audit failure: {method} reported a start before time 0 on {cell.instance}"
             )
-        schedule = Schedule.from_starts(run.starts, sample.durations)
-        if not check_schedule(cell.stochastic.base, sample.durations, schedule).feasible:
+        if not report.feasible:
             raise RuntimeError(
                 f"audit failure: {method} reported an infeasible execution "
                 f"as feasible on {cell.instance}"
@@ -543,21 +537,20 @@ def feasibility_grid(table: ResultsTable) -> str:
     """Per-epsilon grid of feasible-run shares, methods by instance sets."""
     shares = feasibility_shares(table)
     sets = sorted({set_name for _, set_name, _ in shares})
+    methods = table.methods()
+    name_width = max(map(len, ("method", *methods)))
+
+    def row(name: str, texts: Sequence[str]) -> str:
+        cells = (f"  {text:>{max(5, len(set_name))}}" for set_name, text in zip(sets, texts))
+        return f"  {name:<{name_width}}" + "".join(cells)
+
     lines = []
     for epsilon in sorted({epsilon for epsilon, _, _ in shares}):
         lines.append(f"feasibility ratios, epsilon={_format_number(epsilon)}")
-        name_width = max([len("method")] + [len(m) for m in table.methods()])
-        header = "  " + "method".ljust(name_width)
-        for set_name in sets:
-            header += "  " + set_name.rjust(max(5, len(set_name)))
-        lines.append(header)
-        for method in table.methods():
-            line = "  " + method.ljust(name_width)
-            for set_name in sets:
-                ratio = shares.get((epsilon, set_name, method))
-                text = "-" if ratio is None else f"{float(ratio):.2f}"
-                line += "  " + text.rjust(max(5, len(set_name)))
-            lines.append(line)
+        lines.append(row("method", sets))
+        for method in methods:
+            ratios = (shares.get((epsilon, set_name, method)) for set_name in sets)
+            lines.append(row(method, ["-" if r is None else f"{float(r):.2f}" for r in ratios]))
     return "\n".join(lines)
 
 
@@ -688,6 +681,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 f"  resource {resource} at time {time}: "
                 f"usage {usage} exceeds capacity {capacity}"
             )
+        for activity, start in report.early_starts:
+            print(f"  activity {activity} starts at {start}, before time 0")
     return 0
 
 

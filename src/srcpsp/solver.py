@@ -71,15 +71,17 @@ class FeasibilityReport:
     """Constraint-by-constraint verdict on one schedule.
 
     ``precedence_violations`` holds (constraint, slack) with slack < 0;
-    ``resource_violations`` holds (resource, time, usage, capacity).
+    ``resource_violations`` holds (resource, time, usage, capacity);
+    ``early_starts`` holds (activity, start) with start < 0.
     """
 
     precedence_violations: tuple[tuple[tuple[int, int, int], int], ...]
     resource_violations: tuple[tuple[int, int, int, int], ...]
+    early_starts: tuple[tuple[int, int], ...] = ()
 
     @property
     def feasible(self) -> bool:
-        return not self.precedence_violations and not self.resource_violations
+        return not (self.precedence_violations or self.resource_violations or self.early_starts)
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,7 @@ def check_schedule(
     durations: Sequence[int],
     sched: Schedule,
 ) -> FeasibilityReport:
-    """Check every temporal constraint and the resource profile of ``sched``.
+    """Check ``sched``'s starts against time 0, its lags and its resource profile.
 
     Precedence is duration-independent (lags are start-to-start); resources
     are swept over activity intervals [s_j, s_j + d_j), evaluating usage at
@@ -138,6 +140,7 @@ def check_schedule(
     return FeasibilityReport(
         precedence_violations=precedence,
         resource_violations=tuple(resource),
+        early_starts=tuple((j, s) for j, s in enumerate(starts) if s < 0),
     )
 
 
@@ -219,8 +222,6 @@ def _validated_warm_start(
     fixed: Mapping[int, int],
 ) -> tuple[int, ...] | None:
     if warm_start is None or len(warm_start.starts) != inst.n_activities:
-        return None
-    if any(s < 0 for s in warm_start.starts):
         return None
     if any(warm_start.starts[v] != t for v, t in fixed.items()):
         return None

@@ -30,6 +30,7 @@ from srcpsp.bench import (
 )
 from srcpsp.instances import ProjectInstance, serialize_psplib
 from srcpsp.methods import (
+    METHODS,
     PROACTIVE_Q,
     REACTIVE,
     STNU,
@@ -106,7 +107,7 @@ def test_config_defaults_from_minimal_mapping():
     assert cfg.instances_per_set == 50
     assert cfg.epsilons == (1.0, 2.0)
     assert cfg.samples_per_instance == 10
-    assert set(cfg.methods) == set(bench.DEFAULT_METHODS)
+    assert cfg.methods == tuple(METHODS)
     assert cfg.parallelism == 1
     assert cfg.method_configs[STNU].gamma == 1.0
     assert cfg.method_configs["proactive_saa"].time_limit_offline == 300.0
@@ -130,7 +131,7 @@ def test_config_merges_method_overrides():
     assert cfg.method_configs["proactive_q"].gamma == 0.9
     # a config built directly is completed from the same defaults
     direct = BenchConfig(instance_sets=(("s", ("*.sch",)),))
-    assert direct.method_configs == bench.DEFAULT_METHOD_CONFIGS
+    assert direct.method_configs == {name: m.defaults for name, m in METHODS.items()}
 
 
 @pytest.mark.parametrize(
@@ -330,6 +331,13 @@ def test_results_csv_reports_offending_line():
     for bad in ("j10,i\rx,1,1,stnu,true,3,1.0,1.0,,6", "j10," + "i" * 200_000 + ",1,1,stnu,true,3,1.0,1.0,,6"):
         with pytest.raises(ValueError, match="line 3: "):
             ResultsTable.from_csv(CSV_HEADER + "\n" + good + bad + "\n")
+    # ... and in the header line
+    with pytest.raises(ValueError, match="line 1: "):
+        ResultsTable.from_csv(CSV_HEADER.replace("instance,", "inst\rance,") + "\n")
+    # a quoted field spanning lines 2-3 puts the next record on line 4
+    spanning = 'j10,"i\nj",1,0,stnu,true,3,1.0,1.0,,5\n'
+    with pytest.raises(ValueError, match="line 4: feasible must be true or false"):
+        ResultsTable.from_csv(CSV_HEADER + "\n" + spanning + "j10,i,1,1,stnu,maybe,3,1.0,1.0,,6\n")
 
 
 def test_to_method_runs_converts_and_filters():
@@ -517,7 +525,7 @@ def test_bench_plans_once_per_instance_and_epsilon(tmp_path, monkeypatch):
     config = small_config(
         tmp_path,
         instance_sets={"j10": str(DATA / "j10" / "j10_01.sch")},
-        methods=list(bench.DEFAULT_METHODS),
+        methods=list(METHODS),
     )
     table, _ = run_config(config)
     assert len(table) == 3 * 4
@@ -889,6 +897,11 @@ def test_cli_check_reports_both_verdicts(capsys):
     out = capsys.readouterr().out
     assert "infeasible" in out
     assert "violated" in out or "exceeds capacity" in out
+    # the optimum shifted one tick earlier breaks no lag and no capacity, only time 0
+    assert bench.main(["check", "--instance", str(EXAMPLE), "--schedule=-1,0,2,4,-1,2,6"]) == 0
+    out = capsys.readouterr().out
+    assert "infeasible" in out
+    assert "activity 0 starts at -1, before time 0" in out
 
 
 def test_cli_simulate_appends_csv(tmp_path, capsys):

@@ -11,7 +11,7 @@ import pytest
 
 from oracles import random_instance
 from srcpsp import methods
-from srcpsp.bench import _RUNNERS, DEFAULT_METHOD_CONFIGS, derive_seed
+from srcpsp.bench import _RUNNERS, derive_seed
 from srcpsp.instances import (
     DurationSample,
     ProjectInstance,
@@ -26,6 +26,7 @@ from srcpsp.methods import (
     FAIL_NOT_DC,
     FAIL_SOLVER_INFEASIBLE,
     FAIL_SOLVER_TIMEOUT,
+    METHODS,
     PROACTIVE_Q,
     PROACTIVE_SAA,
     REACTIVE,
@@ -242,7 +243,7 @@ def test_offline_stop_before_any_incumbent_is_a_timeout(example_stoch, monkeypat
         )
     sample = DurationSample((0, 2, 5, 3, 2, 2, 0))
     for method, runner in _RUNNERS.items():
-        run = runner(example_stoch, DEFAULT_METHOD_CONFIGS[method], sample)
+        run = runner(example_stoch, METHODS[method].defaults, sample)
         assert run.method == method
         assert not run.feasible
         assert run.failure_reason == FAIL_SOLVER_TIMEOUT
@@ -441,7 +442,7 @@ def test_reactive_online_cost_exceeds_proactive_sweep():
 
 
 def test_reactive_on_a_reused_plan_equals_a_fresh_plan():
-    cfg = DEFAULT_METHOD_CONFIGS[REACTIVE]
+    cfg = METHODS[REACTIVE].defaults
     timeless = lambda run: dataclasses.replace(run, time_offline=0.0, time_online=0.0)
     for name in ("j10_01", "j10_03", "j10_08"):
         stoch = make_stochastic(parse_psplib((J10 / f"{name}.sch").read_text()), 1)
@@ -582,14 +583,13 @@ METHOD_RUNS_PINNED = {
 
 
 def test_method_runs_pinned_on_j10():
-    configs = DEFAULT_METHOD_CONFIGS
     for i in range(1, 13):
         name = f"j10_{i:02d}"
         stoch = make_stochastic(parse_psplib((J10 / f"{name}.sch").read_text()), 1)
         for k in (0, 1):
             sample = sample_durations(stoch, derive_seed(1, name, 1.0, k))
             for method, runner in _RUNNERS.items():
-                run = runner(stoch, configs[method], sample)
+                run = runner(stoch, METHODS[method].defaults, sample)
                 got = (run.feasible, run.makespan, run.failure_reason, run.starts)
                 assert got == METHOD_RUNS_PINNED[(name, k, method)], (name, k, method)
 
@@ -603,7 +603,7 @@ def test_reactive_overruns_pinned_on_j10_at_epsilon_two():
     for (name, k), (makespan, optimum) in REACTIVE_OVERRUNS_PINNED.items():
         stoch = make_stochastic(parse_psplib((J10 / f"{name}.sch").read_text()), 2)
         sample = sample_durations(stoch, derive_seed(20260818, name, 2.0, k))
-        run = run_reactive(stoch, DEFAULT_METHOD_CONFIGS[REACTIVE], sample)
+        run = run_reactive(stoch, METHODS[REACTIVE].defaults, sample)
         assert (run.feasible, run.makespan) == (True, makespan), (name, k)
         clairvoyant = solve(stoch.base, sample.durations)
         assert clairvoyant.status is SolveStatus.OPTIMAL

@@ -69,6 +69,15 @@ def test_check_schedule_all_zero_starts(example_instance):
     assert overloads and overloads[0][2] > 4
 
 
+def test_check_schedule_reports_starts_before_time_zero(example_instance):
+    inst = example_instance
+    # the optimum shifted one tick earlier: every lag and resource slot holds
+    report = check_schedule(inst, inst.durations, sched(inst, (-1, 0, 2, 4, -1, 2, 6)))
+    assert report.early_starts == ((0, -1), (4, -1))
+    assert report.precedence_violations == () and report.resource_violations == ()
+    assert not report.feasible
+
+
 def test_check_schedule_makespan_is_recomputed(example_instance):
     inst = example_instance
     s = Schedule.from_starts((0, 1, 3, 5, 0, 3, 7), inst.durations)
@@ -158,7 +167,7 @@ def test_solve_ignores_warm_start_with_negative_start_or_broken_pin(example_inst
     # one tick earlier than the optimum: lag- and resource-feasible, but it
     # starts before time 0, so taking it would report a makespan of 7
     early = sched(inst, (-1, 0, 2, 4, -1, 2, 6))
-    assert check_schedule(inst, d, early).feasible
+    assert check_schedule(inst, d, early).early_starts == ((0, -1), (4, -1))
     assert solve(inst, d, warm_start=early) == solve(inst, d)
     # the unpinned optimum starts a at 1; with a pinned to 2 it is no incumbent
     optimum = sched(inst, (0, 1, 3, 5, 0, 3, 7))

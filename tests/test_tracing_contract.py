@@ -16,6 +16,7 @@ import pytest
 
 from srcpsp import bench
 from srcpsp.instances import make_stochastic, parse_psplib, sample_durations
+from srcpsp.methods import METHODS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,7 +46,7 @@ def test_metered_runs_record_every_span(tracing):
     tracer = tracing.Tracer()
     with tracer.patched(traced=False):
         for method in tracing.METHODS:
-            bench._RUNNERS[method](stoch, bench.DEFAULT_METHOD_CONFIGS[method], sample)
+            bench._RUNNERS[method](stoch, METHODS[method].defaults, sample)
     recorded = {span.name for span in tracer.spans}
     expected = {
         "solver.solve",
