@@ -182,8 +182,20 @@ def _quantile_plan(
 def _saa_plan(
     stoch: StochasticInstance, gammas: tuple[float | Fraction, ...], time_limit: float
 ) -> SaaOutcome:
-    """The SAA solve over the ``gammas`` quantile scenarios."""
-    scenarios = [quantile_durations(stoch, g).durations for g in gammas]
+    """The SAA solve over the ``gammas`` quantile scenarios, the dominating one first.
+
+    Quantile durations grow with gamma, so sorting the scenarios by duration
+    sum, largest first, puts one that dominates every other pointwise at the
+    front, whatever the order of ``gammas``.  A conflict in any scenario is
+    then one in the first, so every conflicting node branches on it, with
+    the strongest orderings.  That stays complete: intervals that overlap
+    pairwise share a point, so a start vector feasible for the first
+    scenario separates some pair of each of its conflict sets.  The mean
+    makespan does not depend on the order.
+    """
+    scenarios = sorted(
+        (quantile_durations(stoch, g).durations for g in gammas), key=sum, reverse=True
+    )
     return solve_saa(stoch.base, scenarios, time_limit=time_limit)
 
 

@@ -19,13 +19,15 @@ adjacency and tightens forward from its head (``stn._tighten``).  A
 scenario's conflicts are found by one start-ordered sweep per resource that
 keeps its running users' ends in a min-heap.
 
-A node branches on the first scenario in the list that conflicts.  When the
-list is nested (each scenario's durations pointwise no shorter than the one
-before, as ascending quantiles are), a conflict in one scenario is a
-conflict in every later one, so a node probes its parent's branching
-scenario first and steps down or up from there.  Any other list is scanned
-from its first scenario at every node.  Either way the search visits the
-same nodes in the same order.
+A node branches on the first scenario in the list that conflicts.  The
+sample-average method's plan (``methods._saa_plan``) passes its dominating
+scenario first, so each of its conflicting nodes branches on that one at
+the first look.  When a direct caller's list is nested ascending (each
+scenario's durations pointwise no shorter than the one before), a conflict
+in one scenario is a conflict in every later one, so a node probes its
+parent's branching scenario first and steps down or up from there.  Any
+other list is scanned from its first scenario at every node.  Either way
+the search visits the same nodes in the same order.
 """
 
 from __future__ import annotations

@@ -51,8 +51,10 @@ def test_bench_record_summarizes_both_sides(tmp_path):
     desk = record["workloads"]["desk"]
     assert desk["runs"] == {"parent": 4, "change": 4}
     assert desk["counters_equal"] == {"1": True, "2": False, "3": True, "4": True}
+    assert desk["counters_changed"] == {"1": {}, "2": {"nodes": [100, 99]}, "3": {}, "4": {}}
     # the scale change run with seed 4 has no parent run to compare against
     assert record["workloads"]["scale"]["counters_equal"] == {"1": True, "2": True, "3": True}
+    assert record["workloads"]["scale"]["counters_changed"] == {"1": {}, "2": {}, "3": {}}
     for name, walls in (("desk", parent_walls["desk"]), ("scale", parent_walls["scale"])):
         metrics = record["workloads"][name]["metrics"]
         assert set(metrics) == {m["name"] for m in SPEC["end_to_end"]}
@@ -60,6 +62,24 @@ def test_bench_record_summarizes_both_sides(tmp_path):
         assert metrics["wall_s"]["parent"] == {"median": statistics.median(walls), "q1_q3": [q1, q3]}
         assert metrics["nodes_per_s"]["better"] == "higher"
     assert desk["metrics"]["wall_s"]["change"]["median"] == statistics.median(change_walls["desk"])
+
+
+def test_bench_record_names_each_changed_counter(tmp_path):
+    parent = {"nodes": 37_768, "edges": 157, "dropped": 1}
+    change = {"nodes": 2_556, "edges": 157, "added": 2}
+    walls = {"desk": [1.0, 1.1], "scale": [2.0, 2.1]}
+    write_records(tmp_path / "parent", walls, {("desk", 2): parent, ("scale", 1): parent})
+    write_records(tmp_path / "change", walls, {("desk", 2): change, ("scale", 1): parent})
+    done = run_tool(tmp_path, "demo", "a", "parent", "b", "change")
+    assert done.returncode == 0, done.stderr
+    workloads = json.loads((tmp_path / "BENCH_demo.json").read_text(encoding="utf-8"))["workloads"]
+    # the unchanged edge count is left out; a counter on one side only reads null on the other
+    assert workloads["desk"]["counters_changed"] == {
+        "1": {},
+        "2": {"added": [None, 2], "dropped": [1, None], "nodes": [37_768, 2_556]},
+    }
+    assert workloads["desk"]["counters_equal"] == {"1": True, "2": False}
+    assert workloads["scale"]["counters_changed"] == {"1": {}, "2": {}}
 
 
 def test_bench_record_rejects_thin_sets_and_bad_labels(tmp_path):

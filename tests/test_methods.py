@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -313,6 +314,45 @@ def test_saa_objective_grows_with_a_dominating_scenario():
         compared += 1
 
 
+def j10_stochastic(name: str, epsilon: float) -> StochasticInstance:
+    return make_stochastic(parse_psplib((J10 / f"{name}.sch").read_text()), epsilon)
+
+
+# summed SAA plan nodes over the 12 j10 instances with the default gammas,
+# (dominating scenario first, ascending list) per epsilon
+SAA_PLAN_NODES = {1: (2_872, 39_332), 2: (3_600, 44_116)}
+
+
+@pytest.mark.parametrize("epsilon", sorted(SAA_PLAN_NODES))
+def test_saa_plan_branches_on_the_dominating_scenario_on_j10(epsilon):
+    # the plan reaches the ascending list's status and objective in under a
+    # tenth of its nodes, because every conflict is branched on gamma 0.9
+    gammas = MethodConfig().saa_gammas
+    planned = ascending = 0
+    for i in range(1, 13):
+        stoch = j10_stochastic(f"j10_{i:02d}", epsilon)
+        plan = methods._saa_plan(stoch, gammas, 300.0)
+        scan = solve_saa(stoch.base, [quantile_durations(stoch, g).durations for g in gammas])
+        assert (plan.status, plan.objective) == (scan.status, scan.objective), i
+        planned += plan.nodes_explored
+        ascending += scan.nodes_explored
+    assert (planned, ascending) == SAA_PLAN_NODES[epsilon]
+
+
+def test_saa_plan_ignores_the_order_of_its_gammas():
+    default = MethodConfig().saa_gammas
+    orders = [
+        (0.5, 0.9, 0.25, 0.75),
+        (0.9, 0.75, 0.5, 0.25),
+        (Fraction(1, 2), 0.25, Fraction(9, 10), 0.75),
+    ]
+    for i in range(1, 13):
+        stoch = j10_stochastic(f"j10_{i:02d}", 1)
+        expected = methods._saa_plan(stoch, default, 300.0)
+        for gammas in orders:
+            assert methods._saa_plan(stoch, gammas, 300.0) == expected, (i, gammas)
+
+
 def test_reactive_without_deviation_keeps_offline_plan(example_instance):
     stoch = make_stochastic(example_instance, 0.0)
     sample = DurationSample(example_instance.durations)
@@ -572,11 +612,11 @@ METHOD_RUNS_PINNED = {
     ('j10_11', 1, 'reactive'): (True, 52, None, (0, 0, 8, 10, 9, 19, 38, 21, 30, 48, 38, 52)),
     ('j10_11', 1, 'stnu'): (True, 52, None, (0, 0, 8, 10, 9, 19, 38, 21, 30, 48, 38, 52)),
     ('j10_12', 0, 'proactive_q'): (True, 31, None, (0, 0, 7, 11, 7, 21, 18, 22, 11, 27, 30, 31)),
-    ('j10_12', 0, 'proactive_saa'): (True, 31, None, (0, 0, 7, 11, 10, 21, 18, 22, 11, 27, 30, 31)),
+    ('j10_12', 0, 'proactive_saa'): (True, 31, None, (0, 0, 7, 11, 7, 21, 18, 22, 11, 27, 30, 31)),
     ('j10_12', 0, 'reactive'): (True, 29, None, (0, 0, 7, 11, 7, 21, 18, 22, 11, 26, 28, 29)),
     ('j10_12', 0, 'stnu'): (True, 29, None, (0, 0, 7, 11, 7, 15, 18, 22, 11, 26, 28, 29)),
     ('j10_12', 1, 'proactive_q'): (True, 32, None, (0, 0, 7, 11, 7, 21, 18, 22, 11, 27, 30, 31)),
-    ('j10_12', 1, 'proactive_saa'): (True, 32, None, (0, 0, 7, 11, 10, 21, 18, 22, 11, 27, 30, 31)),
+    ('j10_12', 1, 'proactive_saa'): (True, 32, None, (0, 0, 7, 11, 7, 21, 18, 22, 11, 27, 30, 31)),
     ('j10_12', 1, 'reactive'): (True, 29, None, (0, 0, 7, 11, 7, 21, 18, 22, 11, 24, 27, 28)),
     ('j10_12', 1, 'stnu'): (True, 29, None, (0, 0, 7, 11, 7, 21, 18, 22, 11, 24, 27, 28)),
 }
@@ -592,6 +632,23 @@ def test_method_runs_pinned_on_j10():
                 run = runner(stoch, METHODS[method].defaults, sample)
                 got = (run.feasible, run.makespan, run.failure_reason, run.starts)
                 assert got == METHOD_RUNS_PINNED[(name, k, method)], (name, k, method)
+
+
+def test_repinned_j10_12_saa_starts_are_both_optima():
+    # the dominating-first plan starts activity 4 at 7, the ascending list's
+    # at 10: both fit every quantile scenario with the same mean makespan
+    stoch = j10_stochastic("j10_12", 1)
+    scenarios = [quantile_durations(stoch, g).durations for g in MethodConfig().saa_gammas]
+    recorded = (0, 0, 7, 11, 10, 21, 18, 22, 11, 27, 30, 31)
+    repinned = METHOD_RUNS_PINNED[("j10_12", 0, PROACTIVE_SAA)][3]
+    assert [j for j, (a, b) in enumerate(zip(recorded, repinned)) if a != b] == [4]
+    plan = methods._saa_plan(stoch, MethodConfig().saa_gammas, 300.0)
+    assert (plan.status, plan.starts) == (SolveStatus.OPTIMAL, repinned)
+    for starts in (recorded, repinned):
+        schedules = [Schedule.from_starts(starts, d) for d in scenarios]
+        for durations, schedule in zip(scenarios, schedules):
+            assert check_schedule(stoch.base, durations, schedule).feasible
+        assert sum(s.makespan for s in schedules) / len(scenarios) == plan.objective
 
 
 # (instance, sample) at epsilon 2 under the desk master seed, where an

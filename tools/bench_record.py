@@ -13,7 +13,9 @@ directory, holds both commits and, per workload of BENCHMARK.json:
 - the number of runs on each side;
 - for every gated end-to-end metric, each side's median and [q1, q3];
 - for every seed run on both sides, whether the deterministic counters are
-  equal (a counter that differs is a behaviour change, not noise).
+  equal (a counter that differs is a behaviour change, not noise) and the
+  counters that differ, each as [parent value, change value] (null where
+  a side has no such counter).
 
 It also lists the ``nproc`` and Python versions the runs reported.  A
 workload needs at least two runs on each side.  Uses only the standard
@@ -37,10 +39,19 @@ def _spread(values: list[float]) -> dict[str, object]:
     return {"median": statistics.median(values), "q1_q3": [q1, q3]}
 
 
+def _changed_counters(parent: dict[str, object], change: dict[str, object]) -> dict[str, list]:
+    """Each counter whose value differs between the sides, as [parent, change]."""
+    return {
+        name: [parent.get(name), change.get(name)]
+        for name in sorted(parent.keys() | change.keys())
+        if parent.get(name) != change.get(name)
+    }
+
+
 def bench_record(
     label: str, parent_commit: str, parent_dir: str, change_commit: str, change_dir: str
 ) -> dict[str, object]:
-    """The record of one change: its commits, metric spreads and counter checks."""
+    """The record of one change: its commits, metric spreads and counter changes."""
     spec = json.loads(BENCHMARK.read_text(encoding="utf-8"))
     sides = {"parent": load(Path(parent_dir)), "change": load(Path(change_dir))}
     workloads: dict[str, object] = {}
@@ -55,6 +66,13 @@ def bench_record(
         seeds = sorted(
             seed for (w, seed) in set(sides["parent"]) & set(sides["change"]) if w == workload
         )
+        counters = {
+            seed: _changed_counters(
+                sides["parent"][(workload, seed)]["counters"],
+                sides["change"][(workload, seed)]["counters"],
+            )
+            for seed in seeds
+        }
         workloads[workload] = {
             "runs": {side: len(side_runs) for side, side_runs in runs.items()},
             "metrics": {
@@ -68,11 +86,8 @@ def bench_record(
                 }
                 for metric in spec["end_to_end"]
             },
-            "counters_equal": {
-                str(seed): sides["parent"][(workload, seed)]["counters"]
-                == sides["change"][(workload, seed)]["counters"]
-                for seed in seeds
-            },
+            "counters_equal": {str(seed): not changed for seed, changed in counters.items()},
+            "counters_changed": {str(seed): changed for seed, changed in counters.items()},
         }
     environments = [r["environment"] for records in sides.values() for r in records.values()]
     return {
