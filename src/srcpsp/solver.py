@@ -10,7 +10,8 @@ least one ordered pair of each conflict set; the branching is complete.
 One search serves both entry points: it fixes one start vector for a list
 of duration scenarios and minimizes their mean makespan.  ``solve`` runs it
 on a single scenario, ``solve_saa`` on the sample-average method's quantile
-scenarios.
+scenarios.  A warm start is vetted by the search itself, against the same
+rooted edges and conflict sweeps its nodes use, so it is no precondition.
 
 Each node costs only what is new at it.  The base graph, its root solution
 and each resource's users are built once per search; a child copies its
@@ -127,16 +128,14 @@ def check_schedule(
         if starts[j] - starts[i] < w
     )
 
+    running = [  # each start event's running activities, for every resource
+        (t, [j for j in range(total) if starts[j] <= t < starts[j] + durations[j]])
+        for t in sorted({starts[j] for j in range(total) if durations[j] > 0})
+    ]
     resource: list[tuple[int, int, int, int]] = []
-    events = sorted({starts[j] for j in range(total) if durations[j] > 0})
-    for r in range(inst.n_resources):
-        cap = inst.capacities[r]
-        for t in events:
-            usage = sum(
-                inst.demands[r][j]
-                for j in range(total)
-                if starts[j] <= t < starts[j] + durations[j]
-            )
+    for r, (demands, cap) in enumerate(zip(inst.demands, inst.capacities)):
+        for t, active in running:
+            usage = sum(demands[j] for j in active)
             if usage > cap:
                 resource.append((r, t, usage, cap))
     return FeasibilityReport(
@@ -217,21 +216,6 @@ def _minimal_conflict_set(
     raise AssertionError("no conflicting subset in a conflicting active set")
 
 
-def _validated_warm_start(
-    inst: ProjectInstance,
-    durations: Sequence[int],
-    warm_start: Schedule | None,
-    fixed: Mapping[int, int],
-) -> tuple[int, ...] | None:
-    if warm_start is None or len(warm_start.starts) != inst.n_activities:
-        return None
-    if any(warm_start.starts[v] != t for v, t in fixed.items()):
-        return None
-    if not check_schedule(inst, durations, warm_start).feasible:
-        return None
-    return warm_start.starts
-
-
 def _search(
     inst: ProjectInstance,
     scenarios: Sequence[Sequence[int]],
@@ -247,7 +231,9 @@ def _search(
     the scenario makespans, which orders nodes exactly as their mean does.
     A node branches on the first scenario in the list that conflicts, with
     that scenario's durations, which separates its overlap and keeps the
-    search complete.  ``incumbent`` must be feasible for every scenario.
+    search complete.  ``incumbent`` seeds the search only if it has one start
+    per activity, holds every edge of ``_rooted_edges`` with the origin at 0
+    (lags, pins, starts >= 0) and no scenario's sweep finds an overload.
 
     If ``d <= d'`` pointwise, every user running at a time under ``d`` also
     runs then under ``d'``, so a conflict under ``d`` is one under ``d'``.
@@ -274,6 +260,14 @@ def _search(
         succ[i].append((j, w))
     root, _ = _relax(total + 1, edges, total)
     resources = [_resource_users(inst, durations) for durations in scenarios]
+    if incumbent is not None:
+        vetted = (*incumbent, 0)  # the origin last, at 0, as in the potentials
+        if (
+            len(incumbent) != total
+            or any(vetted[j] - vetted[i] < w for i, j, w in edges)
+            or any(_first_conflict(found, vetted) for found in resources)
+        ):
+            incumbent = None
 
     def makespan_sum(starts: Sequence[int]) -> int:
         # map stops at the end of the scenario, before the origin's potential
@@ -338,9 +332,10 @@ def _search(
     if best_starts is None:
         status = SolveStatus.INFEASIBLE if exhausted else SolveStatus.UNKNOWN
         return SaaOutcome(status, None, None, nodes)
-    for durations in scenarios:
+    for durations in scenarios:  # the independent replay of what the search trusted
         sched = Schedule.from_starts(best_starts, durations)
-        assert check_schedule(inst, durations, sched).feasible
+        if not check_schedule(inst, durations, sched).feasible:
+            raise AssertionError(f"start vector {best_starts} fails check_schedule")
     status = SolveStatus.OPTIMAL if exhausted else SolveStatus.FEASIBLE
     return SaaOutcome(status, best_starts, best / len(scenarios), nodes)
 
@@ -356,14 +351,14 @@ def solve(
     """Minimize makespan by conflict-resolution branch-and-bound.
 
     ``fixed`` pins exact start times (the reactive method's frozen prefix);
-    ``warm_start`` seeds the incumbent when it checks out feasible.  Statuses:
+    ``warm_start`` seeds the incumbent unless ``_search`` finds it infeasible
+    or off a pin.  Statuses:
     Optimal when the search exhausts with an incumbent, Infeasible when it
     exhausts without one (or the root graph is contradictory), Feasible or
     Unknown when a limit stops the search with or without an incumbent.
     """
-    fixed = dict(fixed or {})
-    incumbent = _validated_warm_start(inst, durations, warm_start, fixed)
-    out = _search(inst, [durations], fixed, incumbent, time_limit, node_limit)
+    incumbent = None if warm_start is None else warm_start.starts
+    out = _search(inst, [durations], fixed or {}, incumbent, time_limit, node_limit)
     schedule = None if out.starts is None else Schedule.from_starts(out.starts, durations)
     return SolveOutcome(out.status, schedule, out.nodes_explored)
 

@@ -99,3 +99,23 @@ def random_instance(rng: random.Random, max_real: int = 5) -> ProjectInstance:
         )
         if enumeration_horizon(inst, durations) <= 15:
             return inst
+
+
+def resource_violations(inst: ProjectInstance, durations, starts) -> tuple:
+    """``check_schedule``'s resource report by a rescan of every activity for
+    each resource at each start event: (resource, time, usage, capacity)
+    tuples in (resource, time) order."""
+    total = inst.n_activities
+    found = []
+    events = sorted({starts[j] for j in range(total) if durations[j] > 0})
+    for r in range(inst.n_resources):
+        cap = inst.capacities[r]
+        for t in events:
+            usage = sum(
+                inst.demands[r][j]
+                for j in range(total)
+                if starts[j] <= t < starts[j] + durations[j]
+            )
+            if usage > cap:
+                found.append((r, t, usage, cap))
+    return tuple(found)

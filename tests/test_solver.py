@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ from srcpsp.methods import MethodConfig
 from srcpsp.solver import Schedule, SolveStatus, check_schedule, solve, solve_saa
 
 import reference_solver
-from oracles import brute_force_optimum, random_instance
+from oracles import brute_force_optimum, random_instance, resource_violations
 
 A, B, C, D, E = 1, 2, 3, 4, 5
 
@@ -76,6 +79,33 @@ def test_check_schedule_reports_starts_before_time_zero(example_instance):
     assert report.early_starts == ((0, -1), (4, -1))
     assert report.precedence_violations == () and report.resource_violations == ()
     assert not report.feasible
+
+
+def test_check_schedule_reports_overloads_as_the_rescan_does():
+    # activity 2 has no duration, 3 and 4 start together when 1 ends, and 5
+    # spans both events
+    inst = ProjectInstance(
+        5,
+        (0, 2, 0, 2, 1, 3, 0),
+        ((0, 2, 3, 2, 2, 2, 0), (0, 1, 1, 1, 1, 0, 0)),
+        (3, 1),
+        (),
+    )
+    starts = (0, 0, 2, 2, 2, 0, 5)
+    expected = ((0, 0, 4, 3), (0, 2, 6, 3), (1, 2, 2, 1))
+    assert resource_violations(inst, inst.durations, starts) == expected
+    assert check_schedule(inst, inst.durations, sched(inst, starts)).resource_violations == expected
+    rng = random.Random(26)
+    several = 0
+    for _ in range(2000):
+        inst = random_instance(rng, max_real=rng.choice((3, 5)))
+        # zero durations and starts on a short range, so that events coincide
+        durations = [0] + [rng.randint(0, 3) for _ in range(inst.activity_count)] + [0]
+        starts = [rng.randint(-1, 4) for _ in range(inst.n_activities)]
+        report = check_schedule(inst, durations, Schedule(tuple(starts), 0))
+        assert report.resource_violations == resource_violations(inst, durations, starts)
+        several += len(report.resource_violations) > 1
+    assert several > 80
 
 
 def test_check_schedule_makespan_is_recomputed(example_instance):
@@ -175,6 +205,91 @@ def test_solve_ignores_warm_start_with_negative_start_or_broken_pin(example_inst
     pinned = solve(inst, d, fixed={A: 2})
     assert pinned.schedule.makespan == 9
     assert solve(inst, d, fixed={A: 2}, warm_start=optimum) == pinned
+
+
+def test_solve_rejects_a_pin_out_of_range_with_or_without_warm_start(example_instance):
+    inst = example_instance
+    for warm in (None, sched(inst, (0, 1, 3, 5, 0, 3, 7))):
+        with pytest.raises(ValueError, match="fixed node 9 out of range"):
+            solve(inst, inst.durations, fixed={9: 0}, warm_start=warm)
+
+
+def test_search_vets_warm_starts_as_a_schedule_replay_does():
+    rng = random.Random(2029)
+    verdicts = {True: 0, False: 0}
+    sole_cause = dict.fromkeys(("length", "pin", "lag", "overload", "early"), 0)
+    cases = 0
+    while cases < 2000:
+        inst = random_instance(rng)
+        d = inst.durations
+        solved = solve(inst, d).schedule
+        if solved is None:
+            continue
+        cases += 1
+        total = inst.n_activities
+        starts = list(solved.starts)
+        shape = rng.randrange(4)
+        if shape == 0:  # the whole schedule moves, maybe before time 0
+            shift = rng.randint(-2, 2)
+            starts = [s + shift for s in starts]
+        elif shape < 3:  # one or two activities move
+            for j in rng.sample(range(total), rng.randint(1, 2)):
+                starts[j] += rng.randint(-2, 2)
+        pinned = rng.sample(range(total), rng.randint(0, min(2, total)))
+        fixed = {v: starts[v] + rng.choice((0, 0, 0, -1, 1)) for v in pinned}
+        if rng.random() < 0.05:
+            starts = starts[:-1] if rng.random() < 0.5 else starts + [0]
+        warm = Schedule(starts=tuple(starts), makespan=0)
+        # the rule a warm start must pass: right length, every pin equal and a
+        # feasible replay; each failed part is one cause
+        causes = []
+        if len(starts) != total:
+            causes.append("length")
+        else:
+            if any(starts[v] != t for v, t in fixed.items()):
+                causes.append("pin")
+            report = check_schedule(inst, d, warm)
+            causes += [
+                cause
+                for cause, found in (
+                    ("lag", report.precedence_violations),
+                    ("overload", report.resource_violations),
+                    ("early", report.early_starts),
+                )
+                if found
+            ]
+        got = solve(inst, d, fixed=fixed, warm_start=warm, node_limit=0)
+        if causes:
+            assert (got.status, got.schedule) == (SolveStatus.UNKNOWN, None), causes
+        else:
+            assert (got.status, got.schedule.starts) == (SolveStatus.FEASIBLE, warm.starts)
+        verdicts[not causes] += 1
+        if len(causes) == 1:
+            sole_cause[causes[0]] += 1
+    assert min(verdicts.values()) > 500, verdicts
+    assert min(sole_cause.values()) >= 30, sole_cause
+
+
+def test_search_replays_its_result_when_asserts_are_stripped():
+    # with the conflict sweep blinded the search takes its overloaded root as
+    # the answer; under ``python -O`` only an explicit check still stops it
+    code = "\n".join((
+        "assert False, 'not run under -O'",
+        "from pathlib import Path",
+        "from srcpsp import solver",
+        "from srcpsp.instances import parse_psplib",
+        "solver._first_conflict = lambda resources, starts: None",
+        f"inst = parse_psplib(Path({str(J10.parent / 'example.sch')!r}).read_text())",
+        "solver.solve(inst, inst.durations)",
+    ))
+    src = str(Path(solver.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, os.environ.get("PYTHONPATH", "")))}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    last = run.stderr.splitlines()[-1]
+    assert run.returncode == 1
+    assert last.startswith("AssertionError: start vector") and last.endswith("check_schedule")
 
 
 def test_solve_saa_rejects_missing_or_misshaped_scenarios(example_instance):
