@@ -565,20 +565,25 @@ def feasibility_csv(table: ResultsTable) -> str:
     return out.getvalue()
 
 
+def _dot_id(name: str) -> str:
+    """``name`` as one DOT quoted string, its backslashes and quotes escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def ordering_to_dot(ordering: PartialOrdering) -> str:
     """Graphviz rendering: solid edges for strong wins, dashed for weak."""
-    lines = [f'digraph "{ordering.metric}" {{', "  rankdir=LR;"]
+    lines = [f"digraph {_dot_id(ordering.metric)} {{", "  rankdir=LR;"]
     for method in ordering.methods:
-        lines.append(f'  "{method}";')
+        lines.append(f"  {_dot_id(method)};")
     for better, worse, strength in ordering.edges:
         style = "solid" if strength == STRONG else "dashed"
-        lines.append(f'  "{better}" -> "{worse}" [style={style}];')
+        lines.append(f"  {_dot_id(better)} -> {_dot_id(worse)} [style={style}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 # The reported tests: label, PairTests field, the value shown before p (from the
-# statistic and the extras), and whether a significant p is marked (ordering tests only).
+# statistic and the extras), and whether p < alpha is marked (ordering tests only).
 _REPORTED_TESTS = (
     ("signed-rank", "signed_rank", "z={statistic:+.3f}", True),
     ("win-share", "win_share", "{proportion_a:.3f}", True),
@@ -596,7 +601,7 @@ def ordering_report(ordering: PartialOrdering) -> str:
             if result is None:
                 parts.append(f"{label} n/a")
             else:
-                flag = "*" if marked and result.significant else ""
+                flag = "*" if marked and result.p_value < ordering.alpha else ""
                 value = shown.format(statistic=result.statistic, **result.extras)
                 parts.append(f"{label} {value} p={result.p_value:.4f}{flag}")
         lines.append("  " + "; ".join(parts))
@@ -604,7 +609,7 @@ def ordering_report(ordering: PartialOrdering) -> str:
         lines.append("edges (better -> worse):")
         for better, worse, strength in ordering.edges:
             lines.append(f"  {better} -> {worse} [{strength}]")
-    elif any(t.win_share and t.win_share.significant for t in ordering.pair_tests.values()):
+    elif any(t.win_share and t.win_share.p_value < ordering.alpha for t in ordering.pair_tests.values()):
         lines.append("edges: none (each significant win-share closed a cycle and was dropped)")
     else:
         lines.append("edges: none (no significant differences)")

@@ -59,7 +59,8 @@ def chain(
                 (k for k in range(len(chains)) if ends[k] <= starts[j]),
                 key=lambda k: (ends[k] != starts[j], ends[k], k),
             )
-            assert len(candidates) >= need, "resource-feasible schedule ran out of chains"
+            if len(candidates) < need:
+                raise AssertionError("resource-feasible schedule ran out of chains")
             for k in candidates[:need]:
                 if chains[k]:
                     edges[chains[k][-1], j] = None

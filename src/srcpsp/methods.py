@@ -307,7 +307,8 @@ def run_reactive(
         plan = list(res.schedule.starts)
     trace = Schedule.from_starts(plan, realized)
     report = check_schedule(inst, realized, trace)
-    assert report.feasible, "reactive simulation produced an infeasible trace"
+    if not report.feasible:
+        raise AssertionError("reactive simulation produced an infeasible trace")
     return _record(REACTIVE, sample, offline, online, None, trace.starts, trace.makespan)
 
 

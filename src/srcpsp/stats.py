@@ -2,7 +2,8 @@
 
 All three metrics are smaller-is-better, and an infeasible run counts as
 infinitely bad on every metric.  Pairs are matched on (instance, seed) so
-every comparison sees the same realized durations on both sides.
+every comparison sees the same realized durations on both sides.  The
+tests only measure: significance is ``p < alpha`` at the ordering's alpha.
 """
 
 from __future__ import annotations
@@ -30,19 +31,7 @@ WEAK = "weak"
 
 
 class UndefinedTest(ValueError):
-    """The test has no value on this series, so it cannot order the pair."""
-
-
-class NoNonzeroDifferences(UndefinedTest):
-    """Every matched pair is tied, so the signed-rank test is undefined."""
-
-
-class AllTies(UndefinedTest):
-    """No pair has a winner, so the win-share test is undefined."""
-
-
-class ZeroVariance(UndefinedTest):
-    """Normalized differences are constant, so the t statistic is undefined."""
+    """The test has no value on this series; the message names the cause."""
 
 
 @dataclass(frozen=True)
@@ -78,21 +67,16 @@ class PairedSeries:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Outcome of one paired test at significance level ``alpha``."""
+    """Outcome of one paired test; significance is the ordering's p < alpha."""
 
     n_pairs: int
     statistic: float
     p_value: float
-    alpha: float
     extras: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_value <= 1.0:
             raise ValueError(f"p value {self.p_value} outside [0, 1]")
-
-    @property
-    def significant(self) -> bool:
-        return self.p_value < self.alpha
 
 
 @dataclass(frozen=True)
@@ -138,7 +122,7 @@ class PartialOrdering:
                 raise ValueError(f"method ordering on {self.metric} contains a cycle")
 
 
-def wilcoxon_pratt(series: PairedSeries, alpha: float = 0.05) -> TestResult:
+def wilcoxon_pratt(series: PairedSeries) -> TestResult:
     """Signed-rank z-test with zeros ranked and then dropped.
 
     Differences a - b are ranked by absolute value, zeros included; zero
@@ -152,7 +136,7 @@ def wilcoxon_pratt(series: PairedSeries, alpha: float = 0.05) -> TestResult:
     diffs = series.differences()
     n = len(diffs)
     if n == 0 or all(d == 0 for d in diffs):
-        raise NoNonzeroDifferences("every pair is tied")
+        raise UndefinedTest("every pair is tied")
     magnitudes = [abs(d) for d in diffs]
     order = sorted(range(n), key=magnitudes.__getitem__)
     ranks = [0.0] * n
@@ -177,12 +161,11 @@ def wilcoxon_pratt(series: PairedSeries, alpha: float = 0.05) -> TestResult:
         n_pairs=n,
         statistic=z,
         p_value=p,
-        alpha=alpha,
         extras={"rank_sum_worse_a": worse_a, "rank_sum_worse_b": worse_b},
     )
 
 
-def proportion_test(series: PairedSeries, alpha: float = 0.05) -> TestResult:
+def proportion_test(series: PairedSeries) -> TestResult:
     """z-test on the share of decided pairs won by method A, ties excluded.
 
     An infinite value loses to any finite one.  The statistic carries a
@@ -192,7 +175,7 @@ def proportion_test(series: PairedSeries, alpha: float = 0.05) -> TestResult:
     """
     decided = [d for d in series.differences() if d != 0]
     if not decided:
-        raise AllTies("no pair has a winner")
+        raise UndefinedTest("no pair has a winner")
     n = len(decided)
     wins_a = sum(1 for d in decided if d < 0)
     share = wins_a / n
@@ -204,12 +187,11 @@ def proportion_test(series: PairedSeries, alpha: float = 0.05) -> TestResult:
         n_pairs=len(series),
         statistic=z,
         p_value=p,
-        alpha=alpha,
         extras={"proportion_a": share, "decided_pairs": float(n)},
     )
 
 
-def magnitude_test(series: PairedSeries, alpha: float = 0.05) -> TestResult:
+def magnitude_test(series: PairedSeries) -> TestResult:
     """Paired t-test on pair-mean-normalized values; double hits only.
 
     Each pair is divided by its own mean, landing both observations in
@@ -235,7 +217,7 @@ def magnitude_test(series: PairedSeries, alpha: float = 0.05) -> TestResult:
     mean_d = math.fsum(deltas) / n
     scatter = math.fsum((d - mean_d) ** 2 for d in deltas)
     if scatter == 0:
-        raise ZeroVariance("normalized differences are constant")
+        raise UndefinedTest("normalized differences are constant")
     spread = math.sqrt(scatter / (n - 1))
     t = mean_d / (spread / math.sqrt(n))
     from scipy.special import stdtr  # t.sf's own call, without scipy.stats's slow import
@@ -244,7 +226,6 @@ def magnitude_test(series: PairedSeries, alpha: float = 0.05) -> TestResult:
         n_pairs=n,
         statistic=t,
         p_value=min(p, 1.0),
-        alpha=alpha,
         extras={
             "normalized_mean_a": math.fsum(norm_a) / n,
             "normalized_mean_b": math.fsum(norm_b) / n,
@@ -288,11 +269,11 @@ def method_pair_series(
 
 
 def _defined(
-    test: Callable[..., TestResult], series: PairedSeries, alpha: float, pair: str
+    test: Callable[[PairedSeries], TestResult], series: PairedSeries, pair: str
 ) -> TestResult | None:
     """``test`` on ``series``, or None with a logged note where it is undefined."""
     try:
-        return test(series, alpha)
+        return test(series)
     except UndefinedTest as exc:
         logger.info("%s: %s undefined (%s)", pair, test.__name__, exc)
         return None
@@ -303,8 +284,8 @@ def build_partial_ordering(
 ) -> PartialOrdering:
     """Compare every method pair on one metric over their shared sample keys.
 
-    A significant signed-rank test yields a strong edge from its winner;
-    otherwise a significant win-share test yields a weak edge.  The
+    A signed-rank p below ``alpha`` yields a strong edge from its winner;
+    otherwise a win-share p below ``alpha`` yields a weak edge.  The
     magnitude test runs on the double hits of each pair.  The tests of
     every pair, n=0 pairs included, are kept for the report; a test that
     is undefined on its series (all ties, constant differences, too few
@@ -321,13 +302,13 @@ def build_partial_ordering(
         for name_b in methods[i + 1 :]:
             series = _paired(index, name_a, name_b)
             pair = f"{name_a} vs {name_b} on {metric}"
-            ranked = _defined(wilcoxon_pratt, series, alpha, pair)
-            share = _defined(proportion_test, series, alpha, pair)
+            ranked = _defined(wilcoxon_pratt, series, pair)
+            share = _defined(proportion_test, series, pair)
             hits = PairedSeries(tuple(p for p in series.pairs if INF not in p))
-            magnitude = _defined(magnitude_test, hits, alpha, pair)
-            if ranked is not None and ranked.significant:
+            magnitude = _defined(magnitude_test, hits, pair)
+            if ranked is not None and ranked.p_value < alpha:
                 a_wins, strength = ranked.statistic < 0, STRONG
-            elif share is not None and share.significant:
+            elif share is not None and share.p_value < alpha:
                 a_wins, strength = share.extras["proportion_a"] > 0.5, WEAK
             else:
                 strength = ""

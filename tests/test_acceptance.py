@@ -32,9 +32,8 @@ from srcpsp.instances import (
 from srcpsp.methods import PROACTIVE_Q, PROACTIVE_SAA, REACTIVE, STNU
 from srcpsp.solver import Schedule, SolveStatus, check_schedule, solve
 from srcpsp.stats import (
-    AllTies,
-    NoNonzeroDifferences,
     PairedSeries,
+    UndefinedTest,
     build_partial_ordering,
     magnitude_test,
     method_pair_series,
@@ -241,22 +240,24 @@ def test_property_test_decisions_are_antisymmetric_and_scale_invariant():
 
         try:
             base = wilcoxon_pratt(series)
-        except NoNonzeroDifferences:
-            with pytest.raises(NoNonzeroDifferences):
+        except UndefinedTest as undefined:
+            assert str(undefined) == "every pair is tied"
+            with pytest.raises(UndefinedTest, match="every pair is tied"):
                 wilcoxon_pratt(mirrored)
         else:
             flipped = wilcoxon_pratt(mirrored)
             assert flipped.statistic == -base.statistic
             assert flipped.p_value == base.p_value
-            assert flipped.significant == base.significant
+            assert (flipped.p_value < 0.05) == (base.p_value < 0.05)
             rescaled = wilcoxon_pratt(scaled)
             assert rescaled.statistic == base.statistic
             assert rescaled.p_value == base.p_value
 
         try:
             share = proportion_test(series)
-        except AllTies:
-            with pytest.raises(AllTies):
+        except UndefinedTest as undefined:
+            assert str(undefined) == "no pair has a winner"
+            with pytest.raises(UndefinedTest, match="no pair has a winner"):
                 proportion_test(mirrored)
         else:
             flipped = proportion_test(mirrored)
@@ -430,13 +431,13 @@ def test_desk_scale_quality_ordering_contains_key_edge(desk_table):
     series = method_pair_series(runs, PROACTIVE_Q, STNU, "quality")
     significant = False
     try:
-        significant = wilcoxon_pratt(series).significant
-    except NoNonzeroDifferences:
+        significant = wilcoxon_pratt(series).p_value < 0.05
+    except UndefinedTest:
         pass
     if not significant:
         try:
-            significant = proportion_test(series).significant
-        except AllTies:
+            significant = proportion_test(series).p_value < 0.05
+        except UndefinedTest:
             pass
     ordering = build_partial_ordering(runs, "quality", 0.05)
     if significant:

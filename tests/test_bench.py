@@ -6,6 +6,8 @@ import concurrent.futures
 import dataclasses
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -38,7 +40,19 @@ from srcpsp.methods import (
     MethodRun,
     run_proactive_quantile,
 )
-from srcpsp.stats import STRONG, WEAK, PartialOrdering, build_partial_ordering
+from srcpsp.stats import (
+    QUALITY,
+    STRONG,
+    WEAK,
+    PairTests,
+    PartialOrdering,
+    TestResult as PairTestResult,
+    UndefinedTest,
+    build_partial_ordering,
+    method_pair_series,
+    proportion_test,
+    wilcoxon_pratt,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -758,6 +772,121 @@ def test_ordering_report_without_edges_says_so():
     ]
 
 
+def _measured(test, series):
+    try:
+        return test(series)
+    except UndefinedTest:
+        return None
+
+
+def _random_runs(rng: random.Random) -> list[MethodRun]:
+    """2-4 methods on shared keys: coarse makespans (ties) and some infeasible runs.
+
+    A rotating set cycles which method is best from key to key, so its
+    win-shares can close a cycle.
+    """
+    runs = []
+    methods = [f"m{i}" for i in range(rng.randint(2, 4))]
+    shift = {method: rng.choice((0, 0, 1, 2)) for method in methods}
+    lost = {method: rng.choice((0.0, 0.1, 0.3)) for method in methods}
+    rotating = rng.random() < 0.3
+    for k in range(rng.randint(4, 40)):
+        for i, method in enumerate(methods):
+            if rng.random() < lost[method]:
+                runs.append(make_row(method=method, instance=f"i{k}", seed=k, feasible=False,
+                                     makespan=None, failure_reason="execution_violation"))
+            else:
+                turn = 10 * ((i + k) % len(methods)) if rotating else shift[method]
+                span = 10 + turn + rng.randint(0, 3)
+                runs.append(make_row(method=method, instance=f"i{k}", seed=k, makespan=span))
+    return runs
+
+
+def test_ordering_edges_and_report_marks_follow_the_ordering_alpha():
+    # the rule written out: a strong edge where the signed-rank p < alpha,
+    # otherwise a weak edge where the win-share p < alpha, and a weak edge
+    # is dropped where its worse method reaches its better one through the
+    # drawn edges; the report marks exactly those two tests' p < alpha
+    rng = random.Random(20261020)
+    seen = {STRONG: 0, WEAK: 0, "dropped": 0, "marks": 0}
+    for _ in range(60):
+        runs = _random_runs(rng)
+        for alpha in (0.01, 0.05, 0.2):
+            ordering = build_partial_ordering(runs, QUALITY, alpha)
+            drawn, marked = [], {}
+            for name_a, name_b in ordering.pair_tests:
+                series = method_pair_series(runs, name_a, name_b, QUALITY)
+                ranked = _measured(wilcoxon_pratt, series)
+                share = _measured(proportion_test, series)
+                if ranked is not None and ranked.p_value < alpha:
+                    a_wins, strength = ranked.statistic < 0, STRONG
+                elif share is not None and share.p_value < alpha:
+                    a_wins, strength = share.extras["proportion_a"] > 0.5, WEAK
+                else:
+                    strength = ""
+                if strength:
+                    better, worse = (name_a, name_b) if a_wins else (name_b, name_a)
+                    drawn.append((better, worse, strength))
+                marked[name_a, name_b] = [
+                    result is not None and result.p_value < alpha for result in (ranked, share)
+                ]
+
+            def reaches(start, goal):
+                reached, frontier = {start}, [start]
+                while frontier:
+                    here = frontier.pop()
+                    step = {w for b, w, _ in drawn if b == here} - reached
+                    reached |= step
+                    frontier.extend(step)
+                return goal in reached
+
+            kept = tuple(e for e in drawn if e[2] == STRONG or not reaches(e[1], e[0]))
+            assert ordering.edges == kept
+            seen["dropped"] += len(drawn) - len(kept)
+            for _, _, strength in kept:
+                seen[strength] += 1
+            lines = ordering_report(ordering).splitlines()
+            for line, (pair, expected) in zip(lines[1:], marked.items()):
+                assert line.startswith(f"  {pair[0]} vs {pair[1]} ")
+                ranked_part, share_part, magnitude_part = line.split("; ")[1:]
+                assert [part.endswith("*") for part in (ranked_part, share_part)] == expected
+                assert "*" not in magnitude_part
+                seen["marks"] += sum(expected)
+    assert min(seen.values()) > 0, seen
+
+
+def test_ordering_report_marks_by_the_ordering_alpha():
+    # one set of pair tests, reported under two alphas: p=0.03 and p=0.1 lie
+    # between them, p=0.2 equals the larger one, and magnitude is never marked
+    tests = PairTests(
+        n_pairs=12,
+        signed_rank=PairTestResult(12, -2.17, 0.03, {"rank_sum_worse_a": 10.0}),
+        win_share=PairTestResult(12, 1.64, 0.1, {"proportion_a": 0.75, "decided_pairs": 12.0}),
+        magnitude=PairTestResult(
+            12, -3.1, 0.001, {"normalized_mean_a": 0.9, "normalized_mean_b": 1.1}
+        ),
+    )
+    rows = {}
+    for alpha in (0.05, 0.2):
+        ordering = PartialOrdering(("a", "b"), QUALITY, (), {("a", "b"): tests}, alpha)
+        rows[alpha] = ordering_report(ordering).splitlines()
+    assert rows[0.05][1:] == [
+        "  a vs b (n=12); signed-rank z=-2.170 p=0.0300*; win-share 0.750 p=0.1000; "
+        "magnitude 0.900/1.100 p=0.0010",
+        "edges: none (no significant differences)",
+    ]
+    assert rows[0.2][1:] == [
+        "  a vs b (n=12); signed-rank z=-2.170 p=0.0300*; win-share 0.750 p=0.1000*; "
+        "magnitude 0.900/1.100 p=0.0010",
+        "edges: none (each significant win-share closed a cycle and was dropped)",
+    ]
+    at_alpha = dataclasses.replace(
+        tests, win_share=PairTestResult(12, 1.28, 0.2, {"proportion_a": 0.7})
+    )
+    ordering = PartialOrdering(("a", "b"), QUALITY, (), {("a", "b"): at_alpha}, 0.2)
+    assert "win-share 0.700 p=0.2000;" in ordering_report(ordering)
+
+
 # -- command line ----------------------------------------------------------
 
 
@@ -1081,6 +1210,32 @@ def test_cli_stats_emits_report_and_dot(tmp_path, capsys):
     assert "alpha vs beta" in out
     assert "alpha -> beta [strong]" in out
     assert '"alpha" -> "beta" [style=solid];' in dot_path.read_text(encoding="utf-8")
+
+
+def test_cli_stats_dot_quotes_every_name(tmp_path, capsys):
+    # a CSV's method text reaches the DOT file, quotes and backslashes included
+    names = ('a"b', "c\\d")
+    rows = [
+        make_row(method=name, makespan=10 + 5 * i, instance=f"i{k:02d}", seed=k)
+        for k in range(20)
+        for i, name in enumerate(names)
+    ]
+    csv_path = tmp_path / "results.csv"
+    csv_path.write_text(ResultsTable(rows=tuple(rows)).to_csv(), encoding="utf-8")
+    dot_path = tmp_path / "quality.dot"
+    argv = ["stats", "--results", str(csv_path), "--metric", "quality", "--out", str(dot_path)]
+    assert bench.main(argv) == 0
+    capsys.readouterr()
+    quoted = r'"((?:[^"\\]|\\.)*)"'  # one DOT quoted string, with backslash escapes
+    node = re.compile(f"  {quoted};")
+    edge = re.compile(f"  {quoted} -> {quoted} \\[style=solid\\];")
+    lines = dot_path.read_text(encoding="utf-8").splitlines()
+    assert lines[:2] == ['digraph "quality" {', "  rankdir=LR;"] and lines[-1] == "}"
+    matches = [node.fullmatch(line) for line in lines[2:4]]
+    matches += [edge.fullmatch(line) for line in lines[4:-1]]
+    assert all(matches), lines
+    names_read = [tuple(re.sub(r"\\(.)", r"\1", text) for text in m.groups()) for m in matches]
+    assert names_read == [(names[0],), (names[1],), names]
 
 
 STATS_GOLDEN = """\

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -406,6 +409,33 @@ def test_reactive_reschedule_budget_exhaustion_is_a_timeout():
     run = run_reactive(TRAP_STOCH, cfg, DurationSample((0, 3, 2, 0)))
     assert not run.feasible
     assert run.failure_reason == FAIL_SOLVER_TIMEOUT
+
+
+def test_reactive_replays_its_trace_when_asserts_are_stripped():
+    # every plan starts all activities at 0, which overloads the example's
+    # capacity-4 resource; under ``python -O`` only an explicit check stops it
+    code = "\n".join((
+        "assert False, 'not run under -O'",
+        "from pathlib import Path",
+        "from srcpsp import methods",
+        "from srcpsp.instances import make_stochastic, parse_psplib, sample_durations",
+        "from srcpsp.solver import Schedule, SolveOutcome, SolveStatus",
+        "def at_zero(inst, durations, *args, **kwargs):",
+        "    plan = Schedule.from_starts((0,) * inst.n_activities, durations)",
+        "    return SolveOutcome(SolveStatus.FEASIBLE, plan, 0)",
+        "methods.solve = at_zero",
+        f"inst = parse_psplib(Path({str(J10.parent / 'example.sch')!r}).read_text())",
+        "stoch = make_stochastic(inst, epsilon=1)",
+        "methods.run_reactive(stoch, methods.MethodConfig(), sample_durations(stoch, seed=3))",
+    ))
+    src = str(Path(methods.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join((src, os.environ.get("PYTHONPATH", "")))}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 1
+    last = run.stderr.splitlines()[-1]
+    assert last == "AssertionError: reactive simulation produced an infeasible trace"
 
 
 def test_stnu_end_to_end_short_realization(example_stoch):

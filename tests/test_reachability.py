@@ -6,6 +6,10 @@ and the names ``perfbench/tracing.py`` wraps) and follows every name a
 reached definition's source uses, through the package's own imports. A
 definition the scan does not reach is code no product path runs; it must be
 deleted or listed in ``ALLOWED`` with the reason it stays.
+
+A second scan holds every ``assert`` in the package to a type narrowing
+(``assert x is not None``): ``python -O`` strips asserts, so a runtime check
+must raise explicitly.
 """
 
 from __future__ import annotations
@@ -96,3 +100,17 @@ def test_every_definition_is_reached_or_allowed():
     unreached = every - reached
     assert unreached <= ALLOWED.keys(), f"unreached: {sorted(unreached - ALLOWED.keys())}"
     assert unreached == ALLOWED.keys(), f"reached, so drop from ALLOWED: {sorted(ALLOWED.keys() - unreached)}"
+
+
+def test_every_assert_in_src_only_narrows_a_type():
+    checks = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert) and not (
+                isinstance(node.test, ast.Compare)
+                and [type(op) for op in node.test.ops] == [ast.IsNot]
+                and isinstance(node.test.comparators[0], ast.Constant)
+                and node.test.comparators[0].value is None
+            ):
+                checks.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not checks, "a runtime check must raise, not assert:\n" + "\n".join(checks)
