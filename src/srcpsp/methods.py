@@ -8,14 +8,15 @@ reported time_online measures only the online computation.
 
 ``METHODS`` holds each method's runner, default config and the settings it
 reads.  Each runner is a plan step and an execute step.  A plan step is a
-plain function of the instance and the settings it reads, never of the
-sample, and ``_planned`` keys it by its call (the step and its arguments), so
-inside ``reusing_plans`` it is made once and reused for every sample; bench
-and simulate plan once per (instance, epsilon) that way.  ``proactive_q`` and
-``reactive`` share the gamma-quantile plan; ``stnu``'s default gamma of 1.0
-gives it its own, and its DC closure is a step of that plan's outcome.  A
-reused plan's time_offline is the one measured cost of making it (for
-``stnu``, of the quantile plan plus the closure).  A plan stopped by a
+plain function, never of the sample, that ``_planned`` keys by its call (the
+step and its arguments), so inside ``reusing_plans`` it is made once and
+reused for every sample; bench and simulate plan once per (instance,
+epsilon) that way.  A quantile plan's estimate is keyed by (instance,
+gamma) and its solve by ``solve``'s own arguments, so ``proactive_q``,
+``reactive`` and ``stnu`` (gamma 1.0) share one solve whenever their
+estimates coincide, as on every j10 instance at epsilon 1.  A row's
+time_offline adds the measured cost of every step it uses (for ``stnu``,
+the estimate, the solve and the DC closure).  A plan stopped by a
 wall-clock limit is shared the same way, so under a binding
 time_limit_offline all samples of a group get the one stopped plan.  Outside
 ``reusing_plans`` every call plans afresh.
@@ -61,8 +62,8 @@ FAIL_EXECUTION = "execution_violation"
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """Tuning knobs; ``METHODS`` holds each method's defaults (``stnu``'s gamma
-    of 1.0 gives it a plan of its own) and the fields it reads."""
+    """Tuning knobs; ``METHODS`` holds each method's defaults (``stnu``'s
+    gamma is 1.0) and the fields it reads."""
 
     gamma: float | Fraction = 0.9
     saa_gammas: tuple[float | Fraction, ...] = (0.25, 0.5, 0.75, 0.9)
@@ -173,10 +174,12 @@ def _planned(step: Callable[..., Any], *args: Any) -> tuple[Any, float]:
 
 def _quantile_plan(
     stoch: StochasticInstance, gamma: float | Fraction, time_limit: float
-) -> tuple[DurationSample, SolveOutcome]:
-    """The gamma-quantile duration estimate and the plan solved against it."""
-    estimate = quantile_durations(stoch, gamma)
-    return estimate, solve(stoch.base, estimate.durations, time_limit=time_limit)
+) -> tuple[DurationSample, SolveOutcome, float]:
+    """The gamma-quantile estimate, the plan solved against it and both steps'
+    seconds; every gamma whose estimate coincides shares the solve."""
+    estimate, estimate_s = _planned(quantile_durations, stoch, gamma)
+    out, solve_s = _planned(solve, stoch.base, estimate.durations, time_limit)
+    return estimate, out, estimate_s + solve_s
 
 
 def _saa_plan(
@@ -236,7 +239,7 @@ def run_proactive_quantile(
     stoch: StochasticInstance, cfg: MethodConfig, sample: DurationSample
 ) -> MethodRun:
     """Solve once against the gamma-quantile durations, then never adapt."""
-    (_, out), offline = _planned(_quantile_plan, stoch, cfg.gamma, cfg.time_limit_offline)
+    _, out, offline = _quantile_plan(stoch, cfg.gamma, cfg.time_limit_offline)
     starts = None if out.schedule is None else out.schedule.starts
     return _execute_fixed(PROACTIVE_Q, stoch, sample, offline, out.status, starts)
 
@@ -263,7 +266,7 @@ def run_reactive(
     inst = stoch.base
     realized = sample.durations
     n = inst.n_activities
-    (estimate, out), offline = _planned(_quantile_plan, stoch, cfg.gamma, cfg.time_limit_offline)
+    estimate, out, offline = _quantile_plan(stoch, cfg.gamma, cfg.time_limit_offline)
     tag = _offline_tag(out.status)
     if tag is not None:
         return _record(REACTIVE, sample, offline, failure=tag)
@@ -316,7 +319,7 @@ def run_stnu(
     stoch: StochasticInstance, cfg: MethodConfig, sample: DurationSample
 ) -> MethodRun:
     """Chain a quantile-estimate schedule, check controllability, execute online."""
-    (estimate, out), quantile_s = _planned(_quantile_plan, stoch, cfg.gamma, cfg.time_limit_offline)
+    estimate, out, quantile_s = _quantile_plan(stoch, cfg.gamma, cfg.time_limit_offline)
     estnu, closure_s = _planned(_stnu_closure, stoch, estimate, out)
     offline = quantile_s + closure_s
     if not isinstance(estnu, Estnu):

@@ -14,11 +14,12 @@ scenarios.  A warm start is vetted by the search itself, against the same
 rooted edges and conflict sweeps its nodes use, so it is no precondition.
 
 Each node costs only what is new at it.  The base graph, its root solution
-and each resource's users are built once per search; a child copies its
+and each scenario's sweep plan are built once per search; a child copies its
 parent's potentials, adds its one new edge to the path's edges in the base
-adjacency and tightens forward from its head (``stn._tighten``).  A
-scenario's conflicts are found by one start-ordered sweep per resource that
-keeps its running users' ends in a min-heap.
+adjacency and tightens forward from its head (``stn._tighten``), unless
+the lower bound it carries already loses to the incumbent.  A scenario's
+conflicts are found by one start-ordered sweep over every resource that can
+overload.
 
 A node branches on the first scenario in the list that conflicts.  The
 sample-average method's plan (``methods._saa_plan``) passes its dominating
@@ -38,7 +39,6 @@ import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappop, heappush
 from typing import Mapping, Sequence
 
 from .instances import ProjectInstance
@@ -145,56 +145,66 @@ def check_schedule(
     )
 
 
-def _resource_users(
-    inst: ProjectInstance,
-    durations: Sequence[int],
-) -> list[tuple[int, int, list[int], Sequence[int], Sequence[int]]]:
-    """``(resource, capacity, users, demands, durations)`` per resource whose
-    positive-duration users could together exceed its capacity; ``users``
-    lists those activities in activity order, and ``demands`` and
-    ``durations`` are indexed by activity."""
-    found = []
-    for r, cap in enumerate(inst.capacities):
-        demands = inst.demands[r]
-        users = [j for j, (q, d) in enumerate(zip(demands, durations)) if q > 0 and d > 0]
-        if sum(demands[j] for j in users) > cap:
-            found.append((r, cap, users, demands, durations))
-    return found
+# (users, uses, capacities, members, durations): see _resource_users
+_SweepPlan = tuple[list[int], list[list[tuple[int, int]]], list[int], list, Sequence[int]]
+
+
+def _resource_users(inst: ProjectInstance, durations: Sequence[int]) -> _SweepPlan:
+    """One scenario's sweep plan over the resources whose positive-duration users
+    could together exceed their capacity, numbered in resource order: their
+    users, each activity's ``(number, demand)`` pairs, their capacities, each
+    number's ``(resource, users)`` and the durations; users in activity order."""
+    live = [j for j, d in enumerate(durations) if d > 0]
+    uses: list[list[tuple[int, int]]] = [[] for _ in durations]
+    capacities: list[int] = []
+    members: list[tuple[int, list[int]]] = []
+    for r, (cap, demands) in enumerate(zip(inst.capacities, inst.demands)):
+        found = [j for j in live if demands[j]]
+        if sum(map(demands.__getitem__, found)) > cap:
+            for j in found:
+                uses[j].append((len(capacities), demands[j]))
+            capacities.append(cap)
+            members.append((r, found))
+    users = [j for j in live if uses[j]]
+    return users, uses, capacities, members, durations
 
 
 def _first_conflict(
-    resources: Sequence[tuple[int, int, list[int], Sequence[int], Sequence[int]]],
+    plan: _SweepPlan,
     starts: Sequence[int],
 ) -> tuple[int, int, list[int]] | None:
     """Earliest (time, resource, active activities) where usage exceeds capacity.
 
-    ``resources`` comes from :func:`_resource_users`.  Each resource's users
-    are walked in start order beside a min-heap of the running users'
-    ``(end, demand)``: at each start ``t`` the ends ``<= t`` leave first
-    (intervals are half-open), then the new user's demand joins, so the
-    first start where usage exceeds capacity is that resource's first
-    overload.  The earliest time wins, then the lowest resource; a resource
-    stops at the best time found so far.  The active list is in activity
-    order.
+    ``plan`` comes from :func:`_resource_users`.  One sweep walks the users
+    in start order beside them in end order: at each start ``t`` the users
+    ending ``<= t`` leave first (intervals are half-open), then the new
+    user's demands join.  Once a resource overloads at ``t``, every other
+    start at ``t`` still joins, and the lowest resource over capacity then
+    wins.  The active list is in activity order.
     """
-    best: tuple[int, int, list[int]] | None = None
-    for r, cap, users, demands, durations in resources:
-        running: list[tuple[int, int]] = []
-        usage = 0
-        for j in sorted(users, key=starts.__getitem__):
-            t = starts[j]
-            if best is not None and t >= best[0]:
-                break
-            while running and running[0][0] <= t:
-                usage -= heappop(running)[1]
-            q = demands[j]
-            heappush(running, (t + durations[j], q))
-            usage += q
-            if usage > cap:
-                active = [k for k in users if starts[k] <= t < starts[k] + durations[k]]
-                best = (t, r, active)
-                break
-    return best
+    users, uses, capacities, members, durations = plan
+    ends = list(map(operator.add, starts, durations))
+    by_end = sorted(users, key=ends.__getitem__)
+    slack = capacities.copy()
+    left = 0
+    overload = None
+    for j in sorted(users, key=starts.__getitem__):
+        t = starts[j]
+        if overload is not None and t > overload:
+            break
+        # j itself ends after t, so this stops at j at the latest
+        while ends[by_end[left]] <= t:
+            for r, q in uses[by_end[left]]:
+                slack[r] += q
+            left += 1
+        for r, q in uses[j]:
+            slack[r] -= q
+            if slack[r] < 0:
+                overload = t
+    if overload is None:
+        return None
+    resource, found = members[next(r for r, free in enumerate(slack) if free < 0)]
+    return overload, resource, [k for k in found if starts[k] <= overload < ends[k]]
 
 
 def _minimal_conflict_set(
@@ -252,7 +262,7 @@ def _search(
         if any(d < 0 for d in durations):
             raise ValueError("durations must be nonnegative")
     t0 = time.monotonic()
-    # The root solution and the resource users are fixed for the whole
+    # The root solution and the sweep plans are fixed for the whole
     # search; each node only adds its newest ordering edge to ``succ``.
     edges = _rooted_edges(total, inst.temporal_constraints, fixed)
     succ: list[list[tuple[int, int]]] = [[] for _ in range(total + 1)]
@@ -260,6 +270,7 @@ def _search(
         succ[i].append((j, w))
     root, _ = _relax(total + 1, edges, total)
     resources = [_resource_users(inst, durations) for durations in scenarios]
+    single = len(scenarios) == 1
     if incumbent is not None:
         vetted = (*incumbent, 0)  # the origin last, at 0, as in the potentials
         if (
@@ -271,6 +282,8 @@ def _search(
 
     def makespan_sum(starts: Sequence[int]) -> int:
         # map stops at the end of the scenario, before the origin's potential
+        if single:  # no generator for the one-scenario searches
+            return max(map(operator.add, starts, scenarios[0]))
         return sum(max(map(operator.add, starts, scen)) for scen in scenarios)
 
     best_starts = None if incumbent is None else tuple(incumbent)
@@ -282,9 +295,10 @@ def _search(
     )
 
     # each entry: the parent's potentials (origin last), depth and the scenario
-    # the node's hunt starts at, and the node's edge
-    stack: list[tuple[list[int] | None, int, int, tuple[int, int, int] | None]] = [
-        (root, 0, 0, None)
+    # the node's hunt starts at, the node's edge and a lower bound on its makespan
+    # (with one scenario, b ends no sooner than dist[a] + d_a + d_b)
+    stack: list[tuple[list[int] | None, int, int, tuple[int, int, int] | None, int]] = [
+        (root, 0, 0, None, 0)
     ]
     path: list[int] = []  # the path edges' tails; each edge ends its tail's succ list
     nodes = 0
@@ -293,8 +307,11 @@ def _search(
         if nodes >= node_limit or time.monotonic() - t0 > time_limit:
             exhausted = False
             break
-        dist, depth, k, edge = stack.pop()
+        dist, depth, k, edge, bound = stack.pop()
         nodes += 1
+        # potentials only rise, so the node's own bound would prune it too
+        if best is not None and bound >= best:
+            continue
         while len(path) > depth:  # drop abandoned branches' edges
             succ[path.pop()].pop()
         if edge is not None:
@@ -327,7 +344,8 @@ def _search(
         durations = scenarios[k]
         child = k if nested else 0
         for a, b in reversed(list(itertools.permutations(subset, 2))):
-            stack.append((dist, len(path), child, (a, b, durations[a])))
+            lower = max(bound, dist[a] + durations[a] + durations[b]) if single else bound
+            stack.append((dist, len(path), child, (a, b, durations[a]), lower))
 
     if best_starts is None:
         status = SolveStatus.INFEASIBLE if exhausted else SolveStatus.UNKNOWN

@@ -95,20 +95,19 @@ def _tighten(
     origin = len(dist) - 1
     dist = dist.copy()
     dist[b] = dist[a] + w
-    queued = [False] * len(dist)
-    queued[b] = True
+    queued = {b}
     queue = deque((b,))
     while queue:
         u = queue.popleft()
-        queued[u] = False
+        queued.remove(u)
         du = dist[u]
         for v, x in succ[u]:
             if du + x > dist[v]:
                 if v == a or v == origin:
                     return None
                 dist[v] = du + x
-                if not queued[v]:
-                    queued[v] = True
+                if v not in queued:
+                    queued.add(v)
                     queue.append(v)
     return dist
 

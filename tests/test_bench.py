@@ -30,7 +30,7 @@ from srcpsp.bench import (
     run_bench,
     sort_key,
 )
-from srcpsp.instances import ProjectInstance, serialize_psplib
+from srcpsp.instances import ProjectInstance, quantile_durations, serialize_psplib
 from srcpsp.methods import (
     METHODS,
     PROACTIVE_Q,
@@ -543,15 +543,27 @@ def test_bench_plans_once_per_instance_and_epsilon(tmp_path, monkeypatch):
     )
     table, _ = run_config(config)
     assert len(table) == 3 * 4
-    # gamma 0.9 shared by proactive_q and reactive, gamma 1.0 for stnu
-    assert calls == {"solve": 2, "solve_saa": 1, "dc_check": 1}
+    # at epsilon 1 the gamma-0.9 estimate of proactive_q and reactive equals
+    # stnu's gamma-1.0 one, so all three share one solve
+    assert calls == {"solve": 1, "solve_saa": 1, "dc_check": 1}
     run_config(config)
-    assert calls == {"solve": 4, "solve_saa": 2, "dc_check": 2}
+    assert calls == {"solve": 2, "solve_saa": 2, "dc_check": 2}
     cell = build_cells(config)[0]
     sample = bench.sample_durations(cell.stochastic, cell.seed)
     for _ in range(2):
         run_proactive_quantile(cell.stochastic, cell.configs[PROACTIVE_Q], sample)
-    assert calls["solve"] == 6
+    assert calls["solve"] == 4
+    # at epsilon 2 the two estimates differ, so stnu solves its own
+    wide = small_config(
+        tmp_path,
+        instance_sets={"j10": str(DATA / "j10" / "j10_01.sch")},
+        methods=list(METHODS),
+        epsilons=[2],
+    )
+    stoch = build_cells(wide)[0].stochastic
+    assert quantile_durations(stoch, 0.9) != quantile_durations(stoch, 1.0)
+    run_config(wide)
+    assert calls == {"solve": 6, "solve_saa": 3, "dc_check": 3}
 
 
 def test_shared_plan_leaves_offline_time_pair_unordered(tmp_path):

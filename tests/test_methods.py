@@ -523,10 +523,20 @@ def test_reactive_on_a_reused_plan_equals_a_fresh_plan():
         fresh = [run_reactive(stoch, cfg, s) for s in samples + samples]
         assert any(run.time_online > 0 for run in reused)  # it re-solved
         assert [timeless(run) for run in reused] == [timeless(run) for run in fresh]
-        # the one shared plan, with its one measured cost, came out unchanged
-        ((plan, seconds),) = plans.values()
-        assert plan == methods._quantile_plan(stoch, cfg.gamma, cfg.time_limit_offline)
-        assert {run.time_offline for run in reused} == {seconds}
+        # the plan's two steps, each made once with one measured cost, came
+        # out unchanged: the estimate, and the solve keyed by its own arguments
+        estimate = quantile_durations(stoch, cfg.gamma)
+        limit = cfg.time_limit_offline
+        assert {key: step for key, (step, _) in plans.items()} == {
+            (quantile_durations, stoch, cfg.gamma): estimate,
+            (solve, stoch.base, estimate.durations, limit): solve(
+                stoch.base, estimate.durations, time_limit=limit
+            ),
+        }
+        # each row's offline time is the sum of its steps' measured seconds
+        assert {run.time_offline for run in reused} == {
+            sum(seconds for _, seconds in plans.values())
+        }
 
 
 def test_perfect_information_filter(example_stoch, example_instance):

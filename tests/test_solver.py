@@ -568,6 +568,10 @@ def test_conflict_sweep_edge_cases():
     # three users start together and only the third overloads
     tied = one_resource((0, 2, 2, 2, 0), (0, 1, 2, 1, 0), 3)
     assert _sweep_matches_reference(tied, tied.durations, (0, 1, 1, 1, 0)) == (1, 0, [1, 2, 3])
+    # at 1, resource 1 overloads at activity 2's start and resource 0 only at
+    # activity 3's, the instant's last start: the lower resource still wins
+    late = ProjectInstance(3, (0, 2, 2, 2, 0), ((0, 1, 0, 2, 0), (0, 1, 1, 0, 0)), (2, 1), ())
+    assert _sweep_matches_reference(late, late.durations, (0, 1, 1, 1, 0)) == (1, 0, [1, 3])
     # activity 1 ends at 2, exactly when the overload starts, and is not active
     ending = one_resource((0, 2, 2, 1, 1, 0), (0, 2, 1, 2, 1, 0), 3)
     starts = (0, 0, 1, 2, 2, 0)
