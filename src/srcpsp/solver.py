@@ -18,8 +18,12 @@ and each scenario's sweep plan are built once per search; a child copies its
 parent's potentials, adds its one new edge to the path's edges in the base
 adjacency and tightens forward from its head (``stn._tighten``), unless
 the lower bound it carries already loses to the incumbent.  A scenario's
-conflicts are found by one start-ordered sweep over every resource that can
-overload.
+conflicts are found by one start-ordered sweep that keeps the usage of every
+resource that can overload in one packed int: each resource owns a field
+one bit wider than its users' total demand needs, biased so that its top
+bit is set exactly when usage exceeds capacity.  Usage never exceeds that
+total, so no field carries into the next, and a user joins or leaves with
+one add or subtract for every resource at once.
 
 A node branches on the first scenario in the list that conflicts.  The
 sample-average method's plan (``methods._saa_plan``) passes its dominating
@@ -128,14 +132,19 @@ def check_schedule(
         if starts[j] - starts[i] < w
     )
 
-    running = [  # each start event's running activities, for every resource
-        (t, [j for j in range(total) if starts[j] <= t < starts[j] + durations[j]])
-        for t in sorted({starts[j] for j in range(total) if durations[j] > 0})
-    ]
+    # each start event's running activities, for every resource: one pass in
+    # start order drops those ended by ``t``, then adds those starting at it
+    running: list[tuple[int, list[int]]] = []
+    active: list[int] = []
+    live = sorted((j for j in range(total) if durations[j] > 0), key=starts.__getitem__)
+    for t, joining in itertools.groupby(live, key=starts.__getitem__):
+        active = [j for j in active if starts[j] + durations[j] > t]
+        active.extend(joining)
+        running.append((t, active))
     resource: list[tuple[int, int, int, int]] = []
     for r, (demands, cap) in enumerate(zip(inst.demands, inst.capacities)):
         for t, active in running:
-            usage = sum(demands[j] for j in active)
+            usage = sum(map(demands.__getitem__, active))
             if usage > cap:
                 resource.append((r, t, usage, cap))
     return FeasibilityReport(
@@ -145,28 +154,45 @@ def check_schedule(
     )
 
 
-# (users, uses, capacities, members, durations): see _resource_users
-_SweepPlan = tuple[list[int], list[list[tuple[int, int]]], list[int], list, Sequence[int]]
+# (users, each activity's packed load, the fields' bias, their top bits, each
+# top bit's (resource, users), durations): see _resource_users
+_SweepPlan = tuple[list[int], list[int], int, int, dict[int, tuple[int, list[int]]], Sequence[int]]
 
 
 def _resource_users(inst: ProjectInstance, durations: Sequence[int]) -> _SweepPlan:
-    """One scenario's sweep plan over the resources whose positive-duration users
-    could together exceed their capacity, numbered in resource order: their
-    users, each activity's ``(number, demand)`` pairs, their capacities, each
-    number's ``(resource, users)`` and the durations; users in activity order."""
+    """One scenario's sweep plan, with every resource that can overload packed
+    into one int.
+
+    A resource can overload when its positive-duration users' demands sum to
+    a ``total`` above ``cap``.  It then owns a field ``total.bit_length() + 1``
+    bits wide, above the fields of lower resources.  Each activity's load
+    holds its demand in every field, and ``bias`` holds
+    ``2**(width-1) - 1 - cap`` in each, so a field reads
+    ``usage + 2**(width-1) - 1 - cap``: its top bit is set exactly when usage
+    exceeds capacity.  Usage stays in ``[0, total]`` and
+    ``total < 2**(width-1)``, so every field stays in ``[0, 2**width)`` and
+    no add or subtract carries or borrows into the next.  The plan holds the
+    users (in activity order), the loads, the bias, ``high`` (the fields'
+    top bits), each top bit's ``(resource, users)`` and the durations.
+    """
     live = [j for j, d in enumerate(durations) if d > 0]
-    uses: list[list[tuple[int, int]]] = [[] for _ in durations]
-    capacities: list[int] = []
-    members: list[tuple[int, list[int]]] = []
+    loads = [0] * len(durations)
+    bias = high = shift = 0
+    members: dict[int, tuple[int, list[int]]] = {}
     for r, (cap, demands) in enumerate(zip(inst.capacities, inst.demands)):
         found = [j for j in live if demands[j]]
-        if sum(map(demands.__getitem__, found)) > cap:
+        total = sum(map(demands.__getitem__, found))
+        if total > cap:
+            width = total.bit_length() + 1
             for j in found:
-                uses[j].append((len(capacities), demands[j]))
-            capacities.append(cap)
-            members.append((r, found))
-    users = [j for j in live if uses[j]]
-    return users, uses, capacities, members, durations
+                loads[j] += demands[j] << shift
+            top = 1 << (shift + width - 1)
+            bias += top - ((cap + 1) << shift)
+            high |= top
+            members[top] = (r, found)
+            shift += width
+    users = [j for j in live if loads[j]]
+    return users, loads, bias, high, members, durations
 
 
 def _first_conflict(
@@ -176,16 +202,17 @@ def _first_conflict(
     """Earliest (time, resource, active activities) where usage exceeds capacity.
 
     ``plan`` comes from :func:`_resource_users`.  One sweep walks the users
-    in start order beside them in end order: at each start ``t`` the users
-    ending ``<= t`` leave first (intervals are half-open), then the new
-    user's demands join.  Once a resource overloads at ``t``, every other
-    start at ``t`` still joins, and the lowest resource over capacity then
+    in start order beside them in end order, keeping every resource's usage
+    in the fields of one int: at each start ``t`` the users ending ``<= t``
+    leave first (intervals are half-open), one subtract each, then the new
+    user joins with one add and one mask test covers every resource.  Once
+    a resource overloads at ``t``, every other start at ``t`` still joins,
+    and the lowest resource over capacity (the lowest set top bit) then
     wins.  The active list is in activity order.
     """
-    users, uses, capacities, members, durations = plan
+    users, loads, used, high, members, durations = plan  # used starts at the bias: no usage
     ends = list(map(operator.add, starts, durations))
     by_end = sorted(users, key=ends.__getitem__)
-    slack = capacities.copy()
     left = 0
     overload = None
     for j in sorted(users, key=starts.__getitem__):
@@ -194,16 +221,15 @@ def _first_conflict(
             break
         # j itself ends after t, so this stops at j at the latest
         while ends[by_end[left]] <= t:
-            for r, q in uses[by_end[left]]:
-                slack[r] += q
+            used -= loads[by_end[left]]
             left += 1
-        for r, q in uses[j]:
-            slack[r] -= q
-            if slack[r] < 0:
-                overload = t
+        used += loads[j]
+        if used & high:
+            overload = t
     if overload is None:
         return None
-    resource, found = members[next(r for r, free in enumerate(slack) if free < 0)]
+    over = used & high
+    resource, found = members[over & -over]
     return overload, resource, [k for k in found if starts[k] <= overload < ends[k]]
 
 

@@ -540,6 +540,23 @@ def test_conflict_sweep_matches_reference_scan():
         starts = [rng.randint(0, 4) for _ in range(inst.n_activities)]
         conflicts += _sweep_matches_reference(inst, durations, starts) is not None
     assert 500 < conflicts < 2900
+    # wide fields: capacities from 1 to 10**9 and demands at capacity, just
+    # over half of it, zero or random, so that fields differ in width and the
+    # packed usage crosses the 30- and 60-bit boundaries of Python's ints
+    capacities = (1, 7, 8, 255, 256, 2**20, 2**31 - 1, 10**9)
+    conflicts = 0
+    for _ in range(2000):
+        n = rng.randint(2, 6)
+        caps = [rng.choice(capacities) for _ in range(rng.randint(1, 6))]
+        demands = tuple(
+            (0, *(rng.choice((cap, cap // 2 + 1, 0, rng.randint(0, cap))) for _ in range(n)), 0)
+            for cap in caps
+        )
+        durations = [0] + [rng.randint(0, 3) for _ in range(n)] + [0]
+        inst = ProjectInstance(n, tuple(durations), demands, tuple(caps), ())
+        starts = [rng.randint(0, 4) for _ in range(n + 2)]
+        conflicts += _sweep_matches_reference(inst, durations, starts) is not None
+    assert 500 < conflicts < 1900
 
 
 def test_conflict_sweep_edge_cases():
@@ -572,6 +589,32 @@ def test_conflict_sweep_edge_cases():
     # activity 3's, the instant's last start: the lower resource still wins
     late = ProjectInstance(3, (0, 2, 2, 2, 0), ((0, 1, 0, 2, 0), (0, 1, 1, 0, 0)), (2, 1), ())
     assert _sweep_matches_reference(late, late.durations, (0, 1, 1, 1, 0)) == (1, 0, [1, 3])
+    # three resources overload at 1, resource 0 only at the instant's last
+    # start: the lowest resource still wins
+    three = ProjectInstance(
+        3, (0, 2, 2, 2, 0), ((0, 1, 1, 1, 0), (0, 1, 1, 0, 0), (0, 1, 1, 1, 0)), (2, 1, 1), ()
+    )
+    assert _sweep_matches_reference(three, three.durations, (0, 1, 1, 1, 0)) == (1, 0, [1, 2, 3])
+    # every resource exactly at capacity while 1 and 2 run, then while 3 runs:
+    # no field carries into its top bit or the next field.  Started one step
+    # earlier, 3 overloads every resource and resource 0 wins (2 uses none of
+    # it, so it is not active there)
+    caps = (1, 7, 256, 2**31 - 1)
+    full = ProjectInstance(
+        3,
+        (0, 2, 2, 1, 0),
+        tuple((0, q, cap - q, cap, 0) for q, cap in zip((1, 3, 128, 2**30), caps)),
+        caps,
+        (),
+    )
+    assert _sweep_matches_reference(full, full.durations, (0, 0, 0, 2, 0)) is None
+    assert _sweep_matches_reference(full, full.durations, (0, 0, 0, 1, 0)) == (1, 0, [1, 3])
+    # resource 0's users sum exactly to its capacity, so it gets no field;
+    # resource 1's sum to capacity + 1 and overload once all three run
+    exact = ProjectInstance(3, (0, 2, 2, 2, 0), ((0, 1, 1, 1, 0), (0, 1, 2, 1, 0)), (3, 3), ())
+    plan = solver._resource_users(exact, exact.durations)
+    assert [r for r, _ in plan[4].values()] == [1]
+    assert _sweep_matches_reference(exact, exact.durations, (0, 0, 1, 1, 0)) == (1, 1, [1, 2, 3])
     # activity 1 ends at 2, exactly when the overload starts, and is not active
     ending = one_resource((0, 2, 2, 1, 1, 0), (0, 2, 1, 2, 1, 0), 3)
     starts = (0, 0, 1, 2, 2, 0)
