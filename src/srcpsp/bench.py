@@ -242,11 +242,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def _printed(epsilon: float) -> float:
-    """``epsilon`` as a results file prints it and reads it back."""
-    return _finite(_format_number(epsilon))
-
-
 def _ms_as_seconds(text: str) -> float:
     return _finite(text) / 1000.0
 
@@ -760,7 +755,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise ValueError("--alpha must lie strictly between 0 and 1")
     table = ResultsTable.from_csv(Path(args.results).read_text(encoding="utf-8"))
-    epsilon = None if args.epsilon is None else _printed(args.epsilon)
+    epsilon = None if args.epsilon is None else _finite(_format_number(args.epsilon))
     runs = table.to_method_runs(epsilon=epsilon, instance_set=args.set)
     if not runs:
         raise ValueError("no rows match the requested filters")

@@ -255,7 +255,7 @@ def _minimal_conflict_set(
 def _search(
     inst: ProjectInstance,
     scenarios: Sequence[Sequence[int]],
-    fixed: Mapping[int, int],
+    fixed: Mapping[int, int] | None,
     incumbent: Sequence[int] | None,
     time_limit: float,
     node_limit: int,
@@ -402,7 +402,7 @@ def solve(
     Unknown when a limit stops the search with or without an incumbent.
     """
     incumbent = None if warm_start is None else warm_start.starts
-    out = _search(inst, [durations], fixed or {}, incumbent, time_limit, node_limit)
+    out = _search(inst, [durations], fixed, incumbent, time_limit, node_limit)
     schedule = None if out.starts is None else Schedule.from_starts(out.starts, durations)
     return SolveOutcome(out.status, schedule, out.nodes_explored)
 

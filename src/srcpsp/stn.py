@@ -3,8 +3,9 @@
 A :class:`DistanceGraph` collects difference constraints in lower-bound
 convention: an edge ``(i, j, w)`` states ``t_j - t_i >= w``.  One Bellman-Ford
 style longest-path relaxation, :func:`_relax`, runs from a virtual origin, so
-every time point also satisfies ``t >= 0``.  :func:`_rooted_edges` wires
-that origin in one place, for :func:`earliest_schedule`, which returns the
+every time point also satisfies ``t >= 0``.  :func:`_rooted_edges` appends
+that origin's edges to the given ones, unmerged (the relaxations keep the
+tightest of parallel edges), for :func:`earliest_schedule`, which returns the
 least solution, and for the solver's root, which it then tightens edge by
 edge with :func:`_tighten`.  The STNU all-max check calls :func:`_relax`
 itself to find a positive cycle.
@@ -22,8 +23,8 @@ class DistanceGraph:
     """Difference-constraint graph over integer time points.
 
     Edges are ``(from_node, to_node, weight)`` with the meaning
-    ``t_to - t_from >= weight``.  Parallel edges are allowed; the tightest
-    (largest) lower bound dominates.
+    ``t_to - t_from >= weight``.  Parallel edges are allowed; the relaxations
+    keep the tightest (largest) lower bound.
     """
 
     node_count: int
@@ -117,26 +118,19 @@ def _rooted_edges(
     edges: Sequence[tuple[int, int, int]],
     fixed: Mapping[int, int] | None,
 ) -> list[tuple[int, int, int]]:
-    """Tightest ``edges`` with the virtual origin, numbered ``node_count``.
+    """``edges`` as given, joined with the virtual origin, numbered ``node_count``.
 
-    The origin adds ``t_v >= 0`` for every node and pins each node of
-    ``fixed`` to its exact time.  Returns the edge list that ``_relax`` runs
-    on.
+    The origin's ``t_v >= 0`` edges come first, then ``edges``, unmerged,
+    then two edges that pin each node of ``fixed`` to its exact time (so a
+    negative pin closes a cycle with ``t_v >= 0``).  ``_relax`` runs on it.
     """
     origin = node_count
-    tight: dict[tuple[int, int], int] = {}
-    for i, j, w in edges:
-        if (i, j) not in tight or w > tight[(i, j)]:
-            tight[(i, j)] = w
+    pins: list[tuple[int, int, int]] = []
     for v, t in (fixed or {}).items():
         if not 0 <= v < node_count:
             raise ValueError(f"fixed node {v} out of range")
-        tight[(origin, v)] = max(t, 0)  # t_v >= t
-        tight[(v, origin)] = -t  # t_v <= t
-    rooted = [(origin, v, 0) for v in range(node_count)]
-    for (i, j), w in tight.items():
-        rooted.append((i, j, w))
-    return rooted
+        pins += [(origin, v, t), (v, origin, -t)]  # t <= t_v <= t
+    return [(origin, v, 0) for v in range(node_count)] + list(edges) + pins
 
 
 def earliest_schedule(

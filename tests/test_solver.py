@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -15,6 +16,7 @@ from srcpsp.instances import (
 from srcpsp import solver
 from srcpsp.methods import MethodConfig
 from srcpsp.solver import Schedule, SolveStatus, check_schedule, solve, solve_saa
+from srcpsp.stn import DistanceGraph, earliest_schedule
 
 import reference_solver
 from oracles import brute_force_optimum, random_instance, resource_violations
@@ -520,6 +522,67 @@ def test_pinned_search_matches_reference_on_j10():
             new = solver._search(stoch.base, scenarios, fixed, None, 60, 2000)
             ref = reference_solver._search(stoch.base, scenarios, fixed, None, 60, 2000)
             assert _outcome(new) == _outcome(ref), name
+
+
+def _parallel_twin(inst, rng):
+    """The instance plus exact and looser copies of random constraints, all shuffled."""
+    given = inst.temporal_constraints
+    copies = [(i, j, w - rng.choice((0, 1, 3))) for i, j, w in rng.choices(given, k=len(given))]
+    twin = list(given) + copies
+    rng.shuffle(twin)
+    return dataclasses.replace(inst, temporal_constraints=tuple(twin))
+
+
+def _searches(inst, scenarios, fixed, node_limit):
+    """Each search shape's outcome on one instance, and its earliest schedule under ``fixed``."""
+    durations = scenarios[0]
+    plain = solve(inst, durations, node_limit=node_limit)
+    pinned = solve(inst, durations, fixed=fixed, node_limit=node_limit)
+    warm = solve(inst, durations, fixed=fixed, warm_start=plain.schedule, node_limit=node_limit)
+    graph = DistanceGraph(inst.n_activities, inst.temporal_constraints)
+    return (
+        [(out.status, out.schedule, out.nodes_explored) for out in (plain, pinned, warm)],
+        _outcome(solve_saa(inst, scenarios, node_limit=node_limit)),
+        earliest_schedule(graph, fixed),
+    )
+
+
+def test_search_reads_parallel_edges_at_their_tightest():
+    # duplicates and looser copies of constraints change no search: the
+    # relaxations keep the tightest of parallel edges, whatever their order
+    rng = random.Random(20261020)
+    seen = {"optimal": 0, "pinned": 0}
+    for case in range(300):
+        inst = random_instance(rng, max_real=rng.choice((3, 5)))
+        scenarios = [inst.durations] + [
+            tuple(d + rng.randint(0, 2) if d else 0 for d in inst.durations)
+            for _ in range(rng.randint(1, 2))
+        ]
+        opt = solve(inst, inst.durations).schedule
+        fixed = {} if opt is None else {
+            j: s for j, s in enumerate(opt.starts) if rng.random() < 0.3
+        }
+        twin = _parallel_twin(inst, rng)
+        for node_limit in (10**7, rng.choice((1, 5, 20))):
+            got = _searches(twin, scenarios, fixed, node_limit)
+            assert got == _searches(inst, scenarios, fixed, node_limit), case
+        seen["optimal"] += opt is not None
+        seen["pinned"] += bool(fixed)
+    assert min(seen.values()) > 100, seen
+    # a reactive-style re-solve on j10: the plan's started activities are
+    # pinned, every other one has a floor at ``now`` beside the source's lags
+    for name, *_ in J10_PINNED:
+        stoch = make_stochastic(parse_psplib((J10 / f"{name}.sch").read_text()), 1)
+        scenarios = [quantile_durations(stoch, g).durations for g in (0.9, 0.5, 0.75)]
+        plan = solve(stoch.base, scenarios[0]).schedule
+        now = plan.makespan // 3
+        fixed = {j: s for j, s in enumerate(plan.starts) if s < now}
+        floors = tuple((0, j, now) for j in range(stoch.base.n_activities) if j not in fixed)
+        inst = dataclasses.replace(
+            stoch.base, temporal_constraints=stoch.base.temporal_constraints + floors
+        )
+        twin = _parallel_twin(inst, rng)
+        assert _searches(twin, scenarios, fixed, 2000) == _searches(inst, scenarios, fixed, 2000)
 
 
 def _sweep_matches_reference(inst, durations, starts):
