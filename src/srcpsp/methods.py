@@ -24,7 +24,6 @@ time_limit_offline all samples of a group get the one stopped plan.  Outside
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import time
 from collections.abc import Callable, Iterator
@@ -261,7 +260,8 @@ def run_reactive(
     falls due, whichever comes first: it then finishes, or is seen running past
     its estimate, which grows by one.  A wrong estimate re-solves the problem
     with started activities pinned, the current durations, and every unstarted
-    activity pushed to the current instant or later, warm-started from the plan.
+    activity held at the current instant or later by a release floor
+    ``(0, j, now)`` passed to ``solve``, warm-started from the plan.
     """
     inst = stoch.base
     realized = sample.durations
@@ -290,16 +290,14 @@ def run_reactive(
         if not deviated:
             continue
         fixed = {j: plan[j] for j in range(n) if plan[j] < next_t}
-        floor = tuple((0, j, next_t) for j in range(n) if j not in fixed)
-        shifted = dataclasses.replace(
-            inst, temporal_constraints=inst.temporal_constraints + floor
-        )
+        floors = [(0, j, next_t) for j in range(n) if j not in fixed]
         t1 = time.perf_counter()
         res = solve(
-            shifted,
+            inst,
             tuple(current),
             time_limit=cfg.time_limit_reschedule,
             fixed=fixed,
+            floors=floors,
             warm_start=Schedule.from_starts(tuple(plan), tuple(current)),
         )
         online += time.perf_counter() - t1

@@ -13,17 +13,21 @@ on a single scenario, ``solve_saa`` on the sample-average method's quantile
 scenarios.  A warm start is vetted by the search itself, against the same
 rooted edges and conflict sweeps its nodes use, so it is no precondition.
 
-Each node costs only what is new at it.  The base graph, its root solution
-and each scenario's sweep plan are built once per search; a child copies its
-parent's potentials, adds its one new edge to the path's edges in the base
-adjacency and tightens forward from its head (``stn._tighten``), unless
-the lower bound it carries already loses to the incumbent.  A scenario's
-conflicts are found by one start-ordered sweep that keeps the usage of every
-resource that can overload in one packed int: each resource owns a field
-one bit wider than its users' total demand needs, biased so that its top
-bit is set exactly when usage exceeds capacity.  Usage never exceeds that
-total, so no field carries into the next, and a user joins or leaves with
-one add or subtract for every resource at once.
+Each node costs only what is new at it.  The origin and lag edges with
+their adjacency lists and the packed resource fields are built once per
+instance value, shared by equal instances; a search copies the adjacency,
+appends its release floors and pins, relaxes its root once and takes each
+scenario's positive-duration users.  A child copies its parent's
+potentials, adds its one new edge to the path's edges in the adjacency and
+tightens forward from its head (``stn._tighten``), unless the lower bound
+it carries already loses to the incumbent; a conflict's children are built
+once per search.  A scenario's conflicts are found by one start-ordered
+sweep that keeps the usage of every resource that can overload in one
+packed int: each resource owns a field one bit wider than its users' total
+demand needs, biased so that its top bit is set exactly when usage exceeds
+capacity.  Usage never exceeds that total, so no field carries into the
+next, and a user joins or leaves with one add or subtract for every
+resource at once.
 
 A node branches on the first scenario in the list that conflicts.  The
 sample-average method's plan (``methods._saa_plan``) passes its dominating
@@ -38,6 +42,7 @@ the search visits the same nodes in the same order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import time
@@ -154,33 +159,40 @@ def check_schedule(
     )
 
 
-# (users, each activity's packed load, the fields' bias, their top bits, each
-# top bit's (resource, users), durations): see _resource_users
+# (the activities with a packed load, in activity order, each activity's
+# load, the fields' bias, their top bits, each top bit's (resource, users))
+_Packing = tuple[list[int], list[int], int, int, dict[int, tuple[int, list[int]]]]
+# a scenario's positive-duration users, the rest of the packing, its durations
 _SweepPlan = tuple[list[int], list[int], int, int, dict[int, tuple[int, list[int]]], Sequence[int]]
 
 
-def _resource_users(inst: ProjectInstance, durations: Sequence[int]) -> _SweepPlan:
-    """One scenario's sweep plan, with every resource that can overload packed
-    into one int.
+@functools.lru_cache(maxsize=64)
+def _instance_data(inst: ProjectInstance) -> tuple[tuple[tuple[tuple[int, int], ...], ...], _Packing]:
+    """What every search on ``inst`` shares, read-only: the adjacency of the
+    origin and lag edges (origin last; a search adds edges to a list copy)
+    and every resource that can overload, packed into one int.
 
-    A resource can overload when its positive-duration users' demands sum to
-    a ``total`` above ``cap``.  It then owns a field ``total.bit_length() + 1``
-    bits wide, above the fields of lower resources.  Each activity's load
-    holds its demand in every field, and ``bias`` holds
-    ``2**(width-1) - 1 - cap`` in each, so a field reads
+    A resource's users are its activities with nonzero demand.  It can
+    overload when their demands sum to a ``total`` above ``cap``.  It then
+    owns a field ``total.bit_length() + 1`` bits wide, above the fields of
+    lower resources.  Each user's load holds its demand in every field, and
+    ``bias`` holds ``2**(width-1) - 1 - cap`` in each, so a field reads
     ``usage + 2**(width-1) - 1 - cap``: its top bit is set exactly when usage
     exceeds capacity.  Usage stays in ``[0, total]`` and
     ``total < 2**(width-1)``, so every field stays in ``[0, 2**width)`` and
-    no add or subtract carries or borrows into the next.  The plan holds the
-    users (in activity order), the loads, the bias, ``high`` (the fields'
-    top bits), each top bit's ``(resource, users)`` and the durations.
+    no add or subtract carries or borrows into the next.  A zero-duration
+    user is never active and never joins a sweep, so counting it in
+    ``total`` only widens a field.
     """
-    live = [j for j, d in enumerate(durations) if d > 0]
-    loads = [0] * len(durations)
+    n = inst.n_activities
+    succ: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for i, j, w in _rooted_edges(n, inst.temporal_constraints, None):
+        succ[i].append((j, w))
+    loads = [0] * n
     bias = high = shift = 0
     members: dict[int, tuple[int, list[int]]] = {}
     for r, (cap, demands) in enumerate(zip(inst.capacities, inst.demands)):
-        found = [j for j in live if demands[j]]
+        found = [j for j in range(n) if demands[j]]
         total = sum(map(demands.__getitem__, found))
         if total > cap:
             width = total.bit_length() + 1
@@ -191,8 +203,7 @@ def _resource_users(inst: ProjectInstance, durations: Sequence[int]) -> _SweepPl
             high |= top
             members[top] = (r, found)
             shift += width
-    users = [j for j in live if loads[j]]
-    return users, loads, bias, high, members, durations
+    return tuple(map(tuple, succ)), ([j for j in range(n) if loads[j]], loads, bias, high, members)
 
 
 def _first_conflict(
@@ -201,7 +212,7 @@ def _first_conflict(
 ) -> tuple[int, int, list[int]] | None:
     """Earliest (time, resource, active activities) where usage exceeds capacity.
 
-    ``plan`` comes from :func:`_resource_users`.  One sweep walks the users
+    ``plan`` is built in :func:`_search`.  One sweep walks the users
     in start order beside them in end order, keeping every resource's usage
     in the fields of one int: at each start ``t`` the users ending ``<= t``
     leave first (intervals are half-open), one subtract each, then the new
@@ -259,6 +270,7 @@ def _search(
     incumbent: Sequence[int] | None,
     time_limit: float,
     node_limit: int,
+    floors: Sequence[tuple[int, int, int]] = (),
 ) -> SaaOutcome:
     """Depth-first branch-and-bound for one start vector over every scenario.
 
@@ -267,9 +279,12 @@ def _search(
     the scenario makespans, which orders nodes exactly as their mean does.
     A node branches on the first scenario in the list that conflicts, with
     that scenario's durations, which separates its overlap and keeps the
-    search complete.  ``incumbent`` seeds the search only if it has one start
-    per activity, holds every edge of ``_rooted_edges`` with the origin at 0
-    (lags, pins, starts >= 0) and no scenario's sweep finds an overload.
+    search complete.  ``floors`` are lag edges the instance does not hold;
+    they join its lags, before the pins, exactly as if they were its own,
+    and the closing replay checks them beside ``check_schedule``.
+    ``incumbent`` seeds the search only if it has one start per activity,
+    holds every edge of ``_rooted_edges`` with the origin at 0 (lags,
+    floors, pins, starts >= 0) and no scenario's sweep finds an overload.
 
     If ``d <= d'`` pointwise, every user running at a time under ``d`` also
     runs then under ``d'``, so a conflict under ``d`` is one under ``d'``.
@@ -287,15 +302,19 @@ def _search(
             raise ValueError(f"expected {total} durations, got {len(durations)}")
         if any(d < 0 for d in durations):
             raise ValueError("durations must be nonnegative")
+    if not all(0 <= i < total and 0 <= j < total for i, j, _ in floors):
+        raise ValueError("floor edge out of activity range")
     t0 = time.monotonic()
     # The root solution and the sweep plans are fixed for the whole
     # search; each node only adds its newest ordering edge to ``succ``.
-    edges = _rooted_edges(total, inst.temporal_constraints, fixed)
-    succ: list[list[tuple[int, int]]] = [[] for _ in range(total + 1)]
-    for i, j, w in edges:
+    lags = inst.temporal_constraints
+    adjacency, (packed, *fields) = _instance_data(inst)
+    edges = _rooted_edges(total, (*lags, *floors), fixed)
+    succ = list(map(list, adjacency))  # the path's edges come and go
+    for i, j, w in itertools.islice(edges, total + len(lags), None):
         succ[i].append((j, w))
     root, _ = _relax(total + 1, edges, total)
-    resources = [_resource_users(inst, durations) for durations in scenarios]
+    resources = [([j for j in packed if d[j] > 0], *fields, d) for d in scenarios]
     single = len(scenarios) == 1
     if incumbent is not None:
         vetted = (*incumbent, 0)  # the origin last, at 0, as in the potentials
@@ -327,6 +346,8 @@ def _search(
         (root, 0, 0, None, 0)
     ]
     path: list[int] = []  # the path edges' tails; each edge ends its tail's succ list
+    # (scenario, resource, active) -> the children's edges and d_a + d_b
+    children: dict[tuple[int, int, tuple[int, ...]], list[tuple[tuple[int, int, int], int]]] = {}
     nodes = 0
     exhausted = True
     while stack:
@@ -365,13 +386,16 @@ def _search(
             best_starts = tuple(dist[:total])
             best = bound
             continue
-        t, r, active = conflict
-        subset = _minimal_conflict_set(inst, r, active)
-        durations = scenarios[k]
+        _, r, active = conflict
+        key = (k, r, tuple(active))
+        if key not in children:  # the minimal conflict set is a function of the key
+            d = scenarios[k]
+            pairs = itertools.permutations(_minimal_conflict_set(inst, r, active), 2)
+            children[key] = [((a, b, d[a]), d[a] + d[b]) for a, b in reversed(list(pairs))]
         child = k if nested else 0
-        for a, b in reversed(list(itertools.permutations(subset, 2))):
-            lower = max(bound, dist[a] + durations[a] + durations[b]) if single else bound
-            stack.append((dist, len(path), child, (a, b, durations[a]), lower))
+        for edge, span in children[key]:
+            lower = max(bound, dist[edge[0]] + span) if single else bound
+            stack.append((dist, len(path), child, edge, lower))
 
     if best_starts is None:
         status = SolveStatus.INFEASIBLE if exhausted else SolveStatus.UNKNOWN
@@ -380,6 +404,9 @@ def _search(
         sched = Schedule.from_starts(best_starts, durations)
         if not check_schedule(inst, durations, sched).feasible:
             raise AssertionError(f"start vector {best_starts} fails check_schedule")
+    for i, j, w in floors:  # which check_schedule does not see
+        if best_starts[j] - best_starts[i] < w:
+            raise AssertionError(f"start vector {best_starts} breaks floor {(i, j, w)}")
     status = SolveStatus.OPTIMAL if exhausted else SolveStatus.FEASIBLE
     return SaaOutcome(status, best_starts, best / len(scenarios), nodes)
 
@@ -391,18 +418,21 @@ def solve(
     fixed: Mapping[int, int] | None = None,
     warm_start: Schedule | None = None,
     node_limit: int = 10_000_000,
+    floors: Sequence[tuple[int, int, int]] = (),
 ) -> SolveOutcome:
     """Minimize makespan by conflict-resolution branch-and-bound.
 
     ``fixed`` pins exact start times (the reactive method's frozen prefix);
-    ``warm_start`` seeds the incumbent unless ``_search`` finds it infeasible
-    or off a pin.  Statuses:
+    ``floors`` are lag edges searched and checked as if ``inst`` held them
+    (the reactive method's release floors ``(0, j, now)``), so a re-solve
+    needs no new instance; ``warm_start`` seeds the incumbent unless
+    ``_search`` finds it infeasible or off a pin.  Statuses:
     Optimal when the search exhausts with an incumbent, Infeasible when it
     exhausts without one (or the root graph is contradictory), Feasible or
     Unknown when a limit stops the search with or without an incumbent.
     """
     incumbent = None if warm_start is None else warm_start.starts
-    out = _search(inst, [durations], fixed, incumbent, time_limit, node_limit)
+    out = _search(inst, [durations], fixed, incumbent, time_limit, node_limit, floors)
     schedule = None if out.starts is None else Schedule.from_starts(out.starts, durations)
     return SolveOutcome(out.status, schedule, out.nodes_explored)
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import os
 import random
@@ -570,24 +571,145 @@ def test_search_reads_parallel_edges_at_their_tightest():
         seen["pinned"] += bool(fixed)
     assert min(seen.values()) > 100, seen
     # a reactive-style re-solve on j10: the plan's started activities are
-    # pinned, every other one has a floor at ``now`` beside the source's lags
+    # pinned, every other one has a floor at ``now`` beside the source's lags,
+    # passed to the search beside the pins or held by the instance as lags
     for name, *_ in J10_PINNED:
         stoch = make_stochastic(parse_psplib((J10 / f"{name}.sch").read_text()), 1)
         scenarios = [quantile_durations(stoch, g).durations for g in (0.9, 0.5, 0.75)]
         plan = solve(stoch.base, scenarios[0]).schedule
-        now = plan.makespan // 3
-        fixed = {j: s for j, s in enumerate(plan.starts) if s < now}
-        floors = tuple((0, j, now) for j in range(stoch.base.n_activities) if j not in fixed)
-        inst = dataclasses.replace(
-            stoch.base, temporal_constraints=stoch.base.temporal_constraints + floors
-        )
-        twin = _parallel_twin(inst, rng)
-        assert _searches(twin, scenarios, fixed, 2000) == _searches(inst, scenarios, fixed, 2000)
+        for now in (0, plan.makespan // 4, plan.makespan // 3, plan.makespan // 2):
+            fixed, floors = _released(plan, now)
+            inst = _holding(stoch.base, floors)
+            if now == plan.makespan // 3:
+                twin = _parallel_twin(inst, rng)
+                got = _searches(twin, scenarios, fixed, 2000)
+                assert got == _searches(inst, scenarios, fixed, 2000), name
+            for durations in scenarios:
+                for warm in (None, plan):
+                    got, held = _floored(stoch.base, durations, fixed, floors, warm, 2000)
+                    assert got == held, (name, now)
+
+
+def _released(plan, now):
+    """A reactive re-solve's pins (the plan's activities started before ``now``)
+    and release floors (every other activity starts at ``now`` or later)."""
+    fixed = {j: s for j, s in enumerate(plan.starts) if s < now}
+    return fixed, [(0, j, now) for j in range(len(plan.starts)) if j not in fixed]
+
+
+def _holding(inst, floors):
+    """The instance with ``floors`` appended to its lags."""
+    return dataclasses.replace(
+        inst, temporal_constraints=inst.temporal_constraints + tuple(floors)
+    )
+
+
+def _floored(inst, durations, fixed, floors, warm, node_limit):
+    """``solve``'s (status, schedule, nodes) with ``floors`` passed beside the
+    pins, and on the instance that holds them as lags."""
+    limits = {"fixed": fixed, "warm_start": warm, "node_limit": node_limit}
+    passed = solve(inst, durations, floors=floors, **limits)
+    held = solve(_holding(inst, floors), durations, **limits)
+    return [(out.status, out.schedule, out.nodes_explored) for out in (passed, held)]
+
+
+def test_floors_search_as_lags_of_the_instance_would():
+    # a re-solve's floors join the lags before the pins, so the root, the
+    # warm-start vetting and every node are those of the instance holding them
+    rng = random.Random(20261021)
+    seen = dict.fromkeys(SolveStatus, 0)
+    warmed = 0
+    for case in range(500):
+        inst = random_instance(rng, max_real=rng.choice((3, 5)))
+        plan = solve(inst, inst.durations).schedule
+        if plan is None:
+            continue
+        current = tuple(d + rng.randint(0, 2) if d else 0 for d in inst.durations)
+        fixed, floors = _released(plan, rng.randint(0, plan.makespan))
+        warm = rng.choice((None, plan))
+        for node_limit in (1, 5, 20, 10**7):
+            got, held = _floored(inst, current, fixed, floors, warm, node_limit)
+            assert got == held, case
+            seen[held[0]] += 1
+        warmed += warm is not None
+    assert min(seen.values()) > 25 and warmed > 100, (seen, warmed)
+
+
+def test_search_replays_its_floors(example_instance, monkeypatch):
+    # check_schedule sees only the instance's lags, so with the floors kept
+    # from the search only the search's own floor replay stops its answer
+    inst = example_instance
+    floors = [(0, j, 50) for j in range(1, inst.n_activities)]
+    assert min(solve(inst, inst.durations, floors=floors).schedule.starts[1:]) == 50
+    rooted = solver._rooted_edges
+    lags = len(inst.temporal_constraints)
+    monkeypatch.setattr(
+        solver, "_rooted_edges", lambda total, edges, fixed: rooted(total, edges[:lags], fixed)
+    )
+    with pytest.raises(AssertionError, match=r"^start vector .* breaks floor \(0, 1, 50\)$"):
+        solve(inst, inst.durations, floors=floors)
+    with pytest.raises(ValueError, match="floor edge out of activity range"):
+        solve(inst, inst.durations, floors=[(0, inst.n_activities, 1)])
+
+
+def _fresh_data(inst):
+    """The search data of ``inst`` as built for an empty memo."""
+    solver._instance_data.cache_clear()
+    return solver._instance_data(inst)
+
+
+def test_instance_data_outlives_a_search_stopped_mid_branch():
+    # a stopped search leaves its path's edges on its own copy of the
+    # adjacency; the memo's adjacency, shared by every equal instance, keeps none
+    stoch = make_stochastic(parse_psplib((J10 / "j10_08.sch").read_text()), 1)
+    inst, equal = stoch.base, dataclasses.replace(stoch.base)
+    scenarios = [quantile_durations(stoch, g).durations for g in (0.9, 0.5)]
+    plan = solve(inst, scenarios[0]).schedule
+    fixed, floors = _released(plan, plan.makespan // 3)
+    assert equal == inst and equal is not inst
+
+    def searches():
+        return [
+            solve(inst, scenarios[0]),
+            solve(equal, scenarios[1], fixed=fixed, floors=floors, warm_start=plan),
+            _outcome(solve_saa(equal, scenarios, node_limit=500)),
+        ]
+
+    fresh = _fresh_data(inst)
+    built = copy.deepcopy(fresh)
+    stopped = solve(inst, scenarios[0], node_limit=20)
+    assert (stopped.status, stopped.nodes_explored) == (SolveStatus.FEASIBLE, 20)
+    assert solver._instance_data(equal) is fresh and fresh == built  # shared by value
+    warm = searches()
+    assert solver._instance_data(inst) == _fresh_data(inst)
+    assert warm == searches()
+
+
+def test_instances_differing_in_one_demand_or_capacity_share_no_fields():
+    inst = parse_psplib((J10 / "j10_01.sch").read_text())
+    variants = [inst]
+    for r, (row, cap) in enumerate(zip(inst.demands, inst.capacities)):
+        j = max(range(inst.n_activities), key=row.__getitem__)
+        lowered = (*row[:j], row[j] - 1, *row[j + 1:])
+        demands = (*inst.demands[:r], lowered, *inst.demands[r + 1:])
+        capacities = (*inst.capacities[:r], cap + 1, *inst.capacities[r + 1:])
+        variants.append(dataclasses.replace(inst, demands=demands))
+        variants.append(dataclasses.replace(inst, capacities=capacities))
+    shared = [solver._instance_data(v)[1] for v in variants]  # built side by side
+    fresh = [_fresh_data(v)[1] for v in variants]  # each alone in the memo
+    assert shared == fresh
+    assert len({id(packing) for packing in shared}) == len(variants)
+    assert all(packing != fresh[0] for packing in fresh[1:])
+
+
+def _sweep_plan(inst, durations):
+    """A scenario's sweep plan as the search builds it."""
+    packed, *fields = solver._instance_data(inst)[1]
+    return [j for j in packed if durations[j] > 0], *fields, durations
 
 
 def _sweep_matches_reference(inst, durations, starts):
-    users = solver._resource_users(inst, durations)
-    got = solver._first_conflict(users, starts)
+    got = solver._first_conflict(_sweep_plan(inst, durations), starts)
     assert got == reference_solver._first_conflict(inst, durations, starts)
     return got
 
@@ -675,8 +797,8 @@ def test_conflict_sweep_edge_cases():
     # resource 0's users sum exactly to its capacity, so it gets no field;
     # resource 1's sum to capacity + 1 and overload once all three run
     exact = ProjectInstance(3, (0, 2, 2, 2, 0), ((0, 1, 1, 1, 0), (0, 1, 2, 1, 0)), (3, 3), ())
-    plan = solver._resource_users(exact, exact.durations)
-    assert [r for r, _ in plan[4].values()] == [1]
+    members = solver._instance_data(exact)[1][4]
+    assert [r for r, _ in members.values()] == [1]
     assert _sweep_matches_reference(exact, exact.durations, (0, 0, 1, 1, 0)) == (1, 1, [1, 2, 3])
     # activity 1 ends at 2, exactly when the overload starts, and is not active
     ending = one_resource((0, 2, 2, 1, 1, 0), (0, 2, 1, 2, 1, 0), 3)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from srcpsp import bench
+from srcpsp import bench, methods
 from srcpsp.instances import make_stochastic, parse_psplib, sample_durations
 from srcpsp.methods import METHODS
 
@@ -57,3 +57,37 @@ def test_metered_runs_record_every_span(tracing):
         *(f"methods.{m}" for m in tracing.METHODS),
     }
     assert expected <= recorded
+
+
+def test_metered_names_resolve_and_reactive_resolves_are_counted(tracing, monkeypatch):
+    # perfbench meters these names and counts a ``reactive`` re-solve as a
+    # call of ``methods.solve`` that passes ``warm_start`` as a keyword
+    metered = [(owner, attr) for owner, attr, _ in tracing.METERED]
+    for owner, attr in (
+        *((methods, name) for name in ("solve", "solve_saa", "chain", "dc_check", "rte_execute")),
+        (bench, "sample_durations"),
+        *((bench._RUNNERS, m) for m in tracing.METHODS),
+    ):
+        assert any(o is owner and a == attr for o, a in metered), attr
+        assert attr in owner if isinstance(owner, dict) else hasattr(owner, attr), attr
+    calls = []
+    solve = methods.solve
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(methods, "solve", recording)
+    stoch = make_stochastic(parse_psplib((ROOT / "data" / "j10" / "j10_01.sch").read_text()), 1)
+    cfg = METHODS["reactive"].defaults
+    for seed in range(4):
+        calls.clear()
+        tracer = tracing.Tracer()
+        with tracer.patched(traced=False):
+            run = methods.run_reactive(stoch, cfg, sample_durations(stoch, seed))
+        plan, *resolves = calls  # the quantile plan's solve, then one per wrong estimate
+        assert plan.get("warm_start") is None and run.feasible
+        assert resolves and all(kwargs["warm_start"] is not None for kwargs in resolves), seed
+        solves = [span for span in tracer.spans if span.name == "solver.solve"]
+        assert len(solves) == len(calls)
+        assert sum(span.info["resolve"] for span in solves) == len(resolves)
