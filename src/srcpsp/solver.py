@@ -11,12 +11,14 @@ One search serves both entry points: it fixes one start vector for a list
 of duration scenarios and minimizes their mean makespan.  ``solve`` runs it
 on a single scenario, ``solve_saa`` on the sample-average method's quantile
 scenarios.  A warm start is vetted by the search itself, against the same
-rooted edges and conflict sweeps its nodes use, so it is no precondition.
+lags, floors, pins and conflict sweeps its nodes use, so it is no
+precondition.
 
 Each node costs only what is new at it.  The origin and lag edges with
-their adjacency lists and the packed resource fields are built once per
-instance value, shared by equal instances; a search copies the adjacency,
-appends its release floors and pins, relaxes its root once and takes each
+their adjacency lists, their least solution (the lag-only root) and the
+packed resource fields are built once per instance value, shared by equal
+instances; a search copies the adjacency, tightens that root by its
+release floors and then its pins, one edge at a time, and takes each
 scenario's positive-duration users.  A child copies its parent's
 potentials, adds its one new edge to the path's edges in the adjacency and
 tightens forward from its head (``stn._tighten``), unless the lower bound
@@ -74,7 +76,7 @@ class Schedule:
             raise ValueError("starts and durations must have equal length")
         return cls(
             starts=tuple(starts),
-            makespan=max(s + d for s, d in zip(starts, durations)),
+            makespan=max(map(operator.add, starts, durations)),
         )
 
 
@@ -167,10 +169,15 @@ _SweepPlan = tuple[list[int], list[int], int, int, dict[int, tuple[int, list[int
 
 
 @functools.lru_cache(maxsize=64)
-def _instance_data(inst: ProjectInstance) -> tuple[tuple[tuple[tuple[int, int], ...], ...], _Packing]:
+def _instance_data(
+    inst: ProjectInstance,
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], _Packing, list[int] | None]:
     """What every search on ``inst`` shares, read-only: the adjacency of the
-    origin and lag edges (origin last; a search adds edges to a list copy)
-    and every resource that can overload, packed into one int.
+    origin and lag edges (origin last; a search adds edges to a list copy),
+    every resource that can overload, packed into one int, and the root:
+    the least solution of the origin and lag edges, origin last at 0, or
+    None when the lags alone are contradictory.  A search tightens the root
+    into new lists (``stn._tighten`` never modifies its input).
 
     A resource's users are its activities with nonzero demand.  It can
     overload when their demands sum to a ``total`` above ``cap``.  It then
@@ -185,8 +192,9 @@ def _instance_data(inst: ProjectInstance) -> tuple[tuple[tuple[tuple[int, int], 
     ``total`` only widens a field.
     """
     n = inst.n_activities
+    edges = _rooted_edges(n, inst.temporal_constraints, None)
     succ: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for i, j, w in _rooted_edges(n, inst.temporal_constraints, None):
+    for i, j, w in edges:
         succ[i].append((j, w))
     loads = [0] * n
     bias = high = shift = 0
@@ -203,7 +211,8 @@ def _instance_data(inst: ProjectInstance) -> tuple[tuple[tuple[tuple[int, int], 
             high |= top
             members[top] = (r, found)
             shift += width
-    return tuple(map(tuple, succ)), ([j for j in range(n) if loads[j]], loads, bias, high, members)
+    packing = ([j for j in range(n) if loads[j]], loads, bias, high, members)
+    return tuple(map(tuple, succ)), packing, _relax(n + 1, edges, n)[0]
 
 
 def _first_conflict(
@@ -281,10 +290,14 @@ def _search(
     that scenario's durations, which separates its overlap and keeps the
     search complete.  ``floors`` are lag edges the instance does not hold;
     they join its lags, before the pins, exactly as if they were its own,
-    and the closing replay checks them beside ``check_schedule``.
-    ``incumbent`` seeds the search only if it has one start per activity,
-    holds every edge of ``_rooted_edges`` with the origin at 0 (lags,
-    floors, pins, starts >= 0) and no scenario's sweep finds an overload.
+    and the closing replay checks them beside ``check_schedule``.  The
+    search's root is the instance's memoised least solution, tightened by
+    each floor and then by each pin's two origin edges (``t <= t_v <= t``),
+    one ``_tighten`` per edge: each step starts from the least solution
+    without its edge, so the root is the one a full relaxation would find,
+    None included.  ``incumbent`` seeds the search only if it has one start
+    per activity, all of them >= 0, holds every lag, floor and pin, and no
+    scenario's sweep finds an overload.
 
     If ``d <= d'`` pointwise, every user running at a time under ``d`` also
     runs then under ``d'``, so a conflict under ``d`` is one under ``d'``.
@@ -304,26 +317,32 @@ def _search(
             raise ValueError("durations must be nonnegative")
     if not all(0 <= i < total and 0 <= j < total for i, j, _ in floors):
         raise ValueError("floor edge out of activity range")
+    fixed = fixed or {}
+    for v in fixed:
+        if not 0 <= v < total:
+            raise ValueError(f"fixed node {v} out of range")
     t0 = time.monotonic()
     # The root solution and the sweep plans are fixed for the whole
     # search; each node only adds its newest ordering edge to ``succ``.
     lags = inst.temporal_constraints
-    adjacency, (packed, *fields) = _instance_data(inst)
-    edges = _rooted_edges(total, (*lags, *floors), fixed)
+    adjacency, (packed, *fields), root = _instance_data(inst)
     succ = list(map(list, adjacency))  # the path's edges come and go
-    for i, j, w in itertools.islice(edges, total + len(lags), None):
-        succ[i].append((j, w))
-    root, _ = _relax(total + 1, edges, total)
+    pins = [edge for v, t in fixed.items() for edge in ((total, v, t), (v, total, -t))]
+    for edge in (*floors, *pins):
+        if root is None:
+            break
+        succ[edge[0]].append(edge[1:])
+        root = _tighten(succ, root, edge)
     resources = [([j for j in packed if d[j] > 0], *fields, d) for d in scenarios]
     single = len(scenarios) == 1
-    if incumbent is not None:
-        vetted = (*incumbent, 0)  # the origin last, at 0, as in the potentials
-        if (
-            len(incumbent) != total
-            or any(vetted[j] - vetted[i] < w for i, j, w in edges)
-            or any(_first_conflict(found, vetted) for found in resources)
-        ):
-            incumbent = None
+    if incumbent is not None and (
+        len(incumbent) != total
+        or min(incumbent) < 0
+        or any(incumbent[j] - incumbent[i] < w for i, j, w in (*lags, *floors))
+        or any(incumbent[v] != t for v, t in fixed.items())
+        or any(_first_conflict(found, incumbent) for found in resources)
+    ):
+        incumbent = None
 
     def makespan_sum(starts: Sequence[int]) -> int:
         # map stops at the end of the scenario, before the origin's potential

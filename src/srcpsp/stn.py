@@ -6,9 +6,11 @@ style longest-path relaxation, :func:`_relax`, runs from a virtual origin, so
 every time point also satisfies ``t >= 0``.  :func:`_rooted_edges` appends
 that origin's edges to the given ones, unmerged (the relaxations keep the
 tightest of parallel edges), for :func:`earliest_schedule`, which returns the
-least solution, and for the solver's root, which it then tightens edge by
-edge with :func:`_tighten`.  The STNU all-max check calls :func:`_relax`
-itself to find a positive cycle.
+least solution, and for the solver's lag-only root, relaxed once per
+instance value and memoised; each search tightens that root by its floors
+and pins, and each node by its ordering edge, one edge at a time with
+:func:`_tighten`.  The STNU all-max check calls :func:`_relax` itself to
+find a positive cycle.
 """
 
 from __future__ import annotations
@@ -87,7 +89,9 @@ def _tighten(
     raises is recomputed: a FIFO queue tightens forward from ``b`` (Cesta &
     Oddi, TIME 1996).  Any raise stems from the new edge, so raising ``a`` or
     the origin closes a positive cycle: the result is None (the origin test
-    only stops a contradicted pin sooner).  ``dist`` is never modified; it
+    only stops a contradicted pin sooner; an edge into the origin that
+    raises it is reached back at ``a`` along ``a``'s longest path from the
+    origin).  ``dist`` is never modified; it
     is returned as is when the new edge already holds.
     """
     a, b, w = edge

@@ -17,7 +17,7 @@ from srcpsp.instances import (
 from srcpsp import solver
 from srcpsp.methods import MethodConfig
 from srcpsp.solver import Schedule, SolveStatus, check_schedule, solve, solve_saa
-from srcpsp.stn import DistanceGraph, earliest_schedule
+from srcpsp.stn import DistanceGraph, _relax, _rooted_edges, _tighten, earliest_schedule
 
 import reference_solver
 from oracles import brute_force_optimum, random_instance, resource_violations
@@ -220,7 +220,7 @@ def test_solve_rejects_a_pin_out_of_range_with_or_without_warm_start(example_ins
 def test_search_vets_warm_starts_as_a_schedule_replay_does():
     rng = random.Random(2029)
     verdicts = {True: 0, False: 0}
-    sole_cause = dict.fromkeys(("length", "pin", "lag", "overload", "early"), 0)
+    sole_cause = dict.fromkeys(("length", "pin", "floor", "lag", "overload", "early"), 0)
     cases = 0
     while cases < 2000:
         inst = random_instance(rng)
@@ -240,17 +240,23 @@ def test_search_vets_warm_starts_as_a_schedule_replay_does():
                 starts[j] += rng.randint(-2, 2)
         pinned = rng.sample(range(total), rng.randint(0, min(2, total)))
         fixed = {v: starts[v] + rng.choice((0, 0, 0, -1, 1)) for v in pinned}
+        floors = [  # held exactly, loosely or broken by one
+            (i, j, starts[j] - starts[i] + rng.choice((0, 0, -1, 1)))
+            for i, j in (rng.sample(range(total), 2) for _ in range(rng.randint(0, 2)))
+        ]
         if rng.random() < 0.05:
             starts = starts[:-1] if rng.random() < 0.5 else starts + [0]
         warm = Schedule(starts=tuple(starts), makespan=0)
-        # the rule a warm start must pass: right length, every pin equal and a
-        # feasible replay; each failed part is one cause
+        # the rule a warm start must pass: right length, every pin equal, every
+        # floor held and a feasible replay; each failed part is one cause
         causes = []
         if len(starts) != total:
             causes.append("length")
         else:
             if any(starts[v] != t for v, t in fixed.items()):
                 causes.append("pin")
+            if any(starts[j] - starts[i] < w for i, j, w in floors):
+                causes.append("floor")
             report = check_schedule(inst, d, warm)
             causes += [
                 cause
@@ -261,7 +267,7 @@ def test_search_vets_warm_starts_as_a_schedule_replay_does():
                 )
                 if found
             ]
-        got = solve(inst, d, fixed=fixed, warm_start=warm, node_limit=0)
+        got = solve(inst, d, fixed=fixed, warm_start=warm, node_limit=0, floors=floors)
         if causes:
             assert (got.status, got.schedule) == (SolveStatus.UNKNOWN, None), causes
         else:
@@ -641,15 +647,89 @@ def test_search_replays_its_floors(example_instance, monkeypatch):
     inst = example_instance
     floors = [(0, j, 50) for j in range(1, inst.n_activities)]
     assert min(solve(inst, inst.durations, floors=floors).schedule.starts[1:]) == 50
-    rooted = solver._rooted_edges
-    lags = len(inst.temporal_constraints)
-    monkeypatch.setattr(
-        solver, "_rooted_edges", lambda total, edges, fixed: rooted(total, edges[:lags], fixed)
-    )
+    tighten = solver._tighten
+
+    def floors_ignored(succ, dist, edge):  # the search's root skips the floors
+        return dist if edge in floors else tighten(succ, dist, edge)
+
+    monkeypatch.setattr(solver, "_tighten", floors_ignored)
     with pytest.raises(AssertionError, match=r"^start vector .* breaks floor \(0, 1, 50\)$"):
         solve(inst, inst.durations, floors=floors)
     with pytest.raises(ValueError, match="floor edge out of activity range"):
         solve(inst, inst.durations, floors=[(0, inst.n_activities, 1)])
+
+
+def _tightened_root(inst, floors, fixed):
+    """The memo's root tightened by ``floors``, then by each pin's two origin
+    edges, one ``_tighten`` per edge, as the search builds its root."""
+    total = inst.n_activities
+    adjacency, _, root = solver._instance_data(inst)
+    succ = list(map(list, adjacency))
+    pins = [edge for v, t in fixed.items() for edge in ((total, v, t), (v, total, -t))]
+    for edge in (*floors, *pins):
+        if root is None:
+            break
+        succ[edge[0]].append(edge[1:])
+        root = _tighten(succ, root, edge)
+    return root
+
+
+def _relaxed_root(inst, floors, fixed):
+    """The slow reference: one Bellman-Ford over the origin, lag, floor and pin edges."""
+    n = inst.n_activities
+    edges = _rooted_edges(n, (*inst.temporal_constraints, *floors), fixed)
+    return _relax(n + 1, edges, n)[0]
+
+
+def _contradictable(rng, n, fixed, floors):
+    """``fixed`` and ``floors`` with random edits that may contradict them:
+    shifted and negative pins, self-loop, cyclic and random floors."""
+    fixed, floors = dict(fixed), list(floors)
+    for _ in range(rng.randint(0, 2)):
+        v = rng.randrange(n)
+        edit = rng.choice(("shift", "negative", "self", "cycle", "floor"))
+        if edit == "shift":
+            fixed[v] = fixed.get(v, 0) + rng.randint(-2, 2)
+        elif edit == "negative":
+            fixed[v] = -rng.randint(1, 3)
+        elif edit == "self":
+            floors.append((v, v, rng.randint(-1, 2)))
+        else:
+            u = rng.randrange(n)
+            floors.append((u, v, rng.randint(-3, 4)))
+            if edit == "cycle":
+                floors.append((v, u, rng.randint(-3, 2)))
+    return fixed, floors
+
+
+def test_tightened_root_matches_a_full_relaxation():
+    # the memo's lag-only root, tightened edge by edge by a search's floors
+    # and pins, is the least solution one Bellman-Ford finds, None included
+    rng = random.Random(20261022)
+    seen = {"feasible": 0, "infeasible": 0, "lags_contradict": 0}
+
+    def agree(inst, fixed, floors):
+        root = _tightened_root(inst, floors, fixed)
+        assert root == _relaxed_root(inst, floors, fixed), (inst, fixed, floors)
+        seen["feasible" if root is not None else "infeasible"] += 1
+
+    for _ in range(2000):
+        inst = random_instance(rng, max_real=rng.choice((3, 5)))
+        n = inst.n_activities
+        seen["lags_contradict"] += solver._instance_data(inst)[2] is None
+        plan = solve(inst, inst.durations).schedule  # or any starts, on contradictory lags
+        plan = plan or Schedule(tuple(rng.randint(0, 8) for _ in range(n)), 0)
+        fixed, floors = _released(plan, rng.randint(0, max(plan.starts)))
+        agree(inst, *_contradictable(rng, n, fixed, floors))
+    for path in sorted(J10.glob("*.sch")):
+        stoch = make_stochastic(parse_psplib(path.read_text()), 1)
+        plan = solve(stoch.base, quantile_durations(stoch, 0.9).durations).schedule
+        n = stoch.base.n_activities
+        for now in range(0, plan.makespan + 2, 3):
+            fixed, floors = _released(plan, now)
+            agree(stoch.base, fixed, floors)
+            agree(stoch.base, *_contradictable(rng, n, fixed, floors))
+    assert seen["lags_contradict"] > 20 and min(seen["feasible"], seen["infeasible"]) > 800, seen
 
 
 def _fresh_data(inst):
@@ -679,7 +759,19 @@ def test_instance_data_outlives_a_search_stopped_mid_branch():
     built = copy.deepcopy(fresh)
     stopped = solve(inst, scenarios[0], node_limit=20)
     assert (stopped.status, stopped.nodes_explored) == (SolveStatus.FEASIBLE, 20)
+    # the root list is shared too: searches that tighten it by floors, by
+    # pins, by a contradictory pin or stop at a node limit leave it as built
+    first = min(fixed)
+    for limits in (
+        {"floors": floors},
+        {"fixed": fixed},
+        {"fixed": fixed, "floors": floors, "node_limit": 7},
+        {"fixed": {**fixed, first: fixed[first] + 1}, "floors": floors},
+        {"fixed": {first: -1}},
+    ):
+        solve(inst, scenarios[0], **limits)
     assert solver._instance_data(equal) is fresh and fresh == built  # shared by value
+    assert fresh[2] == _relaxed_root(inst, (), None)
     warm = searches()
     assert solver._instance_data(inst) == _fresh_data(inst)
     assert warm == searches()
