@@ -11,13 +11,13 @@ upper-case composition, lower-case and cross-case reductions guarded by
 strictly negative second legs, and label removal once a wait is covered by
 the link's lower bound.  Propagation to quiescence either derives a
 contradiction (a negative ordinary self-loop, an activation waiting on its
-own link, or an inconsistent all-max projection: not DC, and the witness,
-the most negative closed walk of input edges in the contradiction's
-derivation, is expanded from shared edge derivations only then) or yields
-the closed edge set an executor can dispatch greedily.  Each edge is one
-record (weight, derivation) in dense rows indexed by source timepoint, then
-by target or contingent label.  The worklist is drained first in, first out,
-so each stored edge is processed about once; the order decides some weights
+own link, or an inconsistent all-max projection: not DC) or yields the
+closed edge set an executor can dispatch greedily.  Edge weights sit in
+dense rows indexed by source timepoint, then by target or contingent label.
+Only a non-DC network is propagated again, recording each edge's derivation,
+to expand its witness: the most negative closed walk of input edges in the
+contradiction's derivation.  The worklist is drained first in, first out, so
+each stored edge is processed about once; the order decides some weights
 and witnesses (label removal fires only while a wait is loose).
 """
 
@@ -46,6 +46,8 @@ class Stnu:
     contingent_links: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self) -> None:
+        if self.n_activities < 1:
+            raise ValueError(f"an STNU needs at least 1 activity, not {self.n_activities}")
         n = self.n_timepoints
         for u, v, _ in self.ordinary_edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -177,22 +179,23 @@ class _Inconsistent(Exception):
 class _Propagator:
     """Edge-propagation state; derives the DC closure or raises _Inconsistent.
 
-    Records are dense rows indexed by timepoint: an ordinary edge (u, v)
-    has weight ``ow[u][v]`` and derivation ``oh[u][v]``, an upper-case edge
-    (u, c) labeled by contingent c has ``uw[u][c]`` and ``uh[u][c]``; an
-    absent record weighs ``_ABSENT``.  ``ord_keys`` and ``uc_keys`` list the
-    records in first-store order, the order the all-max projection reads.
+    Records are dense rows indexed by timepoint: an ordinary edge (u, v) has
+    weight ``ow[u][v]``, an upper-case edge (u, c) labeled by contingent c has
+    ``uw[u][c]``, an absent one ``_ABSENT``; ``ord_keys`` and ``uc_keys`` list
+    them in first-store order, as the all-max projection reads them.  Only an
+    explaining run records derivations (``oh``, ``uh``), which never steer it.
     """
 
-    def __init__(self, stnu: Stnu) -> None:
+    def __init__(self, stnu: Stnu, explain: bool = False) -> None:
         self.stnu = stnu
         n = stnu.n_timepoints
         self.low = {c: low for _, c, low, _ in stnu.contingent_links}
         self.activation = {c: a for a, c, _, _ in stnu.contingent_links}
+        self.explain = explain
         self.ow: list[list[int | float]] = [[_ABSENT] * n for _ in range(n)]
-        self.oh: list[list[_Derivation | None]] = [[None] * n for _ in range(n)]
         self.uw: list[list[int | float]] = [[_ABSENT] * n for _ in range(n)]
-        self.uh: list[list[_Derivation | None]] = [[None] * n for _ in range(n)]
+        self.oh: list[list[_Derivation | None]] = [[None] * n for _ in range(n if explain else 0)]
+        self.uh: list[list[_Derivation | None]] = [[None] * n for _ in range(n if explain else 0)]
         self.ord_keys: list[tuple[int, int]] = []  # each store's keys, in first-store order
         self.uc_keys: list[tuple[int, int]] = []
         # adjacency by timepoint: ordinary successors, predecessors, upper-case labels
@@ -206,7 +209,7 @@ class _Propagator:
 
     # -- storage with minimum-keeping and immediate inconsistency checks --
 
-    def put_ord(self, u: int, v: int, w: int, how: _Derivation) -> None:
+    def put_ord(self, u: int, v: int, w: int, how: _Derivation | None) -> None:
         if u == v and w >= 0:
             return  # vacuous self-loop
         row = self.ow[u]
@@ -218,12 +221,13 @@ class _Propagator:
             self.ord_in[v].add(u)
             self.ord_keys.append((u, v))
         row[v] = w
-        self.oh[u][v] = how
+        if self.explain:
+            self.oh[u][v] = how
         if (u == v and w < 0) or w < -self.horizon:
             raise _Inconsistent(how)
         self.queue.append((True, u, v, w))
 
-    def put_uc(self, u: int, c: int, w: int, how: _Derivation) -> None:
+    def put_uc(self, u: int, c: int, w: int, how: _Derivation | None) -> None:
         row = self.uw[u]
         old = row[c]
         if old <= w:
@@ -232,7 +236,8 @@ class _Propagator:
             self.uc_out[u].add(c)
             self.uc_keys.append((u, c))
         row[c] = w
-        self.uh[u][c] = how
+        if self.explain:
+            self.uh[u][c] = how
         if w < -self.horizon or (w < 0 and u == self.activation[c]):
             # past the horizon, or an activation waiting on its own link
             # (released strictly after itself)
@@ -245,12 +250,12 @@ class _Propagator:
     # -- rule application --
 
     def run(self) -> None:
-        for u, v, w in self.stnu.ordinary_edges:
-            self.put_ord(u, v, w, (u, v, w))
+        for u, v, w in self.stnu.ordinary_edges:  # an input edge derives itself
+            self.put_ord(u, v, w, (u, v, w) if self.explain else None)
         for a, c, low, high in self.stnu.contingent_links:
-            self.put_ord(a, c, high, (a, c, high))
-            self.put_ord(c, a, -low, (c, a, -low))
-            self.put_uc(c, c, -high, (c, a, -high))
+            self.put_ord(a, c, high, (a, c, high) if self.explain else None)
+            self.put_ord(c, a, -low, (c, a, -low) if self.explain else None)
+            self.put_uc(c, c, -high, (c, a, -high) if self.explain else None)
         while self.queue:  # first in, first out
             is_ord, x, y, w = self.queue.popleft()
             if (self.ow if is_ord else self.uw)[x][y] == w:
@@ -259,36 +264,36 @@ class _Propagator:
     # stored edges are never self-loops (u != v), so no put grows the set a rule walks;
     # a composition whose edge is stored no looser is skipped before building its derivation
     def _from_ord(self, u: int, v: int, w: int) -> None:
-        ow, oh = self.ow, self.oh
-        ru, rv, hv = ow[u], ow[v], oh[v]
-        how = oh[u][v]
+        ow, oh, explain = self.ow, self.oh, self.explain
+        ru, rv = ow[u], ow[v]
+        how = oh[u][v] if explain else None
         for y in self.ord_out[v]:  # (u -> v) + (v -> y)
             if w + rv[y] < ru[y]:
-                self.put_ord(u, y, w + rv[y], (how, hv[y]))
+                self.put_ord(u, y, w + rv[y], (how, oh[v][y]) if explain else None)
         for x in self.ord_in[u]:  # (x -> u) + (u -> v)
             rx = ow[x]
             if rx[u] + w < rx[v]:
-                self.put_ord(x, v, rx[u] + w, (oh[x][u], how))
-        uu, uv, uhv = self.uw[u], self.uw[v], self.uh[v]
+                self.put_ord(x, v, rx[u] + w, (oh[x][u], how) if explain else None)
+        uu, uv = self.uw[u], self.uw[v]
         for c in self.uc_out[v]:  # upper-case rule: ordinary prefix
             if w + uv[c] < uu[c]:
-                self.put_uc(u, c, w + uv[c], (how, uhv[c]))
+                self.put_uc(u, c, w + uv[c], (how, self.uh[v][c]) if explain else None)
         if w < 0 and u in self.low:
             # lower-case rule: the link into u may fire at its minimum
             a, low = self.activation[u], self.low[u]
-            self.put_ord(a, v, low + w, ((a, u, low), how))
+            self.put_ord(a, v, low + w, ((a, u, low), how) if explain else None)
 
     def _from_uc(self, u: int, c: int, w: int) -> None:
-        ow, oh, uw = self.ow, self.oh, self.uw
-        how = self.uh[u][c]
+        ow, oh, uw, explain = self.ow, self.oh, self.uw, self.explain
+        how = self.uh[u][c] if explain else None
         for x in self.ord_in[u]:
             w1 = ow[x][u]
             if w1 + w < uw[x][c]:
-                self.put_uc(x, c, w1 + w, (oh[x][u], how))
+                self.put_uc(x, c, w1 + w, (oh[x][u], how) if explain else None)
         if w < 0 and u in self.low and u != c:
             # cross-case rule: another link's minimum firing precedes this wait
             a, low = self.activation[u], self.low[u]
-            self.put_uc(a, c, low + w, ((a, u, low), how))
+            self.put_uc(a, c, low + w, ((a, u, low), how) if explain else None)
 
 
 def _witness(*derivations: _Derivation) -> NotDc:
@@ -318,25 +323,33 @@ def _witness(*derivations: _Derivation) -> NotDc:
     return NotDc(nodes=tuple(nodes[i:j]), total=length)
 
 
-def _allmax_witness(prop: _Propagator) -> NotDc | None:
-    """Negative cycle in the all-max projection (waits read as hard bounds)."""
+def _allmax_cycle(prop: _Propagator) -> list[tuple[int, int, int | None]]:
+    """The hops (u, v, wait label or None) of a negative all-max cycle (waits as hard bounds)."""
     n = prop.stnu.n_timepoints
     # ordinary records (never self-loops) in first-store order, then each tighter wait
-    tight = {(u, v): (prop.ow[u][v], prop.oh[u][v]) for u, v in prop.ord_keys}
+    tight: dict[tuple[int, int], tuple] = {(u, v): (prop.ow[u][v], None) for u, v in prop.ord_keys}
     for u, c in prop.uc_keys:
         v, w = prop.activation[c], prop.uw[u][c]
         if u != v and w < tight.get((u, v), (_ABSENT,))[0]:
-            tight[(u, v)] = (w, prop.uh[u][c])
+            tight[(u, v)] = (w, c)
     # upper-bound edge (u, v, w) is the lower-bound edge (v, u, -w); no edge
     # enters the origin n, so a positive cycle never passes through it
     edges = [(n, v, 0) for v in range(n)]
     edges += [(v, u, -w) for (u, v), (w, _) in tight.items()]
     _, cycle = _relax(n + 1, edges, n)
-    if cycle is None:
-        return None
-    cycle.reverse()
-    hops = zip(cycle, cycle[1:] + cycle[:1])
-    return _witness(*(tight[hop][1] for hop in hops))
+    cycle = cycle[::-1] if cycle else []
+    return [(u, v, tight[u, v][1]) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
+
+
+def _explained(stnu: Stnu) -> NotDc:
+    """The witness of a network found not DC, from a rerun that records derivations."""
+    prop = _Propagator(stnu, explain=True)
+    try:
+        prop.run()
+    except _Inconsistent as contradiction:
+        return _witness(*contradiction.args)
+    hops = _allmax_cycle(prop)
+    return _witness(*(prop.oh[u][v] if c is None else prop.uh[u][c] for u, v, c in hops))
 
 
 def dc_check(stnu: Stnu) -> Controllable | NotDc:
@@ -344,11 +357,10 @@ def dc_check(stnu: Stnu) -> Controllable | NotDc:
     prop = _Propagator(stnu)
     try:
         prop.run()
-    except _Inconsistent as contradiction:
-        return _witness(*contradiction.args)
-    cycle = _allmax_witness(prop)
-    if cycle is not None:
-        return cycle
+    except _Inconsistent:
+        return _explained(stnu)
+    if _allmax_cycle(prop):
+        return _explained(stnu)
     rows = range(stnu.n_timepoints)
     ordinary = tuple((u, v, prop.ow[u][v]) for u in rows for v in sorted(prop.ord_out[u]))
     waits = tuple(
@@ -359,7 +371,6 @@ def dc_check(stnu: Stnu) -> Controllable | NotDc:
             if prop.uw[u][c] < -prop.low[c] and u != c
         )
     )
-    del prop  # free the derivations before the dispatcher is compiled
     base = replace(stnu, ordinary_edges=ordinary)
     return Controllable(estnu=Estnu(base=base, wait_edges=waits))
 
@@ -371,16 +382,20 @@ def _compile(stnu: Stnu, wait_edges: tuple[tuple[int, int, int, int], ...]) -> _
     activates: list[list[int]] = [[] for _ in range(n)]
     for a, c, _, _ in stnu.contingent_links:
         activates[a].append(c)
-    # each weight becomes a new int (+ 0) laid out with the indexes: the closure's
+    # each tight becomes a new int (+ 0) laid out with the indexes: the closure's
     # own ints lie scattered over the checker's heap, which slows every dispatch
-    pair: dict[tuple[int, int], int] = {}
+    tight: list[list[int | float]] = [[_ABSENT] * n for _ in range(n)]  # tightest, by source
+    pairs: list[tuple[int, int]] = []  # the (u, v) with an edge, in first-occurrence order
     for u, v, w in stnu.ordinary_edges:
-        pair[u, v] = min(w, pair.get((u, v), w)) + 0
+        if tight[u][v] is _ABSENT:
+            pairs.append((u, v))
+        if w < tight[u][v]:
+            tight[u][v] = w + 0
     # union-find over the rigid pairs; every parent is lower, so a root is
     # its group's lowest member
     parent = list(range(n))
-    for (u, v), w in pair.items():
-        if w == 0 and pair.get((v, u)) == 0 and u not in contingent and v not in contingent:
+    for u, v in pairs:
+        if tight[u][v] == tight[v][u] == 0 and u not in contingent and v not in contingent:
             roots = []
             for x in (u, v):
                 while parent[x] != x:
@@ -394,10 +409,10 @@ def _compile(stnu: Stnu, wait_edges: tuple[tuple[int, int, int, int], ...]) -> _
             members[parent[tp]].append(tp)
     pending = [0] * n
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v), w in pair.items():
+    for u, v in pairs:
         if u not in contingent and parent[v] != parent[u]:
-            into[v].append((parent[u], w))
-            pending[parent[u]] += w <= 0
+            into[v].append((parent[u], tight[u][v]))
+            pending[parent[u]] += tight[u][v] <= 0
     labeled: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for x, _, w, c in wait_edges:
         if x not in contingent:
@@ -405,7 +420,7 @@ def _compile(stnu: Stnu, wait_edges: tuple[tuple[int, int, int, int], ...]) -> _
             pending[parent[x]] += 1
     groups = tuple(g for g in range(n) if members[g])
     indexes = (tuple(map(tuple, index)) for index in (members, into, activates, labeled))
-    return _Dispatch(groups, *indexes, tuple(pending), tuple((*e, w) for e, w in pair.items()))
+    return _Dispatch(groups, *indexes, tuple(pending), tuple((u, v, tight[u][v]) for u, v in pairs))
 
 
 def rte_execute(estnu: Estnu, sample: DurationSample) -> ExecutionTrace:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from srcpsp.instances import ProjectInstance
+from srcpsp.instances import DurationSample, ProjectInstance, StochasticInstance
 
 
 def enumeration_horizon(inst: ProjectInstance, durations) -> int:
@@ -119,3 +119,29 @@ def resource_violations(inst: ProjectInstance, durations, starts) -> tuple:
             if usage > cap:
                 found.append((r, t, usage, cap))
     return tuple(found)
+
+
+def twin_sample(
+    stoch: StochasticInstance,
+    sample: DurationSample,
+    starts: tuple[int, ...],
+    cut: int,
+    rng: random.Random,
+) -> DurationSample:
+    """A sample that an online run with these starts cannot tell from ``sample`` before ``cut``.
+
+    An activity finished by the cut keeps its duration.  One running at the
+    cut is redrawn within its bounds to end after the cut, and one not
+    started before the cut is redrawn within its bounds.  A non-anticipative
+    policy run on the twin starts the same activities before the cut, at the
+    same times.
+    """
+    durations = []
+    for (low, high), d, s in zip(stoch.bounds, sample.durations, starts):
+        if s + d <= cut:
+            durations.append(d)
+        elif s < cut:
+            durations.append(rng.randint(max(low, cut - s + 1), high))
+        else:
+            durations.append(rng.randint(low, high))
+    return DurationSample(tuple(durations))

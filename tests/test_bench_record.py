@@ -62,6 +62,12 @@ def test_bench_record_summarizes_both_sides(tmp_path):
         assert metrics["wall_s"]["parent"] == {"median": statistics.median(walls), "q1_q3": [q1, q3]}
         assert metrics["nodes_per_s"]["better"] == "higher"
     assert desk["metrics"]["wall_s"]["change"]["median"] == statistics.median(change_walls["desk"])
+    # seed by seed, ties counting for neither; scale's seed 4 ran on the change only
+    assert desk["metrics"]["wall_s"]["better_pairs"] == [2, 4]
+    assert desk["metrics"]["nodes_per_s"]["better_pairs"] == [1, 4]
+    scale = record["workloads"]["scale"]["metrics"]
+    assert scale["wall_s"]["better_pairs"] == [2, 3]
+    assert scale["nodes_per_s"]["better_pairs"] == [1, 3]
 
 
 def test_bench_record_names_each_changed_counter(tmp_path):

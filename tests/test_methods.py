@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import random_instance
+from oracles import random_instance, twin_sample
 from srcpsp import methods
 from srcpsp.bench import _RUNNERS, derive_seed
 from srcpsp.instances import (
@@ -705,6 +705,39 @@ def test_reactive_overruns_pinned_on_j10_at_epsilon_two():
         clairvoyant = solve(stoch.base, sample.durations)
         assert clairvoyant.status is SolveStatus.OPTIMAL
         assert clairvoyant.schedule.makespan == optimum, (name, k)
+
+
+def test_online_methods_see_only_the_past():
+    # reactive and stnu decide online: a start before time t may depend only on
+    # what was observed before t, so a twin sample that agrees on all of that
+    # must give the same starts before t; a twin whose run ends infeasible has
+    # no starts to compare and is counted, not dropped
+    rng = random.Random(0x7A1)
+    counts = {method: {"compared": 0, "infeasible": 0} for method in (REACTIVE, STNU)}
+    for path in sorted(J10.glob("*.sch")):
+        stoch = make_stochastic(parse_psplib(path.read_text()), 2)
+        with methods.reusing_plans({}):
+            for method, count in counts.items():
+                run = METHODS[method].run
+                cfg = METHODS[method].defaults
+                for _ in range(9):
+                    sample = sample_durations(stoch, rng.getrandbits(63))
+                    first = run(stoch, cfg, sample)
+                    if not first.feasible:
+                        continue
+                    cut = rng.randint(1, first.makespan)
+                    twin = run(stoch, cfg, twin_sample(stoch, sample, first.starts, cut, rng))
+                    if not twin.feasible:
+                        count["infeasible"] += 1
+                        continue
+                    count["compared"] += 1
+                    before = [(j, s) for j, s in enumerate(first.starts) if s < cut]
+                    assert before == [(j, s) for j, s in enumerate(twin.starts) if s < cut], (
+                        path.stem, method, sample.seed, cut
+                    )
+    for method, count in counts.items():
+        assert count["compared"] >= 80, method
+        assert count["infeasible"] < count["compared"], method
 
 
 # a value of each MethodConfig field that changes the run of a method reading it

@@ -9,6 +9,7 @@ import importlib.util
 import itertools
 import pickle
 import random
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -107,6 +108,9 @@ def test_build_stnu_requires_matching_instances(dc_pos, example_instance):
 
 
 def test_stnu_validation():
+    for count in (0, -1):
+        with pytest.raises(ValueError, match=f"at least 1 activity, not {count}"):
+            Stnu(count, (), ())
     with pytest.raises(ValueError, match="out of range"):
         Stnu(n_activities=1, ordinary_edges=((0, 2, 1),), contingent_links=())
     with pytest.raises(ValueError, match="bounds"):
@@ -451,17 +455,32 @@ def test_reference_dc_check_pinned(group):
     assert _dc_digests(reference_dc.dc_check, group) == REFERENCE_DC_GOLDEN[group]
 
 
-def _gen30_networks():
-    """Planted 30-activity networks of perfbench's generator, chained at the longest durations."""
+def _gen30_networks(activities: int = 30):
+    """Planted networks of perfbench's generator (seeds 0-2), chained at the longest durations."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     for seed in range(3):
-        inst, planted = gen.planted_instance(30, seed)
+        inst, planted = gen.planted_instance(activities, seed)
         stoch = make_stochastic(inst, 1.0)
         longest = quantile_durations(stoch, 1).durations
         pos = chain(inst, longest, Schedule.from_starts(planted, longest))
         yield build_stnu(pos, stoch), stoch
+
+
+# digest of each closure with its waits, recorded from the propagator that
+# kept every edge's derivation
+SCALE_CLOSURES = ("9eb1aef8c66c2e07", "1bb767fb142c548a", "08d487eff37fcd3a")
+
+
+def test_dc_check_pinned_on_the_scale_networks():
+    # perfbench's scale workload checks these 50-activity networks; CI compares
+    # only their edge counts
+    closures = []
+    for stnu, _ in _gen30_networks(50):
+        estnu = dc_check(stnu).estnu
+        closures.append(_digest((estnu.base.ordinary_edges, estnu.wait_edges)))
+    assert tuple(closures) == SCALE_CLOSURES
 
 
 def _differential_networks(group: str):
@@ -516,6 +535,50 @@ def test_dc_check_matches_reference(group):
             expected = _outcome(rte_execute, ref.estnu, sample)
             assert _outcome(rte_execute, res.estnu, sample) == expected
     assert controllable > 0
+
+
+class _CountingQueue(deque):
+    """A worklist that counts its entries: one per store that did not raise."""
+
+    appended = 0
+
+    def append(self, entry) -> None:
+        self.appended += 1
+        super().append(entry)
+
+
+def _propagated_state(propagator):
+    """What a propagation stored, and its contradiction's derivation or None if it finished."""
+    propagator.queue = _CountingQueue()
+    try:
+        propagator.run()
+        derivation = None
+    except _Inconsistent as contradiction:
+        derivation = contradiction.args
+    stored = (propagator.ow, propagator.uw, propagator.ord_keys, propagator.uc_keys)
+    return stored, propagator.queue.appended, derivation
+
+
+@pytest.mark.parametrize("group", sorted(DC_CHECK_GOLDEN) + ["gen30", "game"])
+def test_explaining_propagation_adds_only_derivations(group):
+    # dc_check propagates without derivations and reruns a non-DC network to
+    # explain it: both runs store the same records in the same order and a
+    # contradiction comes at the same store
+    contradictions = 0
+    for stnu in _differential_networks(group):
+        plain, explaining = _Propagator(stnu), _Propagator(stnu, explain=True)
+        stored, stores, derivation = _propagated_state(plain)
+        again, stores_again, explained = _propagated_state(explaining)
+        assert (again, stores_again) == (stored, stores)
+        assert (explained is None) == (derivation is None)
+        assert plain.oh == plain.uh == []  # the plain run holds no derivation rows
+        ord_keys, uc_keys = stored[2:]
+        assert None not in [explaining.oh[u][v] for u, v in ord_keys]
+        assert None not in [explaining.uh[u][c] for u, c in uc_keys]
+        if derivation is not None:
+            contradictions += 1
+            assert derivation == (None,)
+    assert contradictions > 0 or group in ("j10", "gen30")
 
 
 @pytest.mark.parametrize("group", sorted(DC_CHECK_GOLDEN) + ["gen30", "game"])

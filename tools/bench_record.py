@@ -11,7 +11,10 @@ on the parent commit and on the change.  The file, written to the current
 directory, holds both commits and, per workload of BENCHMARK.json:
 
 - the number of runs on each side;
-- for every gated end-to-end metric, each side's median and [q1, q3];
+- for every gated end-to-end metric, each side's median and [q1, q3], and
+  ``better_pairs`` [k, m]: k of the m seeds run on both sides read better
+  on the change, in the metric's ``better`` direction (a tie counts for
+  neither);
 - for every seed run on both sides, whether the deterministic counters are
   equal (a counter that differs is a behaviour change, not noise) and the
   counters that differ, each as [parent value, change value] (null where
@@ -48,6 +51,16 @@ def _changed_counters(parent: dict[str, object], change: dict[str, object]) -> d
     }
 
 
+def _better_pairs(metric: dict[str, str], parent: list[dict], change: list[dict]) -> list[int]:
+    """[k, m]: of the m seeds run on both sides, the k whose change run reads strictly better."""
+    name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+    wins = sum(
+        sign * (c["metrics"][name]["value"] - p["metrics"][name]["value"]) > 0
+        for p, c in zip(parent, change)
+    )
+    return [wins, len(parent)]
+
+
 def bench_record(
     label: str, parent_commit: str, parent_dir: str, change_commit: str, change_dir: str
 ) -> dict[str, object]:
@@ -66,12 +79,10 @@ def bench_record(
         seeds = sorted(
             seed for (w, seed) in set(sides["parent"]) & set(sides["change"]) if w == workload
         )
+        paired = {side: [sides[side][(workload, seed)] for seed in seeds] for side in sides}
         counters = {
-            seed: _changed_counters(
-                sides["parent"][(workload, seed)]["counters"],
-                sides["change"][(workload, seed)]["counters"],
-            )
-            for seed in seeds
+            seed: _changed_counters(parent["counters"], change["counters"])
+            for seed, parent, change in zip(seeds, paired["parent"], paired["change"])
         }
         workloads[workload] = {
             "runs": {side: len(side_runs) for side, side_runs in runs.items()},
@@ -83,6 +94,7 @@ def bench_record(
                         side: _spread([r["metrics"][metric["name"]]["value"] for r in side_runs])
                         for side, side_runs in runs.items()
                     },
+                    "better_pairs": _better_pairs(metric, paired["parent"], paired["change"]),
                 }
                 for metric in spec["end_to_end"]
             },
