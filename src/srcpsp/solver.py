@@ -7,39 +7,20 @@ members of a minimal conflict set.  Any pairwise-overlapping set of intervals
 shares a common time point, so every resource-feasible schedule separates at
 least one ordered pair of each conflict set; the branching is complete.
 
-One search serves both entry points: it fixes one start vector for a list
-of duration scenarios and minimizes their mean makespan.  ``solve`` runs it
-on a single scenario, ``solve_saa`` on the sample-average method's quantile
-scenarios.  A warm start is vetted by the search itself, against the same
-lags, floors, pins and conflict sweeps its nodes use, so it is no
-precondition.
+One search (``_search``) serves both entry points: it fixes one start
+vector for a list of duration scenarios and minimizes their mean makespan.
+``solve`` runs it on a single scenario, ``solve_saa`` on the sample-average
+method's quantile scenarios.
 
-Each node costs only what is new at it.  The origin and lag edges with
-their adjacency lists, their least solution (the lag-only root) and the
-packed resource fields are built once per instance value, shared by equal
-instances; a search copies the adjacency, tightens that root by its
-release floors and then its pins, one edge at a time, and takes each
-scenario's positive-duration users.  A child copies its parent's
-potentials, adds its one new edge to the path's edges in the adjacency and
-tightens forward from its head (``stn._tighten``), unless the lower bound
-it carries already loses to the incumbent; a conflict's children are built
-once per search.  A scenario's conflicts are found by one start-ordered
-sweep that keeps the usage of every resource that can overload in one
-packed int: each resource owns a field one bit wider than its users' total
-demand needs, biased so that its top bit is set exactly when usage exceeds
-capacity.  Usage never exceeds that total, so no field carries into the
-next, and a user joins or leaves with one add or subtract for every
-resource at once.
-
-A node branches on the first scenario in the list that conflicts.  The
-sample-average method's plan (``methods._saa_plan``) passes its dominating
-scenario first, so each of its conflicting nodes branches on that one at
-the first look.  When a direct caller's list is nested ascending (each
-scenario's durations pointwise no shorter than the one before), a conflict
-in one scenario is a conflict in every later one, so a node probes its
-parent's branching scenario first and steps down or up from there.  Any
-other list is scanned from its first scenario at every node.  Either way
-the search visits the same nodes in the same order.
+Each node costs only what is new at it.  What every search on an instance
+needs, its edges, their least solution and its packed resource fields, is
+built once per instance value (``_instance_data``).  A child copies its
+parent's potentials, adds its one new edge to the path's edges in the
+adjacency and tightens forward from its head (``stn._tighten``), unless the
+lower bound it carries already loses to the incumbent; a conflict's
+children are built once per search.  A scenario's conflicts are found by
+one start-ordered sweep over the packed fields (``_first_conflict``), one
+add or subtract per user for every resource at once.
 """
 
 from __future__ import annotations
@@ -131,6 +112,8 @@ def check_schedule(
         raise ValueError(f"expected {total} durations, got {len(durations)}")
     if len(sched.starts) != total:
         raise ValueError(f"expected {total} starts, got {len(sched.starts)}")
+    if any(d < 0 for d in durations):
+        raise ValueError("durations must be nonnegative")
     starts = sched.starts
 
     precedence = tuple(
@@ -286,26 +269,27 @@ def _search(
     Precedence constraints are duration-independent, so scenarios differ only
     in their resource profiles and makespans.  Nodes are pruned on the sum of
     the scenario makespans, which orders nodes exactly as their mean does.
-    A node branches on the first scenario in the list that conflicts, with
-    that scenario's durations, which separates its overlap and keeps the
-    search complete.  ``floors`` are lag edges the instance does not hold;
-    they join its lags, before the pins, exactly as if they were its own,
-    and the closing replay checks them beside ``check_schedule``.  The
-    search's root is the instance's memoised least solution, tightened by
-    each floor and then by each pin's two origin edges (``t <= t_v <= t``),
-    one ``_tighten`` per edge: each step starts from the least solution
-    without its edge, so the root is the one a full relaxation would find,
-    None included.  ``incumbent`` seeds the search only if it has one start
-    per activity, all of them >= 0, holds every lag, floor and pin, and no
-    scenario's sweep finds an overload.
 
-    If ``d <= d'`` pointwise, every user running at a time under ``d`` also
-    runs then under ``d'``, so a conflict under ``d`` is one under ``d'``.
-    When the list is nested in that way, a node probes its parent's
-    branching scenario first: it steps down while the lower scenario still
-    conflicts, or up until one does.  Otherwise every node starts at the
-    first scenario and the upward walk is an in-order scan.  Both find the
-    same scenario, so the node order does not depend on the list's shape.
+    The rooted graph is the origin's ``t >= 0`` edges, the lags, ``floors``
+    (lag edges the instance does not hold) and each pin's two origin edges
+    (``t <= t_v <= t``).  Its root is the instance's memoised least solution
+    tightened by each floor and then each pin edge, one ``_tighten`` per
+    edge, so it is the one a full relaxation would find, None included.
+    ``incumbent`` seeds the search only if it has one start per activity,
+    holds every edge of the rooted graph and no scenario's sweep finds an
+    overload.  The closing replay runs ``check_schedule`` and then checks
+    the floors and pins, which it does not see.
+
+    A node branches on the first scenario in the list that conflicts, with
+    its durations, which separates its overlap and keeps the search
+    complete.  If ``d <= d'`` pointwise, every user running at a time under
+    ``d`` also runs then under ``d'``, so a conflict under ``d`` is one
+    under ``d'``.  When the list is nested in that way, a node probes its
+    parent's branching scenario first: it steps down while the lower
+    scenario still conflicts, or up until one does.  Otherwise every node
+    starts at the first scenario and the upward walk is an in-order scan.
+    Both find the same scenario, so the node order does not depend on the
+    list's shape.
     """
     if not scenarios:
         raise ValueError("at least one scenario required")
@@ -322,27 +306,23 @@ def _search(
         if not 0 <= v < total:
             raise ValueError(f"fixed node {v} out of range")
     t0 = time.monotonic()
-    # The root solution and the sweep plans are fixed for the whole
-    # search; each node only adds its newest ordering edge to ``succ``.
-    lags = inst.temporal_constraints
     adjacency, (packed, *fields), root = _instance_data(inst)
-    succ = list(map(list, adjacency))  # the path's edges come and go
+    succ = list(map(list, adjacency))  # the rooted graph; the path's edges come and go
     pins = [edge for v, t in fixed.items() for edge in ((total, v, t), (v, total, -t))]
     for edge in (*floors, *pins):
-        if root is None:
-            break
         succ[edge[0]].append(edge[1:])
-        root = _tighten(succ, root, edge)
+        if root is not None:
+            root = _tighten(succ, root, edge)
     resources = [([j for j in packed if d[j] > 0], *fields, d) for d in scenarios]
     single = len(scenarios) == 1
-    if incumbent is not None and (
-        len(incumbent) != total
-        or min(incumbent) < 0
-        or any(incumbent[j] - incumbent[i] < w for i, j, w in (*lags, *floors))
-        or any(incumbent[v] != t for v, t in fixed.items())
-        or any(_first_conflict(found, incumbent) for found in resources)
-    ):
-        incumbent = None
+    if incumbent is not None:
+        x = [*incumbent, 0]  # the origin last, at 0
+        if (
+            len(incumbent) != total
+            or any(x[j] - xi < w for xi, out in zip(x, succ) for j, w in out)
+            or any(_first_conflict(found, incumbent) for found in resources)
+        ):
+            incumbent = None
 
     def makespan_sum(starts: Sequence[int]) -> int:
         # map stops at the end of the scenario, before the origin's potential
@@ -351,7 +331,7 @@ def _search(
         return sum(max(map(operator.add, starts, scen)) for scen in scenarios)
 
     best_starts = None if incumbent is None else tuple(incumbent)
-    best = None if incumbent is None else makespan_sum(incumbent)
+    best = float("inf") if incumbent is None else makespan_sum(incumbent)
 
     # only a nested list lets a child start its hunt at its parent's scenario
     nested = all(
@@ -376,7 +356,7 @@ def _search(
         dist, depth, k, edge, bound = stack.pop()
         nodes += 1
         # potentials only rise, so the node's own bound would prune it too
-        if best is not None and bound >= best:
+        if bound >= best:
             continue
         while len(path) > depth:  # drop abandoned branches' edges
             succ[path.pop()].pop()
@@ -387,7 +367,7 @@ def _search(
         if dist is None:
             continue
         bound = makespan_sum(dist)
-        if best is not None and bound >= best:
+        if bound >= best:
             continue
         # branch on the first conflicting scenario: step down from ``k`` while
         # the lower scenario still conflicts, or up until one does
@@ -423,9 +403,12 @@ def _search(
         sched = Schedule.from_starts(best_starts, durations)
         if not check_schedule(inst, durations, sched).feasible:
             raise AssertionError(f"start vector {best_starts} fails check_schedule")
-    for i, j, w in floors:  # which check_schedule does not see
+    for i, j, w in floors:  # check_schedule sees neither floors nor pins
         if best_starts[j] - best_starts[i] < w:
             raise AssertionError(f"start vector {best_starts} breaks floor {(i, j, w)}")
+    for v, t in fixed.items():
+        if best_starts[v] != t:
+            raise AssertionError(f"start vector {best_starts} breaks pin {v} at {t}")
     status = SolveStatus.OPTIMAL if exhausted else SolveStatus.FEASIBLE
     return SaaOutcome(status, best_starts, best / len(scenarios), nodes)
 

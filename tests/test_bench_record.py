@@ -68,6 +68,23 @@ def test_bench_record_summarizes_both_sides(tmp_path):
     scale = record["workloads"]["scale"]["metrics"]
     assert scale["wall_s"]["better_pairs"] == [2, 3]
     assert scale["nodes_per_s"]["better_pairs"] == [1, 3]
+    # both parents spread less than every bound: (2.55 - 2.05) / 2.3 and 1 / 5.5
+    assert all(m["resolved"] for w in record["workloads"].values() for m in w["metrics"].values())
+
+
+def test_bench_record_flags_metrics_the_parent_spread_cannot_resolve(tmp_path):
+    # the parents spread (3.75 - 1.25) / 2.5 = 1 and 2 / 3, wider than every bound
+    write_records(tmp_path / "parent", {"desk": [1.0, 2.0, 3.0, 4.0], "scale": [2.0, 3.0, 4.0]})
+    write_records(tmp_path / "change", {"desk": [1.5, 2.5, 3.5, 4.5], "scale": [1.0, 1.1]})
+    done = run_tool(tmp_path, "demo", "a", "parent", "b", "change")
+    assert done.returncode == 0, done.stderr
+    workloads = json.loads((tmp_path / "BENCH_demo.json").read_text(encoding="utf-8"))["workloads"]
+    assert not any(m["resolved"] for m in workloads["desk"]["metrics"].values())
+    # every scale change run reads lower than every parent run: resolved
+    # where lower is better, not where higher is
+    for m in SPEC["end_to_end"]:
+        resolved = workloads["scale"]["metrics"][m["name"]]["resolved"]
+        assert resolved == (m["better"] == "lower"), m["name"]
 
 
 def test_bench_record_names_each_changed_counter(tmp_path):

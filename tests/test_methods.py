@@ -10,6 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -501,13 +502,34 @@ def test_feasible_runs_replay_through_the_checker():
     assert audited >= 40
 
 
-def test_reactive_online_cost_exceeds_proactive_sweep():
+def test_reactive_online_cost_exceeds_proactive_sweep(monkeypatch):
+    # a fake clock that only a solve (1 s) or a feasibility sweep (1/1024 s)
+    # moves, so the online times name the steps they count, not machine load
+    clock = [0.0]
+    calls = []
+
+    def ticking(step, cost):
+        def run(*args, **kwargs):
+            calls.append(step.__name__)
+            clock[0] += cost
+            return step(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(methods, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(methods, "solve", ticking(solve, 1.0))
+    monkeypatch.setattr(methods, "check_schedule", ticking(check_schedule, 2**-10))
     sample = DurationSample((0, 3, 2, 0))
     cfg = MethodConfig(gamma=0.5)
     pro = run_proactive_quantile(SLACK_STOCH, cfg, sample)
+    assert pro.feasible and calls == ["solve", "check_schedule"]
+    assert (pro.time_offline, pro.time_online) == (1.0, 2**-10)  # the sweep alone
+    calls.clear()
     rea = run_reactive(SLACK_STOCH, cfg, sample)
-    assert pro.feasible and rea.feasible
-    # one re-solve costs strictly more than the proactive feasibility sweep
+    assert rea.feasible and calls == ["solve", "solve", "check_schedule"]
+    # the plan is offline and the closing trace check is uncounted: online
+    # is the one re-solve, which costs strictly more than the sweep
+    assert (rea.time_offline, rea.time_online) == (1.0, 1.0)
     assert rea.time_online > pro.time_online
 
 

@@ -120,6 +120,18 @@ def test_check_schedule_makespan_is_recomputed(example_instance):
 def test_check_schedule_size_mismatch(example_instance):
     with pytest.raises(ValueError):
         check_schedule(example_instance, (0, 1), sched(example_instance, (0,) * 7))
+    # a negative duration would drop its activity from the resource sweep
+    pair = ProjectInstance(
+        activity_count=2,
+        durations=(0, 2, 2, 0),
+        demands=((0, 1, 1, 0),),
+        capacities=(1,),
+        temporal_constraints=(),
+    )
+    both_at_zero = Schedule(starts=(0, 0, 0, 0), makespan=2)
+    assert check_schedule(pair, (0, 2, 2, 0), both_at_zero).resource_violations
+    with pytest.raises(ValueError, match="durations must be nonnegative"):
+        check_schedule(pair, (0, 2, -2, 0), both_at_zero)
 
 
 def test_check_schedule_rejects_start_vector_of_wrong_length(example_instance):
@@ -657,6 +669,22 @@ def test_search_replays_its_floors(example_instance, monkeypatch):
         solve(inst, inst.durations, floors=floors)
     with pytest.raises(ValueError, match="floor edge out of activity range"):
         solve(inst, inst.durations, floors=[(0, inst.n_activities, 1)])
+
+
+def test_search_replays_its_pins(example_instance, monkeypatch):
+    # check_schedule does not see the pins either, so with them kept from the
+    # search's root only the search's own pin replay stops its answer
+    inst = example_instance
+    origin = inst.n_activities
+    assert solve(inst, inst.durations, fixed={2: 9}).schedule.starts[2] == 9
+    tighten = solver._tighten
+
+    def pin_ignored(succ, dist, edge):  # the search's root skips the pin
+        return dist if edge in ((origin, 2, 9), (2, origin, -9)) else tighten(succ, dist, edge)
+
+    monkeypatch.setattr(solver, "_tighten", pin_ignored)
+    with pytest.raises(AssertionError, match=r"^start vector .* breaks pin 2 at 9$"):
+        solve(inst, inst.durations, fixed={2: 9})
 
 
 def _tightened_root(inst, floors, fixed):

@@ -11,10 +11,13 @@ on the parent commit and on the change.  The file, written to the current
 directory, holds both commits and, per workload of BENCHMARK.json:
 
 - the number of runs on each side;
-- for every gated end-to-end metric, each side's median and [q1, q3], and
+- for every gated end-to-end metric, each side's median and [q1, q3],
   ``better_pairs`` [k, m]: k of the m seeds run on both sides read better
   on the change, in the metric's ``better`` direction (a tie counts for
-  neither);
+  neither), and ``resolved``: false when the parent's runs spread wider
+  than the metric's ``bound`` ((q3 - q1) / median) and some change run
+  reads no better than some parent run, since a median within the bound
+  then does not show the metric unchanged;
 - for every seed run on both sides, whether the deterministic counters are
   equal (a counter that differs is a behaviour change, not noise) and the
   counters that differ, each as [parent value, change value] (null where
@@ -61,6 +64,34 @@ def _better_pairs(metric: dict[str, str], parent: list[dict], change: list[dict]
     return [wins, len(parent)]
 
 
+def _resolved(metric: dict[str, object], parent: list[float], change: list[float]) -> bool:
+    """Whether the parent's spread is within the metric's bound, or every change
+    run reads better than every parent run."""
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    if q3 - q1 <= metric["bound"] * abs(statistics.median(parent)):
+        return True
+    if metric["better"] == "higher":
+        return min(change) > max(parent)
+    return max(change) < min(parent)
+
+
+def _metric_record(
+    metric: dict[str, object], runs: dict[str, list[dict]], paired: dict[str, list[dict]]
+) -> dict[str, object]:
+    """One metric's spread on each side, its better pairs and whether it is resolved."""
+    values = {
+        side: [r["metrics"][metric["name"]]["value"] for r in side_runs]
+        for side, side_runs in runs.items()
+    }
+    return {
+        "unit": metric["unit"],
+        "better": metric["better"],
+        **{side: _spread(side_values) for side, side_values in values.items()},
+        "better_pairs": _better_pairs(metric, paired["parent"], paired["change"]),
+        "resolved": _resolved(metric, values["parent"], values["change"]),
+    }
+
+
 def bench_record(
     label: str, parent_commit: str, parent_dir: str, change_commit: str, change_dir: str
 ) -> dict[str, object]:
@@ -87,15 +118,7 @@ def bench_record(
         workloads[workload] = {
             "runs": {side: len(side_runs) for side, side_runs in runs.items()},
             "metrics": {
-                metric["name"]: {
-                    "unit": metric["unit"],
-                    "better": metric["better"],
-                    **{
-                        side: _spread([r["metrics"][metric["name"]]["value"] for r in side_runs])
-                        for side, side_runs in runs.items()
-                    },
-                    "better_pairs": _better_pairs(metric, paired["parent"], paired["change"]),
-                }
+                metric["name"]: _metric_record(metric, runs, paired)
                 for metric in spec["end_to_end"]
             },
             "counters_equal": {str(seed): not changed for seed, changed in counters.items()},
